@@ -1,9 +1,9 @@
-"""Scaled dot-product attention kernels: global (all pairs) and windowed local.
+"""Scaled dot-product attention: attend, the one kernel forward runs, and its backward.
 
-The local kernel walks the diagonals of the score matrix, so only query-key
-pairs inside the visibility band are ever evaluated; threading an OpCounter
-through either kernel reports the exact number of evaluated pairs, which is
-how the linear-versus-quadratic cost claims are checked.
+Local mode walks the window_k + 1 diagonals of the score matrix, in forward
+and backward, so only query-key pairs inside the visibility band are ever
+evaluated; threading an OpCounter through attend reports the exact number of
+evaluated pairs, which is how the linear-versus-quadratic cost claims are checked.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractError, ShapeError
+from .tensor_ops import softmax_rows
 
 GLOBAL = "global"
 LOCAL = "local"
@@ -80,15 +81,79 @@ def _check_qkv(q, k, v, pad_mask):
     return q, k, v, pad
 
 
-def _masked_softmax_rows(scores: np.ndarray) -> np.ndarray:
-    """Row softmax where -inf marks invisible entries; all-masked rows yield zeros."""
-    m = scores.max(axis=-1, keepdims=True)
-    safe_m = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(invalid="ignore"):
-        e = np.exp(scores - safe_m)
-    e = np.where(np.isfinite(scores), e, 0.0)
-    denom = e.sum(axis=-1, keepdims=True)
-    return np.where(denom > 0, e / np.where(denom > 0, denom, 1.0), 0.0)
+def _diagonals(n: int, window_k: int):
+    """(band column, key offset, lo, hi) for each in-range diagonal of the band:
+    query rows lo:hi see key rows lo + offset:hi + offset."""
+    w = window_k // 2
+    for col, off in enumerate(range(-w, w + 1)):
+        lo, hi = max(0, -off), min(n, n - off)
+        if lo < hi:
+            yield col, off, lo, hi
+
+
+def attend(qh, kh, vh, pad, spec: AttentionSpec, counter: OpCounter | None = None):
+    """Multi-head attention under spec's visibility rule; returns (ctx, probs).
+
+    qh/kh/vh are [heads, n, head_dim]; pad marks keys no query may see, and a
+    query with no visible key gets zeros. probs, kept for attend_backward, is
+    [heads, n, n] in global mode and in local mode the band [heads, n,
+    window_k + 1] whose column c holds key i + c - window_k / 2. counter
+    receives the number of scores evaluated, summed over heads.
+    """
+    heads, n, head_dim = qh.shape
+    scale = 1.0 / math.sqrt(head_dim)
+    if spec.mode == GLOBAL:
+        scores = qh @ kh.transpose(0, 2, 1)
+        scores *= scale
+        if counter is not None:
+            counter.add(heads * n * n)
+        if pad.any():
+            scores[:, :, pad] = -np.inf
+        probs = softmax_rows(scores)
+        return probs @ vh, probs
+    diagonals = list(_diagonals(n, spec.window_k))
+    band = np.full((heads, n, spec.window_k + 1), -np.inf, dtype=qh.dtype)
+    for col, off, lo, hi in diagonals:
+        prod = np.einsum("hnd,hnd->hn", qh[:, lo:hi], kh[:, lo + off:hi + off]) * scale
+        band[:, lo:hi, col] = np.where(pad[lo + off:hi + off], -np.inf, prod)
+    if counter is not None:
+        counter.add(heads * sum(hi - lo for _, _, lo, hi in diagonals))
+    probs = softmax_rows(band)
+    ctx = np.zeros_like(vh)
+    for col, off, lo, hi in diagonals:
+        ctx[:, lo:hi] += probs[:, lo:hi, col, None] * vh[:, lo + off:hi + off]
+    return ctx, probs
+
+
+def attend_backward(d_ctx, qh, kh, vh, probs, spec: AttentionSpec):
+    """Gradients (d_qh, d_kh, d_vh) of attend's ctx, given d_ctx and attend's probs."""
+    scale = 1.0 / np.sqrt(qh.shape[-1])
+    if spec.mode == GLOBAL:
+        d_probs = d_ctx @ vh.transpose(0, 2, 1)
+        d_vh = probs.transpose(0, 2, 1) @ d_ctx
+        d_scores = probs * (d_probs - (d_probs * probs).sum(axis=-1, keepdims=True))
+        d_qh = (d_scores @ kh) * scale
+        d_kh = (d_scores.transpose(0, 2, 1) @ qh) * scale
+        return d_qh, d_kh, d_vh
+    diagonals = list(_diagonals(qh.shape[1], spec.window_k))
+    d_probs, d_vh = np.zeros_like(probs), np.zeros_like(vh)
+    for col, off, lo, hi in diagonals:
+        d_probs[:, lo:hi, col] = np.einsum("hnd,hnd->hn", d_ctx[:, lo:hi],
+                                           vh[:, lo + off:hi + off])
+        d_vh[:, lo + off:hi + off] += probs[:, lo:hi, col, None] * d_ctx[:, lo:hi]
+    d_scores = probs * (d_probs - (d_probs * probs).sum(axis=-1, keepdims=True)) * scale
+    d_qh, d_kh = np.zeros_like(qh), np.zeros_like(kh)
+    for col, off, lo, hi in diagonals:
+        d_qh[:, lo:hi] += d_scores[:, lo:hi, col, None] * kh[:, lo + off:hi + off]
+        d_kh[:, lo + off:hi + off] += d_scores[:, lo:hi, col, None] * qh[:, lo:hi]
+    return d_qh, d_kh, d_vh
+
+
+def _single_head(q, k, v, pad, spec, counter):
+    ctx, _ = attend(q[None], k[None], v[None], pad, spec, counter)
+    out = ctx[0]
+    out[pad] = 0.0
+    return out
 
 
 def global_attention(q, k, v, pad_mask, counter: OpCounter | None = None) -> np.ndarray:
@@ -98,15 +163,7 @@ def global_attention(q, k, v, pad_mask, counter: OpCounter | None = None) -> np.
     are zeroed). Evaluates all n^2 score pairs.
     """
     q, k, v, pad = _check_qkv(q, k, v, pad_mask)
-    n, d = q.shape
-    scores = (q @ k.T) * (1.0 / math.sqrt(d))
-    if counter is not None:
-        counter.add(n * n)
-    scores = np.where(pad[None, :], -np.inf, scores)
-    probs = _masked_softmax_rows(scores)
-    out = probs @ v
-    out[pad] = 0.0
-    return out
+    return _single_head(q, k, v, pad, AttentionSpec(GLOBAL, 1, q.shape[1]), counter)
 
 
 def local_attention(q, k, v, pad_mask, window_k: int, counter: OpCounter | None = None) -> np.ndarray:
@@ -114,71 +171,21 @@ def local_attention(q, k, v, pad_mask, window_k: int, counter: OpCounter | None 
 
     Scores are computed diagonal-by-diagonal, so exactly sum_i |visible(i)|
     pairs are evaluated (windows clip at the sequence edges; no wraparound).
-    An unpadded query whose entire window is padded is a contract violation.
+    Every window holds its own query, so an unpadded query always sees a key.
     """
     if window_k < 2 or window_k % 2 != 0:
         raise ContractError("window_k must be an even integer >= 2")
     q, k, v, pad = _check_qkv(q, k, v, pad_mask)
-    n, d = q.shape
-    w = window_k // 2
-    scale = 1.0 / math.sqrt(d)
-    width = 2 * w + 1
-    band = np.full((n, width), -np.inf, dtype=q.dtype)
-    evaluated = 0
-    for off in range(-w, w + 1):
-        lo = max(0, -off)
-        hi = min(n, n - off)
-        if hi <= lo:
-            continue
-        prod = np.einsum("nd,nd->n", q[lo:hi], k[lo + off:hi + off]) * scale
-        evaluated += hi - lo
-        band[lo:hi, off + w] = np.where(pad[lo + off:hi + off], -np.inf, prod)
-    if counter is not None:
-        counter.add(evaluated)
-    has_visible = np.isfinite(band).any(axis=1)
-    if not has_visible[~pad].all():
-        raise ContractError("a query position has no unmasked key inside its window")
-    probs = _masked_softmax_rows(band)
-    out = np.zeros_like(v)
-    for off in range(-w, w + 1):
-        lo = max(0, -off)
-        hi = min(n, n - off)
-        if hi <= lo:
-            continue
-        out[lo:hi] += probs[lo:hi, off + w, None] * v[lo + off:hi + off]
-    out[pad] = 0.0
-    return out
-
-
-def visibility_mask(n: int, pad_mask, mode: str, window_k: int | None = None) -> np.ndarray:
-    """Boolean [n, n] matrix, True where query i may attend key j.
-
-    This is the dense-mask formulation of the same visibility rule the kernels
-    apply; the encoder uses it so one attention code path serves both modes.
-    """
-    pad = np.asarray(pad_mask, dtype=bool)
-    vis = np.broadcast_to(~pad[None, :], (n, n)).copy()
-    if mode == LOCAL:
-        if window_k is None:
-            raise ConfigError("local visibility needs window_k")
-        w = window_k // 2
-        idx = np.arange(n)
-        vis &= np.abs(idx[:, None] - idx[None, :]) <= w
-    elif mode != GLOBAL:
-        raise ConfigError(f"unknown attention mode {mode!r}")
-    return vis
+    return _single_head(q, k, v, pad, AttentionSpec(LOCAL, 1, q.shape[1], window_k), counter)
 
 
 def score_op_count(n: int, spec: AttentionSpec) -> int:
-    """Run the kernel for a length-n input and report the instrumented number
-    of query-key evaluations (n^2 for global, the clipped band size for local)."""
+    """Run attend on a length-n input and report the instrumented number of
+    query-key evaluations per head (n^2 for global, the clipped band size for
+    local)."""
     if n < 1:
         raise ContractError("sequence length must be >= 1")
-    x = np.zeros((n, spec.head_dim), dtype=np.float32)
-    pad = np.zeros(n, dtype=bool)
+    x = np.zeros((1, n, spec.head_dim), dtype=np.float32)
     counter = OpCounter()
-    if spec.mode == GLOBAL:
-        global_attention(x, x, x, pad, counter=counter)
-    else:
-        local_attention(x, x, x, pad, spec.window_k, counter=counter)
+    attend(x, x, x, np.zeros(n, dtype=bool), spec, counter=counter)
     return counter.count

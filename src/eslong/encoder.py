@@ -3,18 +3,18 @@
 Pre-LN blocks, learned absolute position table, bias-free linear projections,
 and a final layer norm applied before both the MLM head and embedding
 extraction. The position table is a materialized per-position matrix so its
-row count (the context capacity) can be extended by cyclic copying.
+row count (the context capacity) can be extended by cyclic copying. Every
+layer runs attention.attend, the banded kernel in local mode.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
 
-from .attention import GLOBAL, LOCAL, AttentionSpec, visibility_mask
+from .attention import GLOBAL, LOCAL, AttentionSpec, attend
 from .checkpoint import read_checkpoint, write_checkpoint
 from .errors import ConfigError, ContractError, InputError, LengthError
 from .quant import QuantizedTensor, qmatmul
@@ -272,17 +272,6 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(1, 0, 2).reshape(n, nh * dh)
 
 
-def _masked_softmax(scores: np.ndarray, visible: np.ndarray) -> np.ndarray:
-    masked = np.where(visible[None, :, :], scores, -np.inf)
-    m = masked.max(axis=-1, keepdims=True)
-    safe_m = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(invalid="ignore"):
-        e = np.exp(masked - safe_m)
-    e = np.where(np.isfinite(masked), e, 0.0)
-    denom = e.sum(axis=-1, keepdims=True)
-    return np.where(denom > 0, e / np.where(denom > 0, denom, 1.0), 0.0)
-
-
 def forward(model: EncoderModel, token_ids, want_cache: bool = False):
     """Last-layer hidden states after the final layer norm, one row per token.
 
@@ -302,8 +291,6 @@ def forward(model: EncoderModel, token_ids, want_cache: bool = False):
     pad = tok == vocab.pad_id
     P = model.params
     x = P["token_embedding"][tok] + P["position_embedding"][:n]
-    visible = visibility_mask(n, pad, cfg.attention.mode, cfg.attention.window_k)
-    scale = 1.0 / math.sqrt(cfg.head_dim)
     layer_caches = []
     for i in range(cfg.num_layers):
         p = f"layers.{i}"
@@ -312,9 +299,8 @@ def forward(model: EncoderModel, token_ids, want_cache: bool = False):
         qh = _split_heads(_project(model, f"{p}.q_proj", h1), cfg.num_heads)
         kh = _split_heads(_project(model, f"{p}.k_proj", h1), cfg.num_heads)
         vh = _split_heads(_project(model, f"{p}.v_proj", h1), cfg.num_heads)
-        scores = (qh @ kh.transpose(0, 2, 1)) * scale
-        probs = _masked_softmax(scores, visible)
-        ctx = _merge_heads(probs @ vh)
+        ctx_h, probs = attend(qh, kh, vh, pad, cfg.attention)
+        ctx = _merge_heads(ctx_h)
         x_mid = x_in + _project(model, f"{p}.o_proj", ctx)
         h2, ln2_cache = _ln_forward(x_mid, P[f"{p}.ffn_ln.gain"], P[f"{p}.ffn_ln.bias"])
         u = _project(model, f"{p}.ffn_in", h2)

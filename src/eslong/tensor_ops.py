@@ -1,5 +1,7 @@
 """Dense numeric kernels shared by the encoder, attention, and classifier code.
 
+softmax_rows is the one softmax: attention.attend runs it in every forward pass.
+
 All kernels follow the dtype of their inputs; the production path runs in
 float32, while oracle/test code may pass float64 arrays through unchanged.
 """
@@ -31,11 +33,20 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def softmax_rows(a: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis, with max-subtraction so large scores cannot overflow."""
+    """Softmax over the last axis, with max-subtraction so large scores cannot overflow.
+
+    A -inf entry is invisible, and a row with nothing visible comes out all
+    zeros. All work happens in one output buffer of a's shape.
+    """
     a = np.asarray(a)
-    shifted = a - a.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    m = a.max(axis=-1, keepdims=True)
+    m[~np.isfinite(m)] = 0.0
+    out = np.subtract(a, m)
+    np.exp(out, out=out)
+    total = out.sum(axis=-1, keepdims=True)
+    total[total == 0] = 1.0
+    out /= total
+    return out
 
 
 def layer_norm(

@@ -16,9 +16,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .attention import attend_backward
 from .encoder import (
     DEFAULT_VOCAB,
     EncoderModel,
+    _merge_heads,
+    _split_heads,
     forward,
     mlm_logits,
     param_names,
@@ -203,8 +206,6 @@ class _Backprop:
         model = self.model
         cfg = model.config
         P = model.params
-        nh = cfg.num_heads
-        scale = 1.0 / np.sqrt(cfg.head_dim)
         d_hidden = self.proj_backward("mlm_head", cache["hidden"], d_logits)
         d_x, d_gf, d_bf = _ln_backward(d_hidden, cache["lnf"], P["final_ln.gain"])
         self._acc("final_ln.gain", d_gf)
@@ -212,7 +213,6 @@ class _Backprop:
         for i in reversed(range(cfg.num_layers)):
             p = f"layers.{i}"
             lc = cache["layers"][i]
-            n, d = lc["x_in"].shape
             # feed-forward half: x = x_mid + ffn_out(gelu(ffn_in(LN2(x_mid))))
             d_act = self.proj_backward(f"{p}.ffn_out", lc["act"], d_x)
             d_u = d_act * gelu_grad(lc["u"])
@@ -223,19 +223,11 @@ class _Backprop:
             d_x_mid = d_x + d_mid_ln
             # attention half: x_mid = x_in + o_proj(heads(LN1(x_in)))
             d_ctx = self.proj_backward(f"{p}.o_proj", lc["ctx"], d_x_mid)
-            d_ctx_h = d_ctx.reshape(n, nh, d // nh).transpose(1, 0, 2)
-            probs, vh, qh, kh = lc["probs"], lc["vh"], lc["qh"], lc["kh"]
-            d_probs = d_ctx_h @ vh.transpose(0, 2, 1)
-            d_vh = probs.transpose(0, 2, 1) @ d_ctx_h
-            d_scores = probs * (d_probs - (d_probs * probs).sum(axis=-1, keepdims=True))
-            d_qh = (d_scores @ kh) * scale
-            d_kh = (d_scores.transpose(0, 2, 1) @ qh) * scale
-            d_q = d_qh.transpose(1, 0, 2).reshape(n, d)
-            d_k = d_kh.transpose(1, 0, 2).reshape(n, d)
-            d_v = d_vh.transpose(1, 0, 2).reshape(n, d)
-            d_h1 = self.proj_backward(f"{p}.q_proj", lc["h1"], d_q)
-            d_h1 += self.proj_backward(f"{p}.k_proj", lc["h1"], d_k)
-            d_h1 += self.proj_backward(f"{p}.v_proj", lc["h1"], d_v)
+            d_qh, d_kh, d_vh = attend_backward(_split_heads(d_ctx, cfg.num_heads), lc["qh"],
+                                               lc["kh"], lc["vh"], lc["probs"], cfg.attention)
+            d_h1 = self.proj_backward(f"{p}.q_proj", lc["h1"], _merge_heads(d_qh))
+            d_h1 += self.proj_backward(f"{p}.k_proj", lc["h1"], _merge_heads(d_kh))
+            d_h1 += self.proj_backward(f"{p}.v_proj", lc["h1"], _merge_heads(d_vh))
             d_in_ln, d_g1, d_b1 = _ln_backward(d_h1, lc["ln1"], P[f"{p}.attn_ln.gain"])
             self._acc(f"{p}.attn_ln.gain", d_g1)
             self._acc(f"{p}.attn_ln.bias", d_b1)

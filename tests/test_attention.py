@@ -8,11 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from eslong.attention import (
     AttentionSpec,
+    GLOBAL,
+    LOCAL,
     OpCounter,
     global_attention,
     local_attention,
     score_op_count,
-    visibility_mask,
 )
 from eslong.errors import ConfigError, ContractError
 
@@ -39,6 +40,25 @@ def doubleloop_attention(q, k, v, pad, visible=None):
         for weight, j in zip(w, idx):
             out[i] += weight * v[j].astype(np.float64)
     return out
+
+
+def visibility_mask(n: int, pad_mask, mode: str, window_k: int | None = None) -> np.ndarray:
+    """Boolean [n, n] matrix, True where query i may attend key j.
+
+    This is the dense-mask formulation of the visibility rule the kernels
+    apply; tests compare the kernels against oracles restricted by it.
+    """
+    pad = np.asarray(pad_mask, dtype=bool)
+    vis = np.broadcast_to(~pad[None, :], (n, n)).copy()
+    if mode == LOCAL:
+        if window_k is None:
+            raise ConfigError("local visibility needs window_k")
+        w = window_k // 2
+        idx = np.arange(n)
+        vis &= np.abs(idx[:, None] - idx[None, :]) <= w
+    elif mode != GLOBAL:
+        raise ConfigError(f"unknown attention mode {mode!r}")
+    return vis
 
 
 def rand_qkv(rng, n, d):

@@ -126,8 +126,12 @@ def attend(qh, kh, vh, pad, spec: AttentionSpec, counter: OpCounter | None = Non
 
 
 def attend_backward(d_ctx, qh, kh, vh, probs, spec: AttentionSpec):
-    """Gradients (d_qh, d_kh, d_vh) of attend's ctx, given d_ctx and attend's probs."""
-    scale = 1.0 / np.sqrt(qh.shape[-1])
+    """Gradients (d_qh, d_kh, d_vh) of attend's ctx, given d_ctx and attend's probs.
+
+    The scale is a Python float, as in attend, so the gradients keep the
+    inputs' dtype (a NumPy float64 scalar would promote float32 to float64).
+    """
+    scale = 1.0 / math.sqrt(qh.shape[-1])
     if spec.mode == GLOBAL:
         d_probs = d_ctx @ vh.transpose(0, 2, 1)
         d_vh = probs.transpose(0, 2, 1) @ d_ctx

@@ -11,6 +11,8 @@ from eslong.attention import (
     GLOBAL,
     LOCAL,
     OpCounter,
+    attend,
+    attend_backward,
     global_attention,
     local_attention,
     score_op_count,
@@ -201,6 +203,19 @@ class TestLocalAttention:
             global_attention(q, k, v, pad),
             atol=1e-6,
         )
+
+
+class TestAttend:
+    @pytest.mark.parametrize("mode,window_k", [("global", None), ("local", 4)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_keeps_input_dtype(self, mode, window_k, dtype):
+        rng = np.random.default_rng(11)
+        spec = AttentionSpec(mode, 2, 4, window_k)
+        qh, kh, vh, d_ctx = (rng.normal(size=(2, 9, 4)).astype(dtype) for _ in range(4))
+        pad = np.array([False] * 7 + [True] * 2)
+        _, probs = attend(qh, kh, vh, pad, spec)
+        for grad in attend_backward(d_ctx, qh, kh, vh, probs, spec):
+            assert grad.dtype == dtype
 
 
 class TestScoreOpCount:

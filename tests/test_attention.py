@@ -206,6 +206,20 @@ class TestLocalAttention:
 
 
 class TestAttend:
+    @pytest.mark.parametrize("heads", [2, 3, 4])
+    @pytest.mark.parametrize("window_k", [2, 4, 8])
+    def test_local_band_matches_oracle_per_head(self, heads, window_k):
+        rng = np.random.default_rng(10 + heads * window_k)
+        n, d = 13, 4
+        qh, kh, vh = (rng.normal(size=(heads, n, d)).astype(np.float32) for _ in range(3))
+        pad = np.array([False] * 10 + [True] * 3)
+        ctx, probs = attend(qh, kh, vh, pad, AttentionSpec("local", heads, d, window_k))
+        assert probs.shape == (heads, n, window_k + 1)
+        visible = visibility_mask(n, pad, "local", window_k)
+        for h in range(heads):
+            oracle = doubleloop_attention(qh[h], kh[h], vh[h], pad, visible=visible)
+            np.testing.assert_allclose(ctx[h][~pad], oracle[~pad], atol=1e-6)
+
     @pytest.mark.parametrize("mode,window_k", [("global", None), ("local", 4)])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_backward_keeps_input_dtype(self, mode, window_k, dtype):

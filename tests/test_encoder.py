@@ -134,12 +134,14 @@ class TestForward:
             out = forward(model, tokenize(seq, cfg))
             assert np.isfinite(out).all()
 
-    def test_pad_tokens_do_not_change_prefix(self, toy_model):
-        cfg = toy_model.config
+    @pytest.mark.parametrize("mode,window_k", [("global", None), ("local", 4)])
+    def test_pad_tokens_do_not_change_prefix(self, toy_model, mode, window_k):
+        model = with_attention(toy_model, mode, window_k)
+        cfg = model.config
         toks = tokenize("ACDEFGH", cfg)
         padded = toks + [cfg.vocab.pad_id] * 5
-        base = forward(toy_model, toks)
-        with_pads = forward(toy_model, padded)
+        base = forward(model, toks)
+        with_pads = forward(model, padded)
         np.testing.assert_allclose(with_pads[: len(toks)], base, atol=1e-6)
 
 

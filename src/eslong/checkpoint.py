@@ -13,6 +13,7 @@ Readers reject unknown magic or version.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from typing import Any, BinaryIO
 
@@ -61,7 +62,10 @@ def write_checkpoint(path, tensors: dict[str, Any], config: dict) -> None:
 
 
 def _read_exact(fh: BinaryIO, n: int) -> bytes:
-    data = fh.read(n)
+    """n bytes from fh; a length beyond the end of the file is rejected before
+    anything is read, so a corrupt size field cannot ask for a huge buffer."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    data = fh.read(n) if n <= left else b""
     if len(data) != n:
         raise FormatError("checkpoint truncated")
     return data
@@ -80,7 +84,10 @@ def read_checkpoint(path) -> tuple[dict[str, Any], dict]:
             raise FormatError(f"unsupported checkpoint version {version}")
         for _ in range(count):
             (name_len,) = struct.unpack("<H", _read_exact(fh, 2))
-            name = _read_exact(fh, name_len).decode("utf-8")
+            try:
+                name = _read_exact(fh, name_len).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError("checkpoint entry name is not UTF-8") from exc
             dtype, rank = struct.unpack("<BB", _read_exact(fh, 2))
             dims = tuple(struct.unpack("<I", _read_exact(fh, 4))[0] for _ in range(rank))
             numel = 1

@@ -19,8 +19,12 @@ import time
 from . import __version__
 from .attention import GLOBAL, LOCAL
 from .encoder import (
+    DEFAULT_VOCAB,
     build_model,
+    config_from_json,
+    config_to_json,
     extend_context,
+    json_fields,
     load_model,
     model_tag,
     preset_config,
@@ -53,48 +57,48 @@ def _configure_logging() -> None:
 def _load_config_file(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except ValueError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object")
+    return data
+
+
+_MODEL_DIMS = ("num_layers", "num_heads", "embed_dim", "ffn_dim", "max_positions")
 
 
 def _model_config_from_dict(data: dict):
-    model = dict(data.get("model", {}))
-    mode = model.pop("attention_mode", GLOBAL)
-    window_k = model.pop("window_k", None)
-    preset = model.pop("preset", None)
-    max_positions = model.pop("max_positions", None)
+    """The config file's model section: a preset name or explicit dimensions,
+    plus optional max_positions, attention_mode and window_k."""
+    model = json_fields(data.get("model", {}), "config 'model'", (),
+                        ("preset", "attention_mode", "window_k") + _MODEL_DIMS)
+    fields = {key: model[key] for key in _MODEL_DIMS if key in model}
+    preset = model.get("preset")
     if preset is not None:
-        if model:
-            raise ConfigError(f"unexpected model config keys next to preset: {sorted(model)}")
-        return preset_config(preset, mode=mode, window_k=window_k, max_positions=max_positions)
-    from .attention import AttentionSpec
-    from .encoder import ModelConfig
-
-    required = {"num_layers", "num_heads", "embed_dim", "ffn_dim"}
-    missing = required - set(model)
-    if missing:
-        raise ConfigError(f"model config missing keys: {sorted(missing)}")
-    spec = AttentionSpec(
-        mode=mode,
-        num_heads=model["num_heads"],
-        head_dim=model["embed_dim"] // model["num_heads"],
-        window_k=window_k if mode == LOCAL else None,
-    )
-    return ModelConfig(
-        num_layers=model["num_layers"],
-        num_heads=model["num_heads"],
-        embed_dim=model["embed_dim"],
-        max_positions=max_positions if max_positions is not None else 1024,
-        ffn_dim=model["ffn_dim"],
-        attention=spec,
-    )
+        extra = sorted(set(fields) - {"max_positions"})
+        if extra:
+            raise ConfigError(f"unexpected model config keys next to preset: {extra}")
+        if not isinstance(preset, str):
+            raise ConfigError(f"model preset must be a name, got {preset!r}")
+        fields = {**config_to_json(preset_config(preset)), **fields}
+    else:
+        fields = {"max_positions": 1024, **fields, "vocab": list(DEFAULT_VOCAB.tokens)}
+    mode = model.get("attention_mode", GLOBAL)
+    window_k = model.get("window_k") if mode == LOCAL else None
+    fields["attention"] = {"mode": mode, "window_k": window_k}
+    return config_from_json(fields)
 
 
 def _train_config_from_dict(data: dict, seed_override: int | None) -> TrainConfig:
-    train = dict(data.get("train", {}))
+    types = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
+    train = dict(json_fields(data.get("train", {}), "config 'train'", (), tuple(types)))
+    for key, value in train.items():
+        kind = int if types[key] == "int" else (int, float)
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ConfigError(f"train config {key!r} must be {types[key]}, got {value!r}")
     if seed_override is not None:
         train["seed"] = seed_override
     return TrainConfig(**train)
@@ -137,8 +141,6 @@ def cmd_pretrain(args) -> int:
 
 
 def _serializable_model_config(model) -> dict:
-    from .encoder import config_to_json
-
     cfg = config_to_json(model.config)
     cfg.pop("vocab", None)  # digest-relevant config only; vocab lives in the checkpoint
     return cfg

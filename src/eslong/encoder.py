@@ -16,7 +16,7 @@ import numpy as np
 
 from .attention import GLOBAL, LOCAL, AttentionSpec, attend
 from .checkpoint import read_checkpoint, write_checkpoint
-from .errors import ConfigError, ContractError, InputError, LengthError
+from .errors import ConfigError, ContractError, FormatError, InputError, LengthError
 from .quant import QuantizedTensor, qmatmul
 from .tensor_ops import gelu
 
@@ -39,7 +39,7 @@ class TokenVocab:
         self._ids = {tok: i for i, tok in enumerate(self.tokens)}
         if len(self._ids) != len(self.tokens):
             raise ConfigError("vocabulary contains duplicate tokens")
-        for special in (CLS_TOKEN, PAD_TOKEN, EOS_TOKEN, MASK_TOKEN):
+        for special in (CLS_TOKEN, PAD_TOKEN, EOS_TOKEN, MASK_TOKEN, "X"):
             if special not in self._ids:
                 raise ConfigError(f"vocabulary is missing {special}")
         self.cls_id = self._ids[CLS_TOKEN]
@@ -390,22 +390,52 @@ def config_to_json(config: ModelConfig) -> dict:
     }
 
 
-def config_from_json(data: dict) -> ModelConfig:
+_CONFIG_DIMS = ("num_layers", "num_heads", "embed_dim", "max_positions", "ffn_dim")
+
+
+def json_fields(data, what: str, required: tuple, optional: tuple = ()) -> dict:
+    """data, once it is known to be a JSON object holding every required key and
+    nothing beyond the required and optional ones; otherwise a ConfigError."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {type(data).__name__}")
+    missing = set(required) - set(data)
+    if missing:
+        raise ConfigError(f"{what} is missing keys: {sorted(missing)}")
+    unknown = set(data) - set(required) - set(optional)
+    if unknown:
+        raise ConfigError(f"{what} has unknown keys: {sorted(unknown)}")
+    return data
+
+
+def _positive_int(value, key: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"model config {key!r} must be a positive integer, got {value!r}")
+    return value
+
+
+def config_from_json(data) -> ModelConfig:
+    """The one parser of a model config, in the JSON form config_to_json writes.
+
+    Checkpoints and the CLI's model section both come through here; a missing,
+    unknown or ill-typed key is a ConfigError.
+    """
+    fields = json_fields(data, "model config", _CONFIG_DIMS + ("attention", "vocab"))
+    dims = {key: _positive_int(fields[key], key) for key in _CONFIG_DIMS}
+    attention = json_fields(fields["attention"], "model config 'attention'", ("mode",),
+                            ("window_k",))
+    window_k = attention.get("window_k")
+    if window_k is not None:
+        window_k = _positive_int(window_k, "window_k")
+    vocab = fields["vocab"]
+    if not isinstance(vocab, list) or not all(isinstance(tok, str) for tok in vocab):
+        raise ConfigError("model config 'vocab' must be a list of strings")
     spec = AttentionSpec(
-        mode=data["attention"]["mode"],
-        num_heads=data["num_heads"],
-        head_dim=data["embed_dim"] // data["num_heads"],
-        window_k=data["attention"].get("window_k"),
+        mode=attention["mode"],
+        num_heads=dims["num_heads"],
+        head_dim=dims["embed_dim"] // dims["num_heads"],
+        window_k=window_k,
     )
-    return ModelConfig(
-        num_layers=data["num_layers"],
-        num_heads=data["num_heads"],
-        embed_dim=data["embed_dim"],
-        max_positions=data["max_positions"],
-        ffn_dim=data["ffn_dim"],
-        attention=spec,
-        vocab=TokenVocab(tuple(data["vocab"])),
-    )
+    return ModelConfig(**dims, attention=spec, vocab=TokenVocab(tuple(vocab)))
 
 
 def model_tag(model: EncoderModel) -> str:
@@ -436,12 +466,19 @@ def save_model(model: EncoderModel, path) -> None:
 
 def load_model(path) -> EncoderModel:
     tensors, config = read_checkpoint(path)
+    config = json_fields(config, "checkpoint config", ("model",), ("lora",))
     model_config = config_from_json(config["model"])
     params = {}
     for name in param_names(model_config):
         if name not in tensors:
             raise ConfigError(f"checkpoint is missing tensor {name!r}")
-        params[name] = tensors[name]
+        tensor = tensors[name]
+        shape = (tensor.dims if isinstance(tensor, QuantizedTensor)
+                 else getattr(tensor, "shape", None))
+        expected = param_shape(name, model_config)
+        if shape != expected:
+            raise FormatError(f"checkpoint tensor {name!r} has shape {shape}, expected {expected}")
+        params[name] = tensor
     adapters = {}
     for target, meta in config.get("lora", {}).items():
         from .training import LoraAdapter  # deferred: training imports encoder

@@ -18,10 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import EncoderModel, forward, model_tag, tokenize
-from .errors import ConfigError, FormatError, IngestionError
+from .errors import ConfigError, EslongError, FormatError, IngestionError
 
 STORE_MAGIC = b"ESEM"
 STORE_VERSION = 1
+
+_U16_MAX = 0xFFFF  # ids and slice counts are stored as u16
 
 POOL_MEAN = "mean"
 POOL_CLS = "cls"
@@ -154,8 +156,11 @@ def embed_corpus(
     """Embed every record; output order matches input order for any worker count.
 
     Returns (embeddings, failures) where failures is a list of (protein id,
-    error message) for records that could not be embedded.
+    error message) for records whose input was rejected with an EslongError;
+    any other exception is a bug and propagates.
     """
+    if residue_limit < 1:
+        raise ConfigError("residue_limit must be >= 1")
     if model.config.max_positions < residue_limit + 2:
         raise ConfigError(
             f"model capacity {model.config.max_positions} cannot hold "
@@ -174,19 +179,19 @@ def embed_corpus(
         for rec in records:
             try:
                 outcomes.append(work(rec))
-            except Exception as exc:  # per-record isolation; summarized by caller
+            except EslongError as exc:  # per-record isolation; summarized by caller
                 outcomes.append(exc)
     else:
         def safe(rec):
             try:
                 return work(rec)
-            except Exception as exc:
+            except EslongError as exc:
                 return exc
 
         with ThreadPoolExecutor(max_workers=workers) as pool_exec:
             outcomes = list(pool_exec.map(safe, records))
     for rec, outcome in zip(records, outcomes):
-        if isinstance(outcome, Exception):
+        if isinstance(outcome, EslongError):
             failures.append((rec.id, str(outcome)))
         else:
             results.append(outcome)
@@ -195,21 +200,35 @@ def embed_corpus(
 
 def write_store(path, embeddings, embed_dim: int | None = None) -> None:
     """Binary embedding store: magic, version, record count, embed_dim, then
-    (id, slice_count, float32 vector) per record."""
+    (id, slice_count, float32 vector) per record. Every record is checked
+    before the file is opened, so a rejected store leaves no partial file."""
     embeddings = list(embeddings)
     if embed_dim is None:
         if not embeddings:
             raise ConfigError("embed_dim is required for an empty store")
         embed_dim = int(embeddings[0].vector.shape[0])
+    rows = []
+    for rec in embeddings:
+        if rec.vector.shape != (embed_dim,):
+            raise ConfigError(
+                f"record {rec.protein_id!r} vector length {rec.vector.shape} != {embed_dim}"
+            )
+        raw = rec.protein_id.encode("utf-8")
+        if len(raw) > _U16_MAX:
+            raise ConfigError(
+                f"protein id {rec.protein_id[:32]!r}... is {len(raw)} UTF-8 bytes; "
+                f"the store holds ids of at most {_U16_MAX}"
+            )
+        if not 0 <= rec.slice_count <= _U16_MAX:
+            raise ConfigError(
+                f"record {rec.protein_id!r} has {rec.slice_count} slices; "
+                f"the store holds at most {_U16_MAX}"
+            )
+        rows.append((raw, rec))
     with open(path, "wb") as fh:
         fh.write(STORE_MAGIC)
         fh.write(struct.pack("<III", STORE_VERSION, len(embeddings), embed_dim))
-        for rec in embeddings:
-            if rec.vector.shape != (embed_dim,):
-                raise ConfigError(
-                    f"record {rec.protein_id!r} vector length {rec.vector.shape} != {embed_dim}"
-                )
-            raw = rec.protein_id.encode("utf-8")
+        for raw, rec in rows:
             fh.write(struct.pack("<H", len(raw)))
             fh.write(raw)
             fh.write(struct.pack("<H", rec.slice_count))

@@ -1,13 +1,15 @@
 """Command-line surface: flags, exit codes, manifests, idempotence."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from conftest import random_corpus
+from eslong.checkpoint import MAGIC, VERSION, read_checkpoint, write_checkpoint
 from eslong.cli import main
-from eslong.encoder import load_model
+from eslong.encoder import build_model, load_model, preset_config, save_model
 from eslong.pipeline import ProteinRecord, read_store, write_fasta
 from eslong.quant import QuantizedTensor
 
@@ -188,6 +190,77 @@ class TestEmbed:
         lines = tsv.read_text().strip().splitlines()
         assert len(lines) == len(records)
         assert len(lines[0].split("\t")) == 2 + 32
+
+
+def assert_exits_2_with_one_line(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+def saved_toy(tmp, edit=None):
+    """Path of a toy checkpoint; edit(tensors, config) may corrupt it first."""
+    path = tmp / "toy.eslg"
+    save_model(build_model(preset_config("toy"), seed=1), path)
+    if edit is not None:
+        tensors, config = read_checkpoint(path)
+        edit(tensors, config)
+        write_checkpoint(path, tensors, config)
+    return path
+
+
+class TestInputProbes:
+    """Malformed configs, corrupt checkpoints and out-of-range inputs exit 2
+    with one error line, never a traceback or a partial-success exit 1."""
+
+    @pytest.mark.parametrize("config", [
+        {"model": {"preset": "toy"}, "train": {"epochs": 1, "learnig_rate": 1e-3}},
+        [TOY_CONFIG],
+        {"model": {"num_layers": 1, "num_heads": 2, "embed_dim": 8, "ffn_dim": 16,
+                   "num_layer": 3}},
+        {"model": {"num_layers": 1, "num_heads": 2, "embed_dim": 8, "ffn_dim": "16"}},
+    ], ids=["unknown-train-key", "json-list", "unknown-model-key", "ill-typed-model-key"])
+    def test_bad_config_exits_2(self, workdir, capsys, config):
+        tmp, fasta, _, _ = workdir
+        path = tmp / "probe.json"
+        path.write_text(json.dumps(config))
+        assert_exits_2_with_one_line(["pretrain", "--config", str(path), "--fasta", str(fasta),
+                                      "--out", str(tmp / "x.eslg")], capsys)
+
+    @pytest.mark.parametrize("edit", [
+        lambda tensors, config: config["model"].pop("ffn_dim"),
+        lambda tensors, config: tensors.update(
+            {"layers.0.q_proj": tensors["layers.0.q_proj"][:, :-1]}),
+    ], ids=["config-lacks-ffn-dim", "wrong-shaped-weight"])
+    def test_corrupt_checkpoint_exits_2(self, workdir, capsys, edit):
+        tmp, fasta, _, _ = workdir
+        assert_exits_2_with_one_line(["embed", "--model", str(saved_toy(tmp, edit)),
+                                      "--fasta", str(fasta), "--out", str(tmp / "x.esem")],
+                                     capsys)
+
+    def test_huge_checkpoint_dims_exit_2(self, workdir, capsys):
+        tmp, fasta, _, _ = workdir
+        name = b"token_embedding"
+        path = tmp / "huge.eslg"
+        path.write_bytes(MAGIC + struct.pack("<II", VERSION, 1) + struct.pack("<H", len(name))
+                         + name + struct.pack("<BBII", 0, 2, 2**31, 2**31))
+        assert_exits_2_with_one_line(["embed", "--model", str(path), "--fasta", str(fasta),
+                                      "--out", str(tmp / "x.esem")], capsys)
+
+    def test_residue_limit_zero_exits_2(self, workdir, capsys):
+        tmp, fasta, _, _ = workdir
+        assert_exits_2_with_one_line(["embed", "--model", str(saved_toy(tmp)), "--fasta",
+                                      str(fasta), "--out", str(tmp / "x.esem"),
+                                      "--residue-limit", "0"], capsys)
+
+    def test_overlong_fasta_id_exits_2(self, workdir, capsys):
+        tmp, _, _, _ = workdir
+        fasta = tmp / "longid.fasta"
+        write_fasta(fasta, [ProteinRecord("P" * 70_000, "ACDEFGHIK")])
+        out = tmp / "x.esem"
+        assert_exits_2_with_one_line(["embed", "--model", str(saved_toy(tmp)), "--fasta",
+                                      str(fasta), "--out", str(out)], capsys)
+        assert not out.exists()
 
 
 def build_eval_fixtures(tmp):

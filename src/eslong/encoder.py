@@ -9,6 +9,7 @@ layer runs attention.attend, the banded kernel in local mode.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -407,9 +408,9 @@ def json_fields(data, what: str, required: tuple, optional: tuple = ()) -> dict:
     return data
 
 
-def _positive_int(value, key: str) -> int:
+def _positive_int(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(f"model config {key!r} must be a positive integer, got {value!r}")
+        raise ConfigError(f"{what} must be a positive integer, got {value!r}")
     return value
 
 
@@ -420,12 +421,12 @@ def config_from_json(data) -> ModelConfig:
     unknown or ill-typed key is a ConfigError.
     """
     fields = json_fields(data, "model config", _CONFIG_DIMS + ("attention", "vocab"))
-    dims = {key: _positive_int(fields[key], key) for key in _CONFIG_DIMS}
+    dims = {key: _positive_int(fields[key], f"model config {key!r}") for key in _CONFIG_DIMS}
     attention = json_fields(fields["attention"], "model config 'attention'", ("mode",),
                             ("window_k",))
     window_k = attention.get("window_k")
     if window_k is not None:
-        window_k = _positive_int(window_k, "window_k")
+        window_k = _positive_int(window_k, "model config 'window_k'")
     vocab = fields["vocab"]
     if not isinstance(vocab, list) or not all(isinstance(tok, str) for tok in vocab):
         raise ConfigError("model config 'vocab' must be a list of strings")
@@ -464,6 +465,30 @@ def save_model(model: EncoderModel, path) -> None:
     write_checkpoint(path, tensors, config)
 
 
+def _load_adapter(target: str, meta, tensors: dict, config: ModelConfig):
+    """The LoraAdapter a checkpoint's 'lora' entry describes, checked against
+    the model: A must be [rank, in] and B [out, rank] for the target weight."""
+    from .training import LoraAdapter, lora_target_names  # deferred: training imports encoder
+
+    if target not in lora_target_names(config, ("attention", "ffn", "head")):
+        raise ConfigError(f"LoRA target {target!r} is not a projection weight of this model")
+    meta = json_fields(meta, f"LoRA entry {target!r}", ("rank", "alpha"))
+    rank, alpha = _positive_int(meta["rank"], f"LoRA {target!r} rank"), meta["alpha"]
+    if isinstance(alpha, bool) or not isinstance(alpha, (int, float)) or not math.isfinite(alpha):
+        raise ConfigError(f"LoRA {target!r} alpha must be a finite number, got {alpha!r}")
+    in_dim, out_dim = param_shape(target, config)
+    pair = {}
+    for part, expected in (("A", (rank, in_dim)), ("B", (out_dim, rank))):
+        name = f"adapters.{target}.{part}"
+        if name not in tensors:
+            raise ConfigError(f"checkpoint is missing tensor {name!r}")
+        shape = getattr(tensors[name], "shape", None)
+        if not isinstance(tensors[name], np.ndarray) or shape != expected:
+            raise FormatError(f"checkpoint tensor {name!r} has shape {shape}, expected {expected}")
+        pair[part] = tensors[name]
+    return LoraAdapter(target=target, rank=rank, alpha=alpha, **pair)
+
+
 def load_model(path) -> EncoderModel:
     tensors, config = read_checkpoint(path)
     config = json_fields(config, "checkpoint config", ("model",), ("lora",))
@@ -479,15 +504,9 @@ def load_model(path) -> EncoderModel:
         if shape != expected:
             raise FormatError(f"checkpoint tensor {name!r} has shape {shape}, expected {expected}")
         params[name] = tensor
-    adapters = {}
-    for target, meta in config.get("lora", {}).items():
-        from .training import LoraAdapter  # deferred: training imports encoder
-
-        adapters[target] = LoraAdapter(
-            target=target,
-            rank=meta["rank"],
-            alpha=meta["alpha"],
-            A=tensors[f"adapters.{target}.A"],
-            B=tensors[f"adapters.{target}.B"],
-        )
+    lora = config.get("lora", {})
+    if not isinstance(lora, dict):
+        raise ConfigError("checkpoint config 'lora' must be a JSON object")
+    adapters = {target: _load_adapter(target, meta, tensors, model_config)
+                for target, meta in lora.items()}
     return EncoderModel(config=model_config, params=params, adapters=adapters)

@@ -1,12 +1,14 @@
 """Attention kernels: global/local equivalence, locality, and cost counting."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from eslong.attention import (
+    _BLOCK,
     AttentionSpec,
     GLOBAL,
     LOCAL,
@@ -18,6 +20,9 @@ from eslong.attention import (
     score_op_count,
 )
 from eslong.errors import ConfigError, ContractError
+from eslong.tensor_ops import softmax_rows
+from gradcheck import finite_difference, relative_error
+from test_gradients import TOL
 
 
 def doubleloop_attention(q, k, v, pad, visible=None):
@@ -61,6 +66,55 @@ def visibility_mask(n: int, pad_mask, mode: str, window_k: int | None = None) ->
     elif mode != GLOBAL:
         raise ConfigError(f"unknown attention mode {mode!r}")
     return vis
+
+
+def _diagonals(n: int, window_k: int):
+    """(band column, key offset, lo, hi) for each in-range diagonal of the band:
+    query rows lo:hi see key rows lo + offset:hi + offset."""
+    w = window_k // 2
+    for col, off in enumerate(range(-w, w + 1)):
+        lo, hi = max(0, -off), min(n, n - off)
+        if lo < hi:
+            yield col, off, lo, hi
+
+
+def diagonal_attend(qh, kh, vh, pad, spec: AttentionSpec, counter: OpCounter | None = None):
+    """Local-mode attend as a walk over the window_k + 1 diagonals of the band.
+
+    The reference the tiled kernel is checked against: same (ctx, probs)
+    layout, and counter receives the in-range band size, summed over heads.
+    """
+    heads, n, head_dim = qh.shape
+    scale = 1.0 / math.sqrt(head_dim)
+    diagonals = list(_diagonals(n, spec.window_k))
+    band = np.full((heads, n, spec.window_k + 1), -np.inf, dtype=qh.dtype)
+    for col, off, lo, hi in diagonals:
+        prod = np.einsum("hnd,hnd->hn", qh[:, lo:hi], kh[:, lo + off:hi + off]) * scale
+        band[:, lo:hi, col] = np.where(pad[lo + off:hi + off], -np.inf, prod)
+    if counter is not None:
+        counter.add(heads * sum(hi - lo for _, _, lo, hi in diagonals))
+    probs = softmax_rows(band)
+    ctx = np.zeros_like(vh)
+    for col, off, lo, hi in diagonals:
+        ctx[:, lo:hi] += probs[:, lo:hi, col, None] * vh[:, lo + off:hi + off]
+    return ctx, probs
+
+
+def diagonal_attend_backward(d_ctx, qh, kh, vh, probs, spec: AttentionSpec):
+    """Local-mode attend_backward as a walk over the same diagonals."""
+    scale = 1.0 / math.sqrt(qh.shape[-1])
+    diagonals = list(_diagonals(qh.shape[1], spec.window_k))
+    d_probs, d_vh = np.zeros_like(probs), np.zeros_like(vh)
+    for col, off, lo, hi in diagonals:
+        d_probs[:, lo:hi, col] = np.einsum("hnd,hnd->hn", d_ctx[:, lo:hi],
+                                           vh[:, lo + off:hi + off])
+        d_vh[:, lo + off:hi + off] += probs[:, lo:hi, col, None] * d_ctx[:, lo:hi]
+    d_scores = probs * (d_probs - (d_probs * probs).sum(axis=-1, keepdims=True)) * scale
+    d_qh, d_kh = np.zeros_like(qh), np.zeros_like(kh)
+    for col, off, lo, hi in diagonals:
+        d_qh[:, lo:hi] += d_scores[:, lo:hi, col, None] * kh[:, lo + off:hi + off]
+        d_kh[:, lo + off:hi + off] += d_scores[:, lo:hi, col, None] * qh[:, lo:hi]
+    return d_qh, d_kh, d_vh
 
 
 def rand_qkv(rng, n, d):
@@ -230,6 +284,78 @@ class TestAttend:
         _, probs = attend(qh, kh, vh, pad, spec)
         for grad in attend_backward(d_ctx, qh, kh, vh, probs, spec):
             assert grad.dtype == dtype
+
+
+def interior_and_trailing_pads(n):
+    """A pad in the middle and a trailing run of n // 4 pads (none below n = 3)."""
+    pad = np.zeros(n, dtype=bool)
+    if n >= 3:
+        pad[n // 2] = True
+        pad[n - max(1, n // 4):] = True
+    return pad
+
+
+class TestTiledBand:
+    """The tiled local kernel against the diagonal walk it replaced."""
+
+    @pytest.mark.parametrize("n,window_k", [
+        (n, window_k)
+        for n in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5, 2048)
+        for window_k in (2, 4, 128, 2 * (n + 4))
+        if window_k != 2 * (n + 4) or n < 2048
+    ])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_diagonal_walk(self, n, window_k, dtype):
+        rng = np.random.default_rng(n + window_k)
+        spec = AttentionSpec("local", 2, 4, window_k)
+        qh, kh, vh, d_ctx = (rng.normal(size=(2, n, 4)).astype(dtype) for _ in range(4))
+        pad = interior_and_trailing_pads(n)
+        tol = 64 * np.finfo(dtype).eps
+        counted, expected = OpCounter(), OpCounter()
+        ctx, probs = attend(qh, kh, vh, pad, spec, counted)
+        ref_ctx, ref_probs = diagonal_attend(qh, kh, vh, pad, spec, expected)
+        assert counted.count == expected.count
+        got = (ctx, probs) + attend_backward(d_ctx, qh, kh, vh, probs, spec)
+        ref = (ref_ctx, ref_probs) + diagonal_attend_backward(d_ctx, qh, kh, vh, ref_probs, spec)
+        for name, a, b in zip(("ctx", "probs", "d_q", "d_k", "d_v"), got, ref):
+            assert a.dtype == dtype, name
+            assert a.shape == b.shape, name
+            np.testing.assert_allclose(a, b, rtol=tol, atol=tol, err_msg=name)
+
+    def test_gradients_across_tile_boundaries(self):
+        # n = 2 * _BLOCK + 3 spans three query tiles, so the overlap-add of
+        # d_k and d_v between neighbouring tiles is exercised.
+        rng = np.random.default_rng(12)
+        n, spec = 2 * _BLOCK + 3, AttentionSpec("local", 2, 3, 8)
+        qh, kh, vh = (rng.normal(size=(2, n, 3)) for _ in range(3))
+        weights = rng.normal(size=(2, n, 3))
+        pad = interior_and_trailing_pads(n)
+
+        def loss():
+            return float((attend(qh, kh, vh, pad, spec)[0] * weights).sum())
+
+        _, probs = attend(qh, kh, vh, pad, spec)
+        grads = attend_backward(weights, qh, kh, vh, probs, spec)
+        for name, arr, grad in zip(("q", "k", "v"), (qh, kh, vh), grads):
+            rel = relative_error(grad, finite_difference(loss, arr))
+            assert rel <= TOL, f"d_{name}: {rel}"
+
+    def test_transient_memory_bounded_by_band(self):
+        # T6 shapes at the long model's length: the tiles must stay transient,
+        # so the traced peak stays near the probs band attend returns.
+        heads, n, head_dim, window_k = 20, 2048, 16, 128
+        rng = np.random.default_rng(13)
+        qh, kh, vh = (rng.normal(size=(heads, n, head_dim)).astype(np.float32)
+                      for _ in range(3))
+        spec = AttentionSpec("local", heads, head_dim, window_k)
+        band_bytes = heads * n * (window_k + 1) * 4
+        tracemalloc.start()
+        try:
+            attend(qh, kh, vh, np.zeros(n, dtype=bool), spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * band_bytes, peak / band_bytes
 
 
 class TestScoreOpCount:

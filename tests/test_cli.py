@@ -12,6 +12,7 @@ from eslong.cli import main
 from eslong.encoder import build_model, load_model, preset_config, save_model
 from eslong.pipeline import ProteinRecord, read_store, write_fasta
 from eslong.quant import QuantizedTensor
+from eslong.training import attach_lora
 
 
 TOY_CONFIG = {
@@ -198,10 +199,14 @@ def assert_exits_2_with_one_line(argv, capsys):
     assert len(err) == 1 and err[0].startswith("error: "), err
 
 
-def saved_toy(tmp, edit=None):
-    """Path of a toy checkpoint; edit(tensors, config) may corrupt it first."""
+def saved_toy(tmp, edit=None, lora_targets=()):
+    """Path of a toy checkpoint, with rank-2 adapters on lora_targets;
+    edit(tensors, config) may corrupt it first."""
     path = tmp / "toy.eslg"
-    save_model(build_model(preset_config("toy"), seed=1), path)
+    model = build_model(preset_config("toy"), seed=1)
+    if lora_targets:
+        model = attach_lora(model, lora_targets, rank=2, alpha=8.0)
+    save_model(model, path)
     if edit is not None:
         tensors, config = read_checkpoint(path)
         edit(tensors, config)
@@ -237,6 +242,19 @@ class TestInputProbes:
         assert_exits_2_with_one_line(["embed", "--model", str(saved_toy(tmp, edit)),
                                       "--fasta", str(fasta), "--out", str(tmp / "x.esem")],
                                      capsys)
+
+    @pytest.mark.parametrize("edit", [
+        lambda tensors, config: config["lora"]["layers.0.q_proj"].pop("rank"),
+        lambda tensors, config: config["lora"]["layers.0.q_proj"].update(rank="2"),
+        lambda tensors, config: tensors.pop("adapters.layers.0.q_proj.B"),
+        lambda tensors, config: tensors.update({"adapters.layers.0.q_proj.A":
+                                                tensors["adapters.layers.0.q_proj.A"][:, :-1]}),
+    ], ids=["lora-lacks-rank", "lora-string-rank", "lora-lacks-B", "lora-wrong-shaped-A"])
+    def test_corrupt_lora_exits_2(self, workdir, capsys, edit):
+        tmp, fasta, _, _ = workdir
+        path = saved_toy(tmp, edit, lora_targets=["layers.0.q_proj"])
+        assert_exits_2_with_one_line(["embed", "--model", str(path), "--fasta", str(fasta),
+                                      "--out", str(tmp / "x.esem")], capsys)
 
     def test_huge_checkpoint_dims_exit_2(self, workdir, capsys):
         tmp, fasta, _, _ = workdir

@@ -1,13 +1,14 @@
 """Scaled dot-product attention: attend, the one kernel forward runs, and its backward.
 
-Local mode computes the [heads, n, window_k + 1] probability band on tiles, in
-forward and backward: each block of _BLOCK query rows takes one matmul against
-the _BLOCK + window_k keys its rows can see, and the band is read off the
-tile's diagonals, so no n x n matrix is built and the cost is O(n * window_k).
-An OpCounter threaded through attend receives the number of in-band query-key
-pairs, which is how the linear-versus-quadratic cost claims are checked; the
-tiles also compute up to (_BLOCK + window_k) / (window_k + 1) times as many
-products, which are discarded.
+Both modes run one loop over query blocks. Each block takes one matmul against
+the keys it can see: in local mode its own rows plus window_k / 2 keys on each
+side, in global mode all n keys. So local cost is O(n * window_k), and scores
+are built one block at a time. probs, which attend_backward reads, is the list
+of per-block probability tiles; in global mode they still hold heads * n^2
+floats. An OpCounter threaded through attend receives the number of visible
+query-key pairs, which is how the linear-versus-quadratic cost claims are
+checked; the local tiles also compute up to (rows + window_k) / (window_k + 1)
+times as many products, which are discarded.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import ConfigError, ContractError, ShapeError
 from .tensor_ops import softmax_rows
@@ -86,147 +87,124 @@ def _check_qkv(q, k, v, pad_mask):
     return q, k, v, pad
 
 
-_BLOCK = 64   # query rows per tile
-_CHUNK = 4    # tiles per batched matmul; bounds the transient score tiles
+_LOCAL_ROWS = 32     # most query rows per block in local mode
+_GLOBAL_ROWS = 256   # most query rows per block in global mode
 
 
-def _band(tile, width: int):
-    """View of tile [..., rows, span] whose [..., i, c] is tile[..., i, i + c]."""
-    *lead, rows, _ = tile.shape
-    *lead_strides, row_stride, col_stride = tile.strides
-    return as_strided(tile, (*lead, rows, width),
-                      (*lead_strides, row_stride + col_stride, col_stride))
+class _Geometry(NamedTuple):
+    """How attend cuts a length-n input into query blocks and key windows.
 
-
-def _row_blocks(x, start: int, blocks: int):
-    """Rows start : start + blocks * _BLOCK of x [heads, n, m] as [heads, blocks,
-    _BLOCK, m], zero-filled past row n."""
-    heads, _, m = x.shape
-    rows = x[:, start:start + blocks * _BLOCK]
-    short = blocks * _BLOCK - rows.shape[1]
-    if short:
-        rows = np.concatenate([rows, np.zeros((heads, short, m), dtype=x.dtype)], axis=1)
-    return rows.reshape(heads, blocks, _BLOCK, m)
-
-
-def _key_windows(x, w: int, blocks: int):
-    """Read-only [heads, blocks, m, _BLOCK + 2w] windows over x [heads, n, m].
-
-    x is zero-padded on the key axis to w + blocks * _BLOCK + w rows, and
-    window b spans padded rows b * _BLOCK : b * _BLOCK + _BLOCK + 2w, the keys
-    that query block b can see, transposed for the scores matmul.
+    Block b holds query rows b * rows : (b + 1) * rows (the last may be
+    shorter) and sees rows b * step : b * step + keys of a zero-padded key
+    axis, length rows long, that holds K/V from row lead on. Query i sees
+    key j when |i - j| <= w.
     """
+
+    rows: int
+    keys: int
+    step: int
+    lead: int
+    w: int
+    length: int
+
+
+def _geometry(n: int, spec: AttentionSpec) -> _Geometry:
+    """Local blocks see their rows plus w keys on each side, one block apart;
+    global blocks all see the n keys. Rows are cut into near-equal blocks."""
+    max_rows = _LOCAL_ROWS if spec.mode == LOCAL else _GLOBAL_ROWS
+    blocks = -(-n // max_rows)
+    rows = -(-n // blocks)
+    if spec.mode == LOCAL:
+        w = min(spec.window_k // 2, n - 1)
+        return _Geometry(rows, rows + 2 * w, rows, w, w, blocks * rows + 2 * w)
+    return _Geometry(rows, n, 0, 0, n - 1, n)
+
+
+def _padded(x, g: _Geometry):
+    """x [heads, n, m] at rows g.lead : g.lead + n of zeros [heads, g.length, m];
+    x itself when that adds no rows."""
     heads, n, m = x.shape
-    padded = np.zeros((heads, blocks * _BLOCK + 2 * w, m), dtype=x.dtype)
-    padded[:, w:w + n] = x
-    return sliding_window_view(padded, _BLOCK + 2 * w, axis=1)[:, ::_BLOCK]
+    if g.length == n:
+        return x
+    out = np.zeros((heads, g.length, m), dtype=x.dtype)
+    out[:, g.lead:g.lead + n] = x
+    return out
+
+
+def _blocks(n: int, g: _Geometry):
+    """(query rows, padded key window) slices of each block, in order."""
+    for b, r0 in enumerate(range(0, n, g.rows)):
+        yield slice(r0, min(n, r0 + g.rows)), slice(b * g.step, b * g.step + g.keys)
 
 
 def _band_pairs(n: int, w: int) -> int:
-    """Query-key pairs with |i - j| <= w inside a length-n sequence."""
-    m = min(w, n - 1)
-    return n + 2 * m * n - m * (m + 1)
+    """Query-key pairs with |i - j| <= w < n inside a length-n sequence."""
+    return n + 2 * w * n - w * (w + 1)
 
 
 def attend(qh, kh, vh, pad, spec: AttentionSpec, counter: OpCounter | None = None):
     """Multi-head attention under spec's visibility rule; returns (ctx, probs).
 
     qh/kh/vh are [heads, n, head_dim]; pad marks keys no query may see, and a
-    query with no visible key gets zeros. probs, kept for attend_backward, is
-    [heads, n, n] in global mode and in local mode the band [heads, n,
-    window_k + 1] whose column c holds key i + c - window_k / 2.
+    query with no visible key gets zeros. One loop walks the query blocks of
+    _geometry: each block's scores are one matmul against its key window,
+    hidden keys (outside the sequence, padded, or beyond w) are set to -inf,
+    softmax_rows runs over the tile and ctx is the tile @ V_window. probs,
+    kept for attend_backward, is the list of those [heads, rows, keys] tiles.
 
-    Local mode computes the band on tiles: each block of _BLOCK query rows
-    takes one matmul against the _BLOCK + window_k keys it can see, and the
-    band is read off the tile's diagonals; keys outside the sequence count as
-    padded. counter receives the number of in-band query-key pairs, summed
-    over heads. The tiles also evaluate up to (_BLOCK + window_k) /
-    (window_k + 1) times as many products, which are discarded.
+    counter receives the number of visible query-key pairs, summed over heads
+    (n^2 per head in global mode). In local mode the tiles also evaluate up to
+    (rows + window_k) / (window_k + 1) times as many products, which are
+    discarded.
     """
     heads, n, head_dim = qh.shape
     scale = 1.0 / math.sqrt(head_dim)
-    if spec.mode == GLOBAL:
-        scores = qh @ kh.transpose(0, 2, 1)
-        scores *= scale
-        if counter is not None:
-            counter.add(heads * n * n)
-        if pad.any():
-            scores[:, :, pad] = -np.inf
-        probs = softmax_rows(scores)
-        return probs @ vh, probs
-    w, width = spec.window_k // 2, spec.window_k + 1
-    blocks = -(-n // _BLOCK)
-    k_windows = _key_windows(kh, w, blocks)
-    v_windows = _key_windows(vh, w, blocks)
-    hidden = np.ones(blocks * _BLOCK + 2 * w, dtype=bool)
-    hidden[w:w + n] = pad
-    hidden = sliding_window_view(hidden, width).reshape(blocks, _BLOCK, width)
+    g = _geometry(n, spec)
+    kp, vp = _padded(kh, g), _padded(vh, g)
+    hidden_keys = np.ones(g.length, dtype=bool)
+    hidden_keys[g.lead:g.lead + n] = pad
+    query_at, key_at = np.arange(n), np.arange(g.length) - g.lead
     if counter is not None:
-        counter.add(heads * _band_pairs(n, w))
-    probs = np.empty((heads, n, width), dtype=qh.dtype)
+        counter.add(heads * _band_pairs(n, g.w))
     ctx = np.empty_like(vh)
-    for b0 in range(0, blocks, _CHUNK):
-        b1 = min(blocks, b0 + _CHUNK)
-        r0, r1 = b0 * _BLOCK, min(n, b1 * _BLOCK)
-        tile = _row_blocks(qh, r0, b1 - b0) @ k_windows[:, b0:b1]
-        band = _band(tile, width) * scale
-        np.copyto(band, -np.inf, where=hidden[b0:b1])
-        band = softmax_rows(band)
-        probs[:, r0:r1] = band.reshape(heads, -1, width)[:, :r1 - r0]
-        tile[...] = 0.0
-        _band(tile, width)[...] = band
-        out = tile @ v_windows[:, b0:b1].swapaxes(-1, -2)
-        ctx[:, r0:r1] = out.reshape(heads, -1, head_dim)[:, :r1 - r0]
+    probs = []
+    for rows, keys in _blocks(n, g):
+        scores = qh[:, rows] @ kp[:, keys].swapaxes(-1, -2)
+        scores *= scale
+        i, j = query_at[rows, None], key_at[keys]
+        hidden = hidden_keys[keys] | (j < i - g.w) | (j > i + g.w)
+        if hidden.any():
+            np.copyto(scores, -np.inf, where=hidden)
+        tile = softmax_rows(scores)
+        ctx[:, rows] = tile @ vp[:, keys]
+        probs.append(tile)
     return ctx, probs
 
 
 def attend_backward(d_ctx, qh, kh, vh, probs, spec: AttentionSpec):
     """Gradients (d_qh, d_kh, d_vh) of attend's ctx, given d_ctx and attend's probs.
 
-    Local mode runs on attend's tiles: per block, d_probs is the band of
-    d_ctx @ V_windowᵀ, d_q is tile(d_scores) @ K_window, and d_k, d_v are
+    The same loop over attend's blocks: per tile, d_probs = d_ctx @ V_windowᵀ
+    becomes d_scores in place, d_q = d_scores @ K_window, and d_k, d_v are
     tileᵀ @ {q, d_ctx} overlap-added into the padded key axis.
 
     The scale is a Python float, as in attend, so the gradients keep the
     inputs' dtype (a NumPy float64 scalar would promote float32 to float64).
     """
+    n = qh.shape[1]
     scale = 1.0 / math.sqrt(qh.shape[-1])
-    if spec.mode == GLOBAL:
-        d_probs = d_ctx @ vh.transpose(0, 2, 1)
-        d_vh = probs.transpose(0, 2, 1) @ d_ctx
-        d_scores = probs * (d_probs - (d_probs * probs).sum(axis=-1, keepdims=True))
-        d_qh = (d_scores @ kh) * scale
-        d_kh = (d_scores.transpose(0, 2, 1) @ qh) * scale
-        return d_qh, d_kh, d_vh
-    heads, n, head_dim = qh.shape
-    w, width, span = spec.window_k // 2, spec.window_k + 1, _BLOCK + spec.window_k
-    blocks = -(-n // _BLOCK)
-    k_windows = _key_windows(kh, w, blocks)
-    v_windows = _key_windows(vh, w, blocks)
+    g = _geometry(n, spec)
+    kp, vp = _padded(kh, g), _padded(vh, g)
     d_qh = np.empty_like(qh)
-    d_kp = np.zeros((heads, blocks * _BLOCK + 2 * w, head_dim), dtype=kh.dtype)
-    d_vp = np.zeros((heads, blocks * _BLOCK + 2 * w, head_dim), dtype=vh.dtype)
-    for b0 in range(0, blocks, _CHUNK):
-        b1 = min(blocks, b0 + _CHUNK)
-        r0, r1 = b0 * _BLOCK, min(n, b1 * _BLOCK)
-        q_rows = _row_blocks(qh, r0, b1 - b0)
-        d_rows = _row_blocks(d_ctx, r0, b1 - b0)
-        p_band = _row_blocks(probs, r0, b1 - b0)
-        tile = d_rows @ v_windows[:, b0:b1]
-        d_probs = _band(tile, width)
-        d_scores = p_band * (d_probs - (d_probs * p_band).sum(axis=-1, keepdims=True)) * scale
-        tile[...] = 0.0
-        _band(tile, width)[...] = d_scores
-        d_q = tile @ k_windows[:, b0:b1].swapaxes(-1, -2)
-        d_qh[:, r0:r1] = d_q.reshape(heads, -1, head_dim)[:, :r1 - r0]
-        d_k = tile.swapaxes(-1, -2) @ q_rows
-        _band(tile, width)[...] = p_band
-        d_v = tile.swapaxes(-1, -2) @ d_rows
-        for j in range(b1 - b0):
-            keys = slice((b0 + j) * _BLOCK, (b0 + j) * _BLOCK + span)
-            d_kp[:, keys] += d_k[:, j]
-            d_vp[:, keys] += d_v[:, j]
-    return d_qh, d_kp[:, w:w + n], d_vp[:, w:w + n]
+    d_kp, d_vp = np.zeros_like(kp), np.zeros_like(vp)
+    for (rows, keys), tile in zip(_blocks(n, g), probs):
+        d_scores = d_ctx[:, rows] @ vp[:, keys].swapaxes(-1, -2)
+        d_scores -= (d_scores * tile).sum(axis=-1, keepdims=True)
+        d_scores *= tile
+        d_qh[:, rows] = (d_scores @ kp[:, keys]) * scale
+        d_kp[:, keys] += (d_scores.swapaxes(-1, -2) @ qh[:, rows]) * scale
+        d_vp[:, keys] += tile.swapaxes(-1, -2) @ d_ctx[:, rows]
+    return d_qh, d_kp[:, g.lead:g.lead + n], d_vp[:, g.lead:g.lead + n]
 
 
 def _single_head(q, k, v, pad, spec, counter):

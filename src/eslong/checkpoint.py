@@ -61,13 +61,13 @@ def write_checkpoint(path, tensors: dict[str, Any], config: dict) -> None:
                 fh.write(arr.astype("<f4", copy=False).tobytes())
 
 
-def _read_exact(fh: BinaryIO, n: int) -> bytes:
+def read_exact(fh: BinaryIO, n: int, what: str = "checkpoint") -> bytes:
     """n bytes from fh; a length beyond the end of the file is rejected before
     anything is read, so a corrupt size field cannot ask for a huge buffer."""
     left = os.fstat(fh.fileno()).st_size - fh.tell()
     data = fh.read(n) if n <= left else b""
     if len(data) != n:
-        raise FormatError("checkpoint truncated")
+        raise FormatError(f"{what} truncated")
     return data
 
 
@@ -79,32 +79,32 @@ def read_checkpoint(path) -> tuple[dict[str, Any], dict]:
         magic = fh.read(4)
         if magic != MAGIC:
             raise FormatError(f"bad magic {magic!r}; not an ESLG checkpoint")
-        version, count = struct.unpack("<II", _read_exact(fh, 8))
+        version, count = struct.unpack("<II", read_exact(fh, 8))
         if version != VERSION:
             raise FormatError(f"unsupported checkpoint version {version}")
         for _ in range(count):
-            (name_len,) = struct.unpack("<H", _read_exact(fh, 2))
+            (name_len,) = struct.unpack("<H", read_exact(fh, 2))
             try:
-                name = _read_exact(fh, name_len).decode("utf-8")
+                name = read_exact(fh, name_len).decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise FormatError("checkpoint entry name is not UTF-8") from exc
-            dtype, rank = struct.unpack("<BB", _read_exact(fh, 2))
-            dims = tuple(struct.unpack("<I", _read_exact(fh, 4))[0] for _ in range(rank))
+            dtype, rank = struct.unpack("<BB", read_exact(fh, 2))
+            dims = tuple(struct.unpack("<I", read_exact(fh, 4))[0] for _ in range(rank))
             numel = 1
             for d in dims:
                 numel *= d
             if dtype == DTYPE_REAL32:
-                payload = _read_exact(fh, 4 * numel)
+                payload = read_exact(fh, 4 * numel)
                 tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
             elif dtype == DTYPE_INT4:
-                block_size, nblocks = struct.unpack("<II", _read_exact(fh, 8))
-                scales = np.frombuffer(_read_exact(fh, 4 * nblocks), dtype="<f4").copy()
-                packed = np.frombuffer(_read_exact(fh, (numel + 1) // 2), dtype=np.uint8).copy()
+                block_size, nblocks = struct.unpack("<II", read_exact(fh, 8))
+                scales = np.frombuffer(read_exact(fh, 4 * nblocks), dtype="<f4").copy()
+                packed = np.frombuffer(read_exact(fh, (numel + 1) // 2), dtype=np.uint8).copy()
                 tensors[name] = QuantizedTensor(
                     dims=dims, block_size=block_size, packed=packed, scales=scales
                 )
             elif dtype == DTYPE_JSON:
-                payload = _read_exact(fh, numel)
+                payload = read_exact(fh, numel)
                 try:
                     decoded = json.loads(payload.decode("utf-8"))
                 except ValueError as exc:

@@ -4,7 +4,7 @@ Pre-LN blocks, learned absolute position table, bias-free linear projections,
 and a final layer norm applied before both the MLM head and embedding
 extraction. The position table is a materialized per-position matrix so its
 row count (the context capacity) can be extended by cyclic copying. Every
-layer runs attention.attend, the banded kernel in local mode.
+layer runs attention.attend, one loop over query blocks in both modes.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .attention import GLOBAL, LOCAL, AttentionSpec, attend
 from .checkpoint import read_checkpoint, write_checkpoint
 from .errors import ConfigError, ContractError, FormatError, InputError, LengthError
 from .quant import QuantizedTensor, qmatmul
-from .tensor_ops import gelu
+from .tensor_ops import gelu, layer_norm
 
 CANONICAL_RESIDUES = "ACDEFGHIKLMNPQRSTVWY"
 EXTRA_RESIDUES = "XBZUO"  # X catches anything unknown; B/Z/U/O keep their own tokens
@@ -255,14 +255,6 @@ def _project(model: EncoderModel, name: str, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ln_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5):
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mean) * inv_std
-    return xhat * gain + bias, (xhat, inv_std)
-
-
 def _split_heads(x: np.ndarray, num_heads: int) -> np.ndarray:
     n, d = x.shape
     return x.reshape(n, num_heads, d // num_heads).transpose(1, 0, 2)
@@ -296,14 +288,14 @@ def forward(model: EncoderModel, token_ids, want_cache: bool = False):
     for i in range(cfg.num_layers):
         p = f"layers.{i}"
         x_in = x
-        h1, ln1_cache = _ln_forward(x_in, P[f"{p}.attn_ln.gain"], P[f"{p}.attn_ln.bias"])
+        h1, ln1_cache = layer_norm(x_in, P[f"{p}.attn_ln.gain"], P[f"{p}.attn_ln.bias"])
         qh = _split_heads(_project(model, f"{p}.q_proj", h1), cfg.num_heads)
         kh = _split_heads(_project(model, f"{p}.k_proj", h1), cfg.num_heads)
         vh = _split_heads(_project(model, f"{p}.v_proj", h1), cfg.num_heads)
         ctx_h, probs = attend(qh, kh, vh, pad, cfg.attention)
         ctx = _merge_heads(ctx_h)
         x_mid = x_in + _project(model, f"{p}.o_proj", ctx)
-        h2, ln2_cache = _ln_forward(x_mid, P[f"{p}.ffn_ln.gain"], P[f"{p}.ffn_ln.bias"])
+        h2, ln2_cache = layer_norm(x_mid, P[f"{p}.ffn_ln.gain"], P[f"{p}.ffn_ln.bias"])
         u = _project(model, f"{p}.ffn_in", h2)
         act = gelu(u)
         x = x_mid + _project(model, f"{p}.ffn_out", act)
@@ -313,7 +305,7 @@ def forward(model: EncoderModel, token_ids, want_cache: bool = False):
                      probs=probs, ctx=ctx, x_mid=x_mid, h2=h2, ln2=ln2_cache,
                      u=u, act=act)
             )
-    hidden, lnf_cache = _ln_forward(x, P["final_ln.gain"], P["final_ln.bias"])
+    hidden, lnf_cache = layer_norm(x, P["final_ln.gain"], P["final_ln.bias"])
     if not want_cache:
         return hidden
     cache = dict(tok=tok, pad=pad, x_final=x, lnf=lnf_cache, hidden=hidden,
@@ -408,10 +400,26 @@ def json_fields(data, what: str, required: tuple, optional: tuple = ()) -> dict:
     return data
 
 
-def _positive_int(value, what: str) -> int:
+def positive_int(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise ConfigError(f"{what} must be a positive integer, got {value!r}")
     return value
+
+
+def finite_number(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
+    return value
+
+
+def array_entry(tensors: dict, name: str, shape: tuple) -> np.ndarray:
+    """tensors[name], once it is known to be an array of the given shape."""
+    if name not in tensors:
+        raise ConfigError(f"checkpoint is missing tensor {name!r}")
+    found = getattr(tensors[name], "shape", None)
+    if not isinstance(tensors[name], np.ndarray) or found != shape:
+        raise FormatError(f"checkpoint tensor {name!r} has shape {found}, expected {shape}")
+    return tensors[name]
 
 
 def config_from_json(data) -> ModelConfig:
@@ -421,12 +429,12 @@ def config_from_json(data) -> ModelConfig:
     unknown or ill-typed key is a ConfigError.
     """
     fields = json_fields(data, "model config", _CONFIG_DIMS + ("attention", "vocab"))
-    dims = {key: _positive_int(fields[key], f"model config {key!r}") for key in _CONFIG_DIMS}
+    dims = {key: positive_int(fields[key], f"model config {key!r}") for key in _CONFIG_DIMS}
     attention = json_fields(fields["attention"], "model config 'attention'", ("mode",),
                             ("window_k",))
     window_k = attention.get("window_k")
     if window_k is not None:
-        window_k = _positive_int(window_k, "model config 'window_k'")
+        window_k = positive_int(window_k, "model config 'window_k'")
     vocab = fields["vocab"]
     if not isinstance(vocab, list) or not all(isinstance(tok, str) for tok in vocab):
         raise ConfigError("model config 'vocab' must be a list of strings")
@@ -473,20 +481,12 @@ def _load_adapter(target: str, meta, tensors: dict, config: ModelConfig):
     if target not in lora_target_names(config, ("attention", "ffn", "head")):
         raise ConfigError(f"LoRA target {target!r} is not a projection weight of this model")
     meta = json_fields(meta, f"LoRA entry {target!r}", ("rank", "alpha"))
-    rank, alpha = _positive_int(meta["rank"], f"LoRA {target!r} rank"), meta["alpha"]
-    if isinstance(alpha, bool) or not isinstance(alpha, (int, float)) or not math.isfinite(alpha):
-        raise ConfigError(f"LoRA {target!r} alpha must be a finite number, got {alpha!r}")
+    rank = positive_int(meta["rank"], f"LoRA {target!r} rank")
+    alpha = finite_number(meta["alpha"], f"LoRA {target!r} alpha")
     in_dim, out_dim = param_shape(target, config)
-    pair = {}
-    for part, expected in (("A", (rank, in_dim)), ("B", (out_dim, rank))):
-        name = f"adapters.{target}.{part}"
-        if name not in tensors:
-            raise ConfigError(f"checkpoint is missing tensor {name!r}")
-        shape = getattr(tensors[name], "shape", None)
-        if not isinstance(tensors[name], np.ndarray) or shape != expected:
-            raise FormatError(f"checkpoint tensor {name!r} has shape {shape}, expected {expected}")
-        pair[part] = tensors[name]
-    return LoraAdapter(target=target, rank=rank, alpha=alpha, **pair)
+    return LoraAdapter(target=target, rank=rank, alpha=alpha,
+                       A=array_entry(tensors, f"adapters.{target}.A", (rank, in_dim)),
+                       B=array_entry(tensors, f"adapters.{target}.B", (out_dim, rank)))
 
 
 def load_model(path) -> EncoderModel:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint import read_checkpoint, write_checkpoint
+from .encoder import array_entry, finite_number, json_fields, positive_int
 from .errors import ConfigError, DataError
 from .evaluation import fmax
 from .tensor_ops import gelu, gelu_grad
@@ -41,6 +42,10 @@ class HeadConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
+        if self.weight_decay < 0:
+            raise ConfigError("weight_decay must not be negative")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
 
 @dataclass
@@ -237,13 +242,34 @@ def save_head(head: ClassifierHead, path) -> None:
     write_checkpoint(path, tensors, config)
 
 
+_HEAD_INTS = ("input_dim", "num_terms", "hidden_dim", "epochs", "batch_size")
+_HEAD_NUMBERS = ("learning_rate", "weight_decay")
+
+
 def load_head(path) -> ClassifierHead:
+    """The head save_head wrote, with every field and tensor checked against
+    the config: a missing, unknown, ill-typed or wrong-shaped entry is a
+    ConfigError or FormatError."""
     tensors, config = read_checkpoint(path)
-    cfg = HeadConfig(**config["head"])
-    return ClassifierHead(
-        config=cfg,
-        term_list=tuple(config["term_list"]),
-        params={k: tensors[k] for k in ("W1", "b1", "W2", "b2")},
-        feat_center=tensors.get("feat_center"),
-        feat_scale=tensors.get("feat_scale"),
-    )
+    config = json_fields(config, "head checkpoint config", ("head", "term_list"))
+    fields = json_fields(config["head"], "head config", _HEAD_INTS + _HEAD_NUMBERS + ("seed",))
+    values = {key: positive_int(fields[key], f"head config {key!r}") for key in _HEAD_INTS}
+    values.update({key: finite_number(fields[key], f"head config {key!r}")
+                   for key in _HEAD_NUMBERS})
+    seed = fields["seed"]
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ConfigError(f"head config 'seed' must be an integer, got {seed!r}")
+    cfg = HeadConfig(**values, seed=seed)
+    terms = config["term_list"]
+    if (not isinstance(terms, list) or not all(isinstance(t, str) for t in terms)
+            or len(set(terms)) != len(terms) or len(terms) != cfg.num_terms):
+        raise ConfigError(f"head term_list must hold {cfg.num_terms} distinct strings")
+    shapes = {"W1": (cfg.input_dim, cfg.hidden_dim), "b1": (cfg.hidden_dim,),
+              "W2": (cfg.hidden_dim, cfg.num_terms), "b2": (cfg.num_terms,)}
+    params = {name: array_entry(tensors, name, shape) for name, shape in shapes.items()}
+    center = scale = None
+    if "feat_center" in tensors or "feat_scale" in tensors:
+        center = array_entry(tensors, "feat_center", (cfg.input_dim,))
+        scale = array_entry(tensors, "feat_scale", (cfg.input_dim,))
+    return ClassifierHead(config=cfg, term_list=tuple(terms), params=params,
+                          feat_center=center, feat_scale=scale)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checkpoint import read_exact
 from .encoder import EncoderModel, forward, model_tag, tokenize
 from .errors import ConfigError, EslongError, FormatError, IngestionError
 
@@ -236,24 +237,24 @@ def write_store(path, embeddings, embed_dim: int | None = None) -> None:
 
 
 def read_store(path) -> tuple[list[EmbeddingRecord], int]:
-    def read_exact(fh, n):
-        data = fh.read(n)
-        if len(data) != n:
-            raise FormatError("embedding store truncated")
-        return data
+    def read(fh, n):
+        return read_exact(fh, n, "embedding store")
 
     with open(path, "rb") as fh:
         if fh.read(4) != STORE_MAGIC:
             raise FormatError("not an ESEM embedding store")
-        version, count, dim = struct.unpack("<III", read_exact(fh, 12))
+        version, count, dim = struct.unpack("<III", read(fh, 12))
         if version != STORE_VERSION:
             raise FormatError(f"unsupported store version {version}")
         records = []
         for _ in range(count):
-            (id_len,) = struct.unpack("<H", read_exact(fh, 2))
-            pid = read_exact(fh, id_len).decode("utf-8")
-            (slice_count,) = struct.unpack("<H", read_exact(fh, 2))
-            vec = np.frombuffer(read_exact(fh, 4 * dim), dtype="<f4").copy()
+            (id_len,) = struct.unpack("<H", read(fh, 2))
+            try:
+                pid = read(fh, id_len).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError("embedding store protein id is not UTF-8") from exc
+            (slice_count,) = struct.unpack("<H", read(fh, 2))
+            vec = np.frombuffer(read(fh, 4 * dim), dtype="<f4").copy()
             records.append(EmbeddingRecord(protein_id=pid, vector=vec, slice_count=slice_count))
     return records, dim
 

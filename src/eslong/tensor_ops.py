@@ -1,6 +1,7 @@
 """Dense numeric kernels shared by the encoder, attention, and classifier code.
 
 softmax_rows is the one softmax: attention.attend runs it in every forward pass.
+layer_norm is the one layer norm, and it returns the cache the backward pass reads.
 
 All kernels follow the dtype of their inputs; the production path runs in
 float32, while oracle/test code may pass float64 arrays through unchanged.
@@ -54,15 +55,20 @@ def layer_norm(
     gain: np.ndarray,
     bias: np.ndarray,
     eps: float = DEFAULT_LN_EPS,
-) -> np.ndarray:
-    """Normalize the last axis to zero mean / unit variance, then apply the affine pair."""
+):
+    """Normalize the last axis to zero mean / unit variance, then apply the affine pair.
+
+    Returns (y, (xhat, inv_std)): the normalized input and the reciprocal
+    standard deviation are what the backward pass needs.
+    """
     if eps <= 0:
         raise ShapeError("layer_norm eps must be positive")
     a = np.asarray(a)
     mean = a.mean(axis=-1, keepdims=True)
     var = a.var(axis=-1, keepdims=True)
-    normed = (a - mean) / np.sqrt(var + eps)
-    return normed * gain + bias
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = (a - mean) * inv_std
+    return xhat * gain + bias, (xhat, inv_std)
 
 
 def gelu(a: np.ndarray) -> np.ndarray:

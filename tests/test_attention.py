@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eslong.attention import (
-    _BLOCK,
     AttentionSpec,
     GLOBAL,
     LOCAL,
@@ -267,8 +266,7 @@ class TestAttend:
         n, d = 13, 4
         qh, kh, vh = (rng.normal(size=(heads, n, d)).astype(np.float32) for _ in range(3))
         pad = np.array([False] * 10 + [True] * 3)
-        ctx, probs = attend(qh, kh, vh, pad, AttentionSpec("local", heads, d, window_k))
-        assert probs.shape == (heads, n, window_k + 1)
+        ctx, _ = attend(qh, kh, vh, pad, AttentionSpec("local", heads, d, window_k))
         visible = visibility_mask(n, pad, "local", window_k)
         for h in range(heads):
             oracle = doubleloop_attention(qh[h], kh[h], vh[h], pad, visible=visible)
@@ -296,37 +294,53 @@ def interior_and_trailing_pads(n):
 
 
 class TestTiledBand:
-    """The tiled local kernel against the diagonal walk it replaced."""
+    """The tiled kernel against the diagonal walk: local mode at each window,
+    global mode as the band of a window that covers the sequence."""
 
-    @pytest.mark.parametrize("n,window_k", [
-        (n, window_k)
-        for n in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5, 2048)
-        for window_k in (2, 4, 128, 2 * (n + 4))
-        if window_k != 2 * (n + 4) or n < 2048
-    ])
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_matches_diagonal_walk(self, n, window_k, dtype):
-        rng = np.random.default_rng(n + window_k)
-        spec = AttentionSpec("local", 2, 4, window_k)
+    @staticmethod
+    def assert_matches_walk(spec, walk_spec, n, dtype):
+        rng = np.random.default_rng(n + (spec.window_k or 0))
         qh, kh, vh, d_ctx = (rng.normal(size=(2, n, 4)).astype(dtype) for _ in range(4))
         pad = interior_and_trailing_pads(n)
         tol = 64 * np.finfo(dtype).eps
         counted, expected = OpCounter(), OpCounter()
         ctx, probs = attend(qh, kh, vh, pad, spec, counted)
-        ref_ctx, ref_probs = diagonal_attend(qh, kh, vh, pad, spec, expected)
+        ref_ctx, ref_probs = diagonal_attend(qh, kh, vh, pad, walk_spec, expected)
         assert counted.count == expected.count
-        got = (ctx, probs) + attend_backward(d_ctx, qh, kh, vh, probs, spec)
-        ref = (ref_ctx, ref_probs) + diagonal_attend_backward(d_ctx, qh, kh, vh, ref_probs, spec)
-        for name, a, b in zip(("ctx", "probs", "d_q", "d_k", "d_v"), got, ref):
+        got = (ctx,) + attend_backward(d_ctx, qh, kh, vh, probs, spec)
+        ref = (ref_ctx,) + diagonal_attend_backward(d_ctx, qh, kh, vh, ref_probs, walk_spec)
+        for name, a, b in zip(("ctx", "d_q", "d_k", "d_v"), got, ref):
             assert a.dtype == dtype, name
             assert a.shape == b.shape, name
             np.testing.assert_allclose(a, b, rtol=tol, atol=tol, err_msg=name)
+        return counted.count
+
+    # n = 1, 63, 64, 65, 197, 2048: single rows, both sides of block
+    # boundaries, a ragged last block and the long model's length.
+    @pytest.mark.parametrize("n,window_k", [
+        (n, window_k)
+        for n in (1, 63, 64, 65, 197, 2048)
+        for window_k in (2, 4, 128, 2 * (n + 4))
+        if window_k != 2 * (n + 4) or n < 2048
+    ])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_diagonal_walk(self, n, window_k, dtype):
+        spec = AttentionSpec("local", 2, 4, window_k)
+        self.assert_matches_walk(spec, spec, n, dtype)
+
+    # n = 31, 32, 33, 257 and 300 straddle the local and global block sizes.
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 257, 300])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_global_is_covering_band(self, n, dtype):
+        count = self.assert_matches_walk(AttentionSpec("global", 2, 4),
+                                         AttentionSpec("local", 2, 4, 2 * n), n, dtype)
+        assert count == 2 * n * n
 
     def test_gradients_across_tile_boundaries(self):
-        # n = 2 * _BLOCK + 3 spans three query tiles, so the overlap-add of
-        # d_k and d_v between neighbouring tiles is exercised.
+        # n = 131 spans several query blocks, so the overlap-add of d_k and
+        # d_v between neighbouring tiles is exercised.
         rng = np.random.default_rng(12)
-        n, spec = 2 * _BLOCK + 3, AttentionSpec("local", 2, 3, 8)
+        n, spec = 131, AttentionSpec("local", 2, 3, 8)
         qh, kh, vh = (rng.normal(size=(2, n, 3)) for _ in range(3))
         weights = rng.normal(size=(2, n, 3))
         pad = interior_and_trailing_pads(n)
@@ -341,8 +355,8 @@ class TestTiledBand:
             assert rel <= TOL, f"d_{name}: {rel}"
 
     def test_transient_memory_bounded_by_band(self):
-        # T6 shapes at the long model's length: the tiles must stay transient,
-        # so the traced peak stays near the probs band attend returns.
+        # T6 shapes at the long model's length: the score tiles attend keeps
+        # are a little wider than the band, and its transients stay small.
         heads, n, head_dim, window_k = 20, 2048, 16, 128
         rng = np.random.default_rng(13)
         qh, kh, vh = (rng.normal(size=(heads, n, head_dim)).astype(np.float32)
@@ -356,6 +370,24 @@ class TestTiledBand:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * band_bytes, peak / band_bytes
+
+    def test_global_memory_bounded_by_scores(self):
+        # The same shapes in global mode: the probability tiles kept for the
+        # backward pass hold heads * n^2 floats, and one block's transients
+        # come on top of them, never a second [heads, n, n] copy.
+        heads, n, head_dim = 20, 2048, 16
+        rng = np.random.default_rng(14)
+        qh, kh, vh = (rng.normal(size=(heads, n, head_dim)).astype(np.float32)
+                      for _ in range(3))
+        spec = AttentionSpec("global", heads, head_dim)
+        score_bytes = heads * n * n * 4
+        tracemalloc.start()
+        try:
+            attend(qh, kh, vh, np.zeros(n, dtype=bool), spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * score_bytes, peak / score_bytes
 
 
 class TestScoreOpCount:

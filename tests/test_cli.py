@@ -10,7 +10,8 @@ from conftest import random_corpus
 from eslong.checkpoint import MAGIC, VERSION, read_checkpoint, write_checkpoint
 from eslong.cli import main
 from eslong.encoder import build_model, load_model, preset_config, save_model
-from eslong.pipeline import ProteinRecord, read_store, write_fasta
+from eslong.head import HeadConfig, fit_standardizer, init_head, save_head
+from eslong.pipeline import EmbeddingRecord, ProteinRecord, read_store, write_fasta, write_store
 from eslong.quant import QuantizedTensor
 from eslong.training import attach_lora
 
@@ -279,6 +280,72 @@ class TestInputProbes:
         assert_exits_2_with_one_line(["embed", "--model", str(saved_toy(tmp)), "--fasta",
                                       str(fasta), "--out", str(out)], capsys)
         assert not out.exists()
+
+
+def saved_head_and_store(tmp, edit=None):
+    """Paths of a 4-in, 3-term head checkpoint and a matching one-record store;
+    edit(tensors, config) may corrupt the head first."""
+    head_path, store_path = tmp / "head.eslg", tmp / "emb.esem"
+    head = init_head(HeadConfig(input_dim=4, num_terms=3, hidden_dim=5), ["GO:1", "GO:2", "GO:3"])
+    fit_standardizer(head, np.random.default_rng(0).normal(size=(6, 4)).astype(np.float32))
+    save_head(head, head_path)
+    if edit is not None:
+        tensors, config = read_checkpoint(head_path)
+        edit(tensors, config)
+        write_checkpoint(head_path, tensors, config)
+    write_store(store_path, [EmbeddingRecord("P1", np.ones(4, dtype=np.float32), 1)])
+    return head_path, store_path
+
+
+class TestHeadProbes:
+    """predict on a corrupt head exits 2 with one error line: no traceback,
+    and no silently truncated predictions."""
+
+    def test_intact_head_predicts_every_term(self, tmp_path):
+        head, store = saved_head_and_store(tmp_path)
+        out = tmp_path / "pred.tsv"
+        assert main(["predict", "--head", str(head), "--embeddings", str(store),
+                     "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 3
+
+    @pytest.mark.parametrize("edit", [
+        lambda tensors, config: config.pop("head"),
+        lambda tensors, config: config["head"].update(dropout=0.1),
+        lambda tensors, config: config["head"].update(hidden_dim="5"),
+        lambda tensors, config: config["head"].update(learning_rate=float("nan")),
+        lambda tensors, config: config["head"].update(seed=-1),
+        lambda tensors, config: tensors.pop("W2"),
+        lambda tensors, config: tensors.update(W1=tensors["W1"][:, :-1]),
+        lambda tensors, config: tensors.update(W2=tensors["W2"][:, :-1]),
+        lambda tensors, config: tensors.update(b2=tensors["b2"][:-1]),
+        lambda tensors, config: config["term_list"].pop(),
+        lambda tensors, config: config["term_list"].__setitem__(2, "GO:1"),
+        lambda tensors, config: tensors.pop("feat_scale"),
+        lambda tensors, config: tensors.update(feat_center=tensors["feat_center"][:-1]),
+    ], ids=["no-head-key", "unknown-head-key", "string-hidden-dim", "nan-learning-rate",
+            "negative-seed", "no-W2", "wrong-shaped-W1", "W2-too-few-terms", "b2-too-few-terms",
+            "short-term-list", "duplicate-term", "center-without-scale",
+            "wrong-shaped-center"])
+    def test_corrupt_head_exits_2(self, tmp_path, capsys, edit):
+        head, store = saved_head_and_store(tmp_path, edit)
+        out = tmp_path / "pred.tsv"
+        assert_exits_2_with_one_line(["predict", "--head", str(head), "--embeddings", str(store),
+                                      "--out", str(out)], capsys)
+        assert not out.exists()
+
+    def test_negative_train_head_seed_exits_2(self, tmp_path, capsys):
+        _, store = saved_head_and_store(tmp_path)
+        truth = tmp_path / "truth.tsv"
+        truth.write_text("P1\tGO:1\n")
+        assert_exits_2_with_one_line(["train-head", "--embeddings", str(store), "--val-embeddings",
+                                      str(store), "--truth", str(truth), "--out",
+                                      str(tmp_path / "h.eslg"), "--seed", "-1"], capsys)
+
+    def test_non_utf8_store_id_exits_2(self, tmp_path, capsys):
+        head, store = saved_head_and_store(tmp_path)
+        store.write_bytes(store.read_bytes().replace(b"P1", b"\xff\xfe", 1))
+        assert_exits_2_with_one_line(["predict", "--head", str(head), "--embeddings", str(store),
+                                      "--out", str(tmp_path / "pred.tsv")], capsys)
 
 
 def build_eval_fixtures(tmp):

@@ -56,6 +56,11 @@ class TestTrainHead:
         with pytest.raises(ConfigError):
             HeadConfig(input_dim=4, num_terms=2, epochs=0)
 
+    @pytest.mark.parametrize("field", [{"seed": -1}, {"weight_decay": -0.1}])
+    def test_negative_seed_or_decay_rejected(self, field):
+        with pytest.raises(ConfigError):
+            HeadConfig(input_dim=4, num_terms=2, **field)
+
     def test_same_seed_identical_curves(self):
         rng = np.random.default_rng(1)
         train, val, truth = separable_task(rng, n_train=20, n_val=10)

@@ -218,6 +218,23 @@ class TestStore:
         with pytest.raises(FormatError):
             read_store(path)
 
+    def test_non_utf8_id_rejected(self, tmp_path):
+        path = tmp_path / "latin1.esem"
+        write_store(path, [EmbeddingRecord("AB", np.zeros(3, dtype=np.float32), 1)])
+        path.write_bytes(path.read_bytes().replace(b"AB", b"\xff\xfe", 1))
+        with pytest.raises(FormatError):
+            read_store(path)
+
+    def test_dim_beyond_file_rejected(self, tmp_path):
+        # a corrupt dim field must not make the reader ask for a 4 GiB buffer
+        path = tmp_path / "huge.esem"
+        write_store(path, [EmbeddingRecord("AB", np.zeros(4, dtype=np.float32), 1)])
+        raw = bytearray(path.read_bytes())
+        raw[12:16] = (2**30).to_bytes(4, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError):
+            read_store(path)
+
     def test_tsv_export_format(self, tmp_path):
         rec = EmbeddingRecord("P1", np.array([1.0, -0.5, 0.123456789], dtype=np.float32), 2)
         path = tmp_path / "x.tsv"

@@ -3,12 +3,15 @@
 Both modes run one loop over query blocks. Each block takes one matmul against
 the keys it can see: in local mode its own rows plus window_k / 2 keys on each
 side, in global mode all n keys. So local cost is O(n * window_k), and scores
-are built one block at a time. probs, which attend_backward reads, is the list
-of per-block probability tiles; in global mode they still hold heads * n^2
-floats. An OpCounter threaded through attend receives the number of visible
-query-key pairs, which is how the linear-versus-quadratic cost claims are
-checked; the local tiles also compute up to (rows + window_k) / (window_k + 1)
-times as many products, which are discarded.
+are built one block at a time in a buffer that every block reuses. No
+probability tile outlives its block: attend keeps each row's softmax max and
+sum ([heads, n] each), and attend_backward recomputes every tile from q, k and
+those statistics, as FlashAttention does. A global attend at n keys therefore
+holds one block's [heads, 256, n] tile, not heads * n^2 floats. An OpCounter
+threaded through attend receives the number of visible query-key pairs, which
+is how the linear-versus-quadratic cost claims are checked; the local tiles
+also compute up to (rows + window_k) / (window_k + 1) times as many products,
+which are discarded.
 """
 
 from __future__ import annotations
@@ -131,79 +134,128 @@ def _padded(x, g: _Geometry):
     return out
 
 
-def _blocks(n: int, g: _Geometry):
-    """(query rows, padded key window) slices of each block, in order."""
-    for b, r0 in enumerate(range(0, n, g.rows)):
-        yield slice(r0, min(n, r0 + g.rows)), slice(b * g.step, b * g.step + g.keys)
-
-
 def _band_pairs(n: int, w: int) -> int:
     """Query-key pairs with |i - j| <= w < n inside a length-n sequence."""
     return n + 2 * w * n - w * (w + 1)
 
 
+class SoftmaxStats(NamedTuple):
+    """What attend keeps for attend_backward: each row's max and sum of
+    exponentials ([heads, n], from softmax_rows) and the pad mask."""
+
+    row_max: np.ndarray
+    row_sum: np.ndarray
+    pad: np.ndarray
+
+
+class _Tiles:
+    """The query blocks of _geometry over one input, with the keys each block
+    sees and `buffers` tile buffers that every block reuses; buffer 0 holds
+    the scores. attend and attend_backward both build their tiles here, so
+    they mask the same keys and compute the same bits."""
+
+    def __init__(self, qh, kh, vh, pad, spec: AttentionSpec, buffers: int):
+        heads, n, head_dim = qh.shape
+        g = _geometry(n, spec)
+        self.g, self.n, self.qh = g, n, qh
+        self.scale = 1.0 / math.sqrt(head_dim)
+        self.kp, self.vp = _padded(kh, g), _padded(vh, g)
+        self.hidden_keys = np.ones(g.length, dtype=bool)
+        self.hidden_keys[g.lead:g.lead + n] = pad
+        self.query_at, self.key_at = np.arange(n), np.arange(g.length) - g.lead
+        # One allocation for all buffers. malloc keeps one freed block for
+        # the next call; several, freed together, would leave a heap top it
+        # returns to the OS, to be faulted in again on every call.
+        self.work = np.empty((buffers, qh.shape[0] * g.rows * g.keys), dtype=qh.dtype)
+
+    def tile(self, buffer: int, rows: slice):
+        """Buffer `buffer` as a [heads, len(rows), keys] array. It is a prefix of
+        the buffer, so a shorter last block is contiguous too and runs the same
+        kernels, which keeps the recomputed tiles bit-identical."""
+        heads, size = self.qh.shape[0], rows.stop - rows.start
+        return self.work[buffer, :heads * size * self.g.keys].reshape(heads, size, self.g.keys)
+
+    def __iter__(self):
+        """(query rows, padded key window) slices of each block, in order."""
+        g = self.g
+        for b, r0 in enumerate(range(0, self.n, g.rows)):
+            yield slice(r0, min(self.n, r0 + g.rows)), slice(b * g.step, b * g.step + g.keys)
+
+    def masked_scores(self, rows, keys):
+        """The block's scaled scores in the score buffer, with keys hidden
+        from a query (outside the sequence, padded, or beyond w) at -inf."""
+        scores = np.matmul(self.qh[:, rows], self.kp[:, keys].swapaxes(-1, -2),
+                           out=self.tile(0, rows))
+        scores *= self.scale
+        i, j = self.query_at[rows, None], self.key_at[keys]
+        hidden = self.hidden_keys[keys] | (j < i - self.g.w) | (j > i + self.g.w)
+        if hidden.any():
+            np.copyto(scores, -np.inf, where=hidden)
+        return scores
+
+
 def attend(qh, kh, vh, pad, spec: AttentionSpec, counter: OpCounter | None = None):
-    """Multi-head attention under spec's visibility rule; returns (ctx, probs).
+    """Multi-head attention under spec's visibility rule; returns (ctx, stats).
 
     qh/kh/vh are [heads, n, head_dim]; pad marks keys no query may see, and a
     query with no visible key gets zeros. One loop walks the query blocks of
-    _geometry: each block's scores are one matmul against its key window,
-    hidden keys (outside the sequence, padded, or beyond w) are set to -inf,
-    softmax_rows runs over the tile and ctx is the tile @ V_window. probs,
-    kept for attend_backward, is the list of those [heads, rows, keys] tiles.
+    _geometry: each block's scores are one matmul against its key window into
+    a buffer reused by every block, hidden keys (outside the sequence, padded,
+    or beyond w) are set to -inf, softmax_rows turns the tile into
+    probabilities in place, and ctx is the tile @ V_window. No tile outlives
+    its block: stats, a SoftmaxStats, keeps only the row max and row sum that
+    softmax_rows used, from which attend_backward rebuilds each tile.
 
     counter receives the number of visible query-key pairs, summed over heads
     (n^2 per head in global mode). In local mode the tiles also evaluate up to
     (rows + window_k) / (window_k + 1) times as many products, which are
     discarded.
     """
-    heads, n, head_dim = qh.shape
-    scale = 1.0 / math.sqrt(head_dim)
-    g = _geometry(n, spec)
-    kp, vp = _padded(kh, g), _padded(vh, g)
-    hidden_keys = np.ones(g.length, dtype=bool)
-    hidden_keys[g.lead:g.lead + n] = pad
-    query_at, key_at = np.arange(n), np.arange(g.length) - g.lead
+    heads, n, _ = qh.shape
+    tiles = _Tiles(qh, kh, vh, pad, spec, buffers=1)
     if counter is not None:
-        counter.add(heads * _band_pairs(n, g.w))
+        counter.add(heads * _band_pairs(n, tiles.g.w))
     ctx = np.empty_like(vh)
-    probs = []
-    for rows, keys in _blocks(n, g):
-        scores = qh[:, rows] @ kp[:, keys].swapaxes(-1, -2)
-        scores *= scale
-        i, j = query_at[rows, None], key_at[keys]
-        hidden = hidden_keys[keys] | (j < i - g.w) | (j > i + g.w)
-        if hidden.any():
-            np.copyto(scores, -np.inf, where=hidden)
-        tile = softmax_rows(scores)
-        ctx[:, rows] = tile @ vp[:, keys]
-        probs.append(tile)
-    return ctx, probs
+    row_max = np.empty((heads, n), dtype=qh.dtype)
+    row_sum = np.empty((heads, n), dtype=qh.dtype)
+    for rows, keys in tiles:
+        scores = tiles.masked_scores(rows, keys)
+        tile, (m, total) = softmax_rows(scores, out=scores, return_stats=True)
+        row_max[:, rows], row_sum[:, rows] = m[..., 0], total[..., 0]
+        np.matmul(tile, tiles.vp[:, keys], out=ctx[:, rows])
+    return ctx, SoftmaxStats(row_max, row_sum, pad)
 
 
-def attend_backward(d_ctx, qh, kh, vh, probs, spec: AttentionSpec):
-    """Gradients (d_qh, d_kh, d_vh) of attend's ctx, given d_ctx and attend's probs.
+def attend_backward(d_ctx, qh, kh, vh, stats: SoftmaxStats, spec: AttentionSpec):
+    """Gradients (d_qh, d_kh, d_vh) of attend's ctx, given d_ctx and attend's stats.
 
-    The same loop over attend's blocks: per tile, d_probs = d_ctx @ V_windowᵀ
-    becomes d_scores in place, d_q = d_scores @ K_window, and d_k, d_v are
-    tileᵀ @ {q, d_ctx} overlap-added into the padded key axis.
+    The same loop over attend's blocks. Each tile is recomputed, not read
+    back: the block's masked scores go through softmax_rows with attend's row
+    max and row sum, which repeats attend's probabilities bit for bit. Then
+    d_probs = d_ctx @ V_windowᵀ becomes d_scores in place, d_q = d_scores @
+    K_window, and d_k, d_v are tileᵀ @ {q, d_ctx} overlap-added into the
+    padded key axis. Three tile buffers are reused by every block.
 
     The scale is a Python float, as in attend, so the gradients keep the
     inputs' dtype (a NumPy float64 scalar would promote float32 to float64).
     """
     n = qh.shape[1]
-    scale = 1.0 / math.sqrt(qh.shape[-1])
-    g = _geometry(n, spec)
-    kp, vp = _padded(kh, g), _padded(vh, g)
+    tiles = _Tiles(qh, kh, vh, stats.pad, spec, buffers=3)
+    g, kp, vp, scale = tiles.g, tiles.kp, tiles.vp, tiles.scale
     d_qh = np.empty_like(qh)
     d_kp, d_vp = np.zeros_like(kp), np.zeros_like(vp)
-    for (rows, keys), tile in zip(_blocks(n, g), probs):
-        d_scores = d_ctx[:, rows] @ vp[:, keys].swapaxes(-1, -2)
-        d_scores -= (d_scores * tile).sum(axis=-1, keepdims=True)
+    for rows, keys in tiles:
+        scores = tiles.masked_scores(rows, keys)
+        tile = softmax_rows(scores, out=scores,
+                            stats=(stats.row_max[:, rows, None], stats.row_sum[:, rows, None]))
+        d_vp[:, keys] += tile.swapaxes(-1, -2) @ d_ctx[:, rows]
+        d_scores = np.matmul(d_ctx[:, rows], vp[:, keys].swapaxes(-1, -2),
+                             out=tiles.tile(1, rows))
+        d_scores -= np.multiply(d_scores, tile, out=tiles.tile(2, rows)).sum(
+            axis=-1, keepdims=True)
         d_scores *= tile
         d_qh[:, rows] = (d_scores @ kp[:, keys]) * scale
         d_kp[:, keys] += (d_scores.swapaxes(-1, -2) @ qh[:, rows]) * scale
-        d_vp[:, keys] += tile.swapaxes(-1, -2) @ d_ctx[:, rows]
     return d_qh, d_kp[:, g.lead:g.lead + n], d_vp[:, g.lead:g.lead + n]
 
 

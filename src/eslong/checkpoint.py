@@ -7,7 +7,8 @@ Little-endian layout:
 Dtype codes: 0 = real32 raw, 1 = int4 blocks (u32 block_size, u32 block count,
 float32 scales, packed codes zero-padded to a byte boundary), 2 = UTF-8 JSON
 bytes (rank 1, dims = [byte length]) used for the single config entry.
-Readers reject unknown magic or version.
+Readers reject unknown magic or version, and NaN or infinite real32 values
+or int4 scales.
 """
 
 from __future__ import annotations
@@ -71,6 +72,12 @@ def read_exact(fh: BinaryIO, n: int, what: str = "checkpoint") -> bytes:
     return data
 
 
+def _finite(values: np.ndarray, name: str) -> np.ndarray:
+    if not np.isfinite(values).all():
+        raise FormatError(f"checkpoint tensor {name!r} holds NaN or infinite values")
+    return values
+
+
 def read_checkpoint(path) -> tuple[dict[str, Any], dict]:
     """Read a container; returns (tensors, config dict)."""
     tensors: dict[str, Any] = {}
@@ -94,11 +101,16 @@ def read_checkpoint(path) -> tuple[dict[str, Any], dict]:
             for d in dims:
                 numel *= d
             if dtype == DTYPE_REAL32:
-                payload = read_exact(fh, 4 * numel)
-                tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+                values = np.frombuffer(read_exact(fh, 4 * numel), dtype="<f4")
+                try:
+                    values = values.reshape(dims)
+                except ValueError as exc:  # a zero dim beside dims too large for numpy
+                    raise FormatError(f"checkpoint tensor {name!r} has dims {dims}") from exc
+                tensors[name] = _finite(values.copy(), name)
             elif dtype == DTYPE_INT4:
                 block_size, nblocks = struct.unpack("<II", read_exact(fh, 8))
-                scales = np.frombuffer(read_exact(fh, 4 * nblocks), dtype="<f4").copy()
+                scales = _finite(np.frombuffer(read_exact(fh, 4 * nblocks), dtype="<f4").copy(),
+                                 name)
                 packed = np.frombuffer(read_exact(fh, (numel + 1) // 2), dtype=np.uint8).copy()
                 tensors[name] = QuantizedTensor(
                     dims=dims, block_size=block_size, packed=packed, scales=scales
@@ -115,6 +127,8 @@ def read_checkpoint(path) -> tuple[dict[str, Any], dict]:
                     tensors[name] = decoded
             else:
                 raise FormatError(f"unknown dtype code {dtype} for entry {name!r}")
+        if fh.read(1):
+            raise FormatError("checkpoint has bytes after its last entry")
     if config is None:
         raise FormatError("checkpoint has no config entry")
     return tensors, config

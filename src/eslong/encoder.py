@@ -40,9 +40,9 @@ class TokenVocab:
         self._ids = {tok: i for i, tok in enumerate(self.tokens)}
         if len(self._ids) != len(self.tokens):
             raise ConfigError("vocabulary contains duplicate tokens")
-        for special in (CLS_TOKEN, PAD_TOKEN, EOS_TOKEN, MASK_TOKEN, "X"):
-            if special not in self._ids:
-                raise ConfigError(f"vocabulary is missing {special}")
+        for needed in (CLS_TOKEN, PAD_TOKEN, EOS_TOKEN, MASK_TOKEN, "X", *CANONICAL_RESIDUES):
+            if needed not in self._ids:
+                raise ConfigError(f"vocabulary is missing {needed}")
         self.cls_id = self._ids[CLS_TOKEN]
         self.pad_id = self._ids[PAD_TOKEN]
         self.eos_id = self._ids[EOS_TOKEN]
@@ -269,7 +269,9 @@ def forward(model: EncoderModel, token_ids, want_cache: bool = False):
     """Last-layer hidden states after the final layer norm, one row per token.
 
     With want_cache=True also returns the intermediate activations the
-    training module needs for its hand-derived backward pass.
+    training module needs for its hand-derived backward pass: O(n * d) per
+    layer in both attention modes, since attention keeps only its per-row
+    softmax statistics and GELU its CDF.
     """
     cfg = model.config
     vocab = cfg.vocab
@@ -292,18 +294,18 @@ def forward(model: EncoderModel, token_ids, want_cache: bool = False):
         qh = _split_heads(_project(model, f"{p}.q_proj", h1), cfg.num_heads)
         kh = _split_heads(_project(model, f"{p}.k_proj", h1), cfg.num_heads)
         vh = _split_heads(_project(model, f"{p}.v_proj", h1), cfg.num_heads)
-        ctx_h, probs = attend(qh, kh, vh, pad, cfg.attention)
+        ctx_h, stats = attend(qh, kh, vh, pad, cfg.attention)
         ctx = _merge_heads(ctx_h)
         x_mid = x_in + _project(model, f"{p}.o_proj", ctx)
         h2, ln2_cache = layer_norm(x_mid, P[f"{p}.ffn_ln.gain"], P[f"{p}.ffn_ln.bias"])
         u = _project(model, f"{p}.ffn_in", h2)
-        act = gelu(u)
+        act, cdf = gelu(u, return_cdf=True) if want_cache else (gelu(u), None)
         x = x_mid + _project(model, f"{p}.ffn_out", act)
         if want_cache:
             layer_caches.append(
                 dict(x_in=x_in, h1=h1, ln1=ln1_cache, qh=qh, kh=kh, vh=vh,
-                     probs=probs, ctx=ctx, x_mid=x_mid, h2=h2, ln2=ln2_cache,
-                     u=u, act=act)
+                     stats=stats, ctx=ctx, x_mid=x_mid, h2=h2, ln2=ln2_cache,
+                     u=u, act=act, cdf=cdf)
             )
     hidden, lnf_cache = layer_norm(x, P["final_ln.gain"], P["final_ln.bias"])
     if not want_cache:

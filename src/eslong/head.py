@@ -16,7 +16,7 @@ import numpy as np
 
 from .checkpoint import read_checkpoint, write_checkpoint
 from .encoder import array_entry, finite_number, json_fields, positive_int
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, InputError
 from .evaluation import fmax
 from .tensor_ops import gelu, gelu_grad
 from .training import TrainConfig, adamw_step, derive_seed, init_adam_state
@@ -90,16 +90,16 @@ def init_head(cfg: HeadConfig, term_list, seed: int | None = None) -> Classifier
 
 def head_logits(params: dict[str, np.ndarray], x: np.ndarray, want_cache: bool = False):
     z1 = x @ params["W1"] + params["b1"]
-    h = gelu(z1)
+    h, cdf = gelu(z1, return_cdf=True)
     z2 = h @ params["W2"] + params["b2"]
     if want_cache:
-        return z2, (z1, h)
+        return z2, (z1, h, cdf)
     return z2
 
 
 def bce_loss_and_grads(params, x, y):
     """Mean logit-space binary cross-entropy over batch x terms, with gradients."""
-    z2, (z1, h) = head_logits(params, x, want_cache=True)
+    z2, (z1, h, cdf) = head_logits(params, x, want_cache=True)
     count = z2.size
     loss = float(
         (np.maximum(z2, 0.0) - z2 * y + np.log1p(np.exp(-np.abs(z2)))).sum() / count
@@ -110,7 +110,7 @@ def bce_loss_and_grads(params, x, y):
         "b2": d_z2.sum(axis=0),
     }
     d_h = d_z2 @ params["W2"].T
-    d_z1 = d_h * gelu_grad(z1)
+    d_z1 = d_h * gelu_grad(z1, cdf)
     grads["W1"] = x.T @ d_z1
     grads["b1"] = d_z1.sum(axis=0)
     return loss, grads
@@ -206,7 +206,8 @@ def train_head(train_embeddings, truth, cfg: HeadConfig, val_embeddings, metrics
 
 
 def predict(head: ClassifierHead, embeddings) -> dict[str, dict[str, float]]:
-    """Per-protein, per-term sigmoid scores; pure, order-independent per record."""
+    """Per-protein, per-term sigmoid scores; pure, order-independent per record.
+    A record whose logits overflow to NaN is an InputError, never a NaN score."""
     out: dict[str, dict[str, float]] = {}
     for rec in embeddings:
         if rec.vector.shape != (head.config.input_dim,):
@@ -217,6 +218,8 @@ def predict(head: ClassifierHead, embeddings) -> dict[str, dict[str, float]]:
         x = head.standardize(rec.vector[None, :].astype(np.float32))
         z = head_logits(head.params, x)[0]
         scores = _sigmoid(z.astype(np.float64))
+        if np.isnan(scores).any():
+            raise InputError(f"embedding {rec.protein_id!r} overflows the head to NaN scores")
         out[rec.protein_id] = {term: float(s) for term, s in zip(head.term_list, scores)}
     return out
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .checkpoint import read_exact
 from .encoder import EncoderModel, forward, model_tag, tokenize
-from .errors import ConfigError, EslongError, FormatError, IngestionError
+from .errors import ConfigError, EslongError, FormatError, IngestionError, InputError
 
 STORE_MAGIC = b"ESEM"
 STORE_VERSION = 1
@@ -202,7 +202,8 @@ def embed_corpus(
 def write_store(path, embeddings, embed_dim: int | None = None) -> None:
     """Binary embedding store: magic, version, record count, embed_dim, then
     (id, slice_count, float32 vector) per record. Every record is checked
-    before the file is opened, so a rejected store leaves no partial file."""
+    before the file is opened, so a rejected store leaves no partial file; a
+    NaN or infinite vector, which only a broken model produces, is rejected."""
     embeddings = list(embeddings)
     if embed_dim is None:
         if not embeddings:
@@ -214,6 +215,8 @@ def write_store(path, embeddings, embed_dim: int | None = None) -> None:
             raise ConfigError(
                 f"record {rec.protein_id!r} vector length {rec.vector.shape} != {embed_dim}"
             )
+        if not np.isfinite(rec.vector).all():
+            raise InputError(f"record {rec.protein_id!r} has a NaN or infinite vector")
         raw = rec.protein_id.encode("utf-8")
         if len(raw) > _U16_MAX:
             raise ConfigError(
@@ -255,7 +258,11 @@ def read_store(path) -> tuple[list[EmbeddingRecord], int]:
                 raise FormatError("embedding store protein id is not UTF-8") from exc
             (slice_count,) = struct.unpack("<H", read(fh, 2))
             vec = np.frombuffer(read(fh, 4 * dim), dtype="<f4").copy()
+            if not np.isfinite(vec).all():
+                raise FormatError(f"embedding store vector of {pid!r} holds NaN or inf")
             records.append(EmbeddingRecord(protein_id=pid, vector=vec, slice_count=slice_count))
+        if fh.read(1):
+            raise FormatError(f"embedding store has bytes after its {count} records")
     return records, dim
 
 

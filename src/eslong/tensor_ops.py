@@ -1,6 +1,7 @@
 """Dense numeric kernels shared by the encoder, attention, and classifier code.
 
-softmax_rows is the one softmax: attention.attend runs it in every forward pass.
+softmax_rows is the one softmax: attention.attend runs it in every forward pass,
+and attention.attend_backward replays it from the row statistics attend kept.
 layer_norm is the one layer norm, and it returns the cache the backward pass reads.
 
 All kernels follow the dtype of their inputs; the production path runs in
@@ -33,21 +34,32 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
-def softmax_rows(a: np.ndarray) -> np.ndarray:
+def softmax_rows(a: np.ndarray, out=None, stats=None, return_stats: bool = False):
     """Softmax over the last axis, with max-subtraction so large scores cannot overflow.
 
     A -inf entry is invisible, and a row with nothing visible comes out all
-    zeros. All work happens in one output buffer of a's shape.
+    zeros. All work happens in one output buffer of a's shape: out when given,
+    which may be a itself, else a new array.
+
+    return_stats=True returns (probabilities, (row_max, row_sum)): the max
+    subtracted from each row and the sum of exponentials it was divided by,
+    with the last axis kept at length 1. Passing that pair back as stats skips
+    the reductions and runs the same exp(a - row_max) / row_sum, so the same a
+    gives bit-identical probabilities.
     """
     a = np.asarray(a)
-    m = a.max(axis=-1, keepdims=True)
-    m[~np.isfinite(m)] = 0.0
-    out = np.subtract(a, m)
+    if stats is None:
+        m = a.max(axis=-1, keepdims=True)
+        m[~np.isfinite(m)] = 0.0
+    else:
+        m, total = stats
+    out = np.subtract(a, m, out=out)
     np.exp(out, out=out)
-    total = out.sum(axis=-1, keepdims=True)
-    total[total == 0] = 1.0
+    if stats is None:
+        total = out.sum(axis=-1, keepdims=True)
+        total[total == 0] = 1.0
     out /= total
-    return out
+    return (out, (m, total)) if return_stats else out
 
 
 def layer_norm(
@@ -71,16 +83,29 @@ def layer_norm(
     return xhat * gain + bias, (xhat, inv_std)
 
 
-def gelu(a: np.ndarray) -> np.ndarray:
+def _normal_cdf(a: np.ndarray) -> np.ndarray:
+    """Phi(x), the standard normal CDF, from the exact erf."""
+    return 0.5 * (1.0 + erf(np.asarray(a) * _INV_SQRT2))
+
+
+def gelu(a: np.ndarray, return_cdf: bool = False):
     """Gaussian-error linear unit x * Phi(x), computed with the exact erf form
-    (not the tanh fit), so values match a high-precision oracle directly."""
+    (not the tanh fit), so values match a high-precision oracle directly.
+
+    return_cdf=True returns (gelu(a), Phi(a)), so a backward pass can hand
+    Phi to gelu_grad instead of evaluating erf again.
+    """
     a = np.asarray(a)
-    return a * 0.5 * (1.0 + erf(a * _INV_SQRT2))
+    cdf = _normal_cdf(a)
+    out = a * cdf
+    return (out, cdf) if return_cdf else out
 
 
-def gelu_grad(a: np.ndarray) -> np.ndarray:
-    """Elementwise derivative of gelu: Phi(x) + x * phi(x)."""
+def gelu_grad(a: np.ndarray, cdf=None) -> np.ndarray:
+    """Elementwise derivative of gelu: Phi(x) + x * phi(x). cdf, when given,
+    is Phi(a) as gelu(a, return_cdf=True) returned it."""
     a = np.asarray(a)
-    cdf = 0.5 * (1.0 + erf(a * _INV_SQRT2))
+    if cdf is None:
+        cdf = _normal_cdf(a)
     pdf = _INV_SQRT_2PI * np.exp(-0.5 * a * a)
     return cdf + a * pdf

@@ -215,7 +215,7 @@ class _Backprop:
             lc = cache["layers"][i]
             # feed-forward half: x = x_mid + ffn_out(gelu(ffn_in(LN2(x_mid))))
             d_act = self.proj_backward(f"{p}.ffn_out", lc["act"], d_x)
-            d_u = d_act * gelu_grad(lc["u"])
+            d_u = d_act * gelu_grad(lc["u"], lc["cdf"])
             d_h2 = self.proj_backward(f"{p}.ffn_in", lc["h2"], d_u)
             d_mid_ln, d_g2, d_b2 = _ln_backward(d_h2, lc["ln2"], P[f"{p}.ffn_ln.gain"])
             self._acc(f"{p}.ffn_ln.gain", d_g2)
@@ -224,7 +224,7 @@ class _Backprop:
             # attention half: x_mid = x_in + o_proj(heads(LN1(x_in)))
             d_ctx = self.proj_backward(f"{p}.o_proj", lc["ctx"], d_x_mid)
             d_qh, d_kh, d_vh = attend_backward(_split_heads(d_ctx, cfg.num_heads), lc["qh"],
-                                               lc["kh"], lc["vh"], lc["probs"], cfg.attention)
+                                               lc["kh"], lc["vh"], lc["stats"], cfg.attention)
             d_h1 = self.proj_backward(f"{p}.q_proj", lc["h1"], _merge_heads(d_qh))
             d_h1 += self.proj_backward(f"{p}.k_proj", lc["h1"], _merge_heads(d_kh))
             d_h1 += self.proj_backward(f"{p}.v_proj", lc["h1"], _merge_heads(d_vh))

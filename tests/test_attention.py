@@ -18,6 +18,7 @@ from eslong.attention import (
     local_attention,
     score_op_count,
 )
+from eslong.encoder import build_model, forward, preset_config, tokenize
 from eslong.errors import ConfigError, ContractError
 from eslong.tensor_ops import softmax_rows
 from gradcheck import finite_difference, relative_error
@@ -279,8 +280,8 @@ class TestAttend:
         spec = AttentionSpec(mode, 2, 4, window_k)
         qh, kh, vh, d_ctx = (rng.normal(size=(2, 9, 4)).astype(dtype) for _ in range(4))
         pad = np.array([False] * 7 + [True] * 2)
-        _, probs = attend(qh, kh, vh, pad, spec)
-        for grad in attend_backward(d_ctx, qh, kh, vh, probs, spec):
+        _, stats = attend(qh, kh, vh, pad, spec)
+        for grad in attend_backward(d_ctx, qh, kh, vh, stats, spec):
             assert grad.dtype == dtype
 
 
@@ -304,10 +305,10 @@ class TestTiledBand:
         pad = interior_and_trailing_pads(n)
         tol = 64 * np.finfo(dtype).eps
         counted, expected = OpCounter(), OpCounter()
-        ctx, probs = attend(qh, kh, vh, pad, spec, counted)
+        ctx, stats = attend(qh, kh, vh, pad, spec, counted)
         ref_ctx, ref_probs = diagonal_attend(qh, kh, vh, pad, walk_spec, expected)
         assert counted.count == expected.count
-        got = (ctx,) + attend_backward(d_ctx, qh, kh, vh, probs, spec)
+        got = (ctx,) + attend_backward(d_ctx, qh, kh, vh, stats, spec)
         ref = (ref_ctx,) + diagonal_attend_backward(d_ctx, qh, kh, vh, ref_probs, walk_spec)
         for name, a, b in zip(("ctx", "d_q", "d_k", "d_v"), got, ref):
             assert a.dtype == dtype, name
@@ -348,8 +349,8 @@ class TestTiledBand:
         def loss():
             return float((attend(qh, kh, vh, pad, spec)[0] * weights).sum())
 
-        _, probs = attend(qh, kh, vh, pad, spec)
-        grads = attend_backward(weights, qh, kh, vh, probs, spec)
+        _, stats = attend(qh, kh, vh, pad, spec)
+        grads = attend_backward(weights, qh, kh, vh, stats, spec)
         for name, arr, grad in zip(("q", "k", "v"), (qh, kh, vh), grads):
             rel = relative_error(grad, finite_difference(loss, arr))
             assert rel <= TOL, f"d_{name}: {rel}"
@@ -363,31 +364,87 @@ class TestTiledBand:
                       for _ in range(3))
         spec = AttentionSpec("local", heads, head_dim, window_k)
         band_bytes = heads * n * (window_k + 1) * 4
-        tracemalloc.start()
-        try:
-            attend(qh, kh, vh, np.zeros(n, dtype=bool), spec)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(attend, qh, kh, vh, np.zeros(n, dtype=bool), spec)
         assert peak <= 2.5 * band_bytes, peak / band_bytes
 
     def test_global_memory_bounded_by_scores(self):
-        # The same shapes in global mode: the probability tiles kept for the
-        # backward pass hold heads * n^2 floats, and one block's transients
-        # come on top of them, never a second [heads, n, n] copy.
+        # The same shapes in global mode: attend never holds a [heads, n, n]
+        # score matrix, in one piece or as kept tiles, nor a second copy.
         heads, n, head_dim = 20, 2048, 16
         rng = np.random.default_rng(14)
         qh, kh, vh = (rng.normal(size=(heads, n, head_dim)).astype(np.float32)
                       for _ in range(3))
         spec = AttentionSpec("global", heads, head_dim)
         score_bytes = heads * n * n * 4
-        tracemalloc.start()
-        try:
-            attend(qh, kh, vh, np.zeros(n, dtype=bool), spec)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(attend, qh, kh, vh, np.zeros(n, dtype=bool), spec)
         assert peak <= 1.25 * score_bytes, peak / score_bytes
+
+
+class TestRecompute:
+    """attend keeps per-row softmax statistics, not probability tiles, and
+    attend_backward rebuilds each tile from them."""
+
+    @staticmethod
+    def t6_global(n=2048):
+        heads, head_dim = 20, 16
+        rng = np.random.default_rng(15)
+        qh, kh, vh, d_ctx = (rng.normal(size=(heads, n, head_dim)).astype(np.float32)
+                             for _ in range(4))
+        return qh, kh, vh, d_ctx, np.zeros(n, dtype=bool), AttentionSpec("global", heads, head_dim)
+
+    def test_global_attend_peak_is_one_block(self):
+        # One [20, 256, 2048] float32 score buffer is 42 MB; keeping every
+        # block's tile would take 335 MB.
+        qh, kh, vh, _, pad, spec = self.t6_global()
+        peak = traced_peak(attend, qh, kh, vh, pad, spec)
+        assert peak < 100e6, peak / 1e6
+
+    def test_global_backward_peak_is_three_blocks(self):
+        # The rebuilt tile, d_probs and their product: three 42 MB buffers.
+        qh, kh, vh, d_ctx, pad, spec = self.t6_global()
+        _, stats = attend(qh, kh, vh, pad, spec)
+        peak = traced_peak(attend_backward, d_ctx, qh, kh, vh, stats, spec)
+        assert peak < 150e6, peak / 1e6
+
+    def test_stats_are_per_row(self):
+        qh, kh, vh, _, pad, spec = self.t6_global(n=300)
+        _, stats = attend(qh, kh, vh, pad, spec)
+        assert stats.row_max.shape == stats.row_sum.shape == (20, 300)
+        assert stats.pad is pad
+
+    @pytest.mark.parametrize("mode,window_k", [("global", None), ("local", 604)])
+    def test_forward_cache_holds_no_score_matrix(self, mode, window_k):
+        # 300 tokens, and a local window that covers them all, so that a kept
+        # probability tile or band would reach n^2 floats per head.
+        n = 300
+        config = preset_config("toy", mode=mode, window_k=window_k, max_positions=n)
+        model = build_model(config, seed=3)
+        residues = "".join(np.random.default_rng(16).choice(list("ACDEFGHIKLMNPQRSTVWY"), n - 2))
+        _, cache = forward(model, tokenize(residues, config), want_cache=True)
+        bound = config.num_heads * n * n
+        for i, layer in enumerate(cache["layers"]):
+            for key, value in layer.items():
+                size = sum(a.size for a in arrays_in(value))
+                assert size < bound, (i, key, size / bound)
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes tracemalloc sees while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def arrays_in(value):
+    """The arrays in value, looking inside tuples and lists."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from arrays_in(item)
 
 
 class TestScoreOpCount:

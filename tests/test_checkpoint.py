@@ -69,3 +69,33 @@ class TestRejection:
         path.write_bytes(MAGIC + struct.pack("<II", VERSION, 0))
         with pytest.raises(FormatError, match="config"):
             read_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values(self, tmp_path, value):
+        for name in ("dense", "packed"):
+            tensors = sample_tensors()
+            if name == "dense":
+                tensors["dense"][1, 2] = value
+            else:
+                tensors["packed"].scales[0] = value
+            path = tmp_path / name
+            write_checkpoint(path, tensors, {})
+            with pytest.raises(FormatError, match=f"{name}.*NaN or infinite"):
+                read_checkpoint(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        path = tmp_path / "long"
+        write_checkpoint(path, sample_tensors(), {})
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(FormatError, match="after its last entry"):
+            read_checkpoint(path)
+
+    def test_zero_dim_beside_huge_dims(self, tmp_path):
+        path = tmp_path / "dims"
+        write_checkpoint(path, {}, {})
+        entry = struct.pack("<H", 1) + b"t" + struct.pack("<BBIII", 0, 3, 0, 2**32 - 1, 2**32 - 1)
+        raw = bytearray(path.read_bytes() + entry)
+        raw[8:12] = struct.pack("<I", 2)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="dims"):
+            read_checkpoint(path)

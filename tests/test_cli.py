@@ -1,10 +1,14 @@
 """Command-line surface: flags, exit codes, manifests, idempotence."""
 
+import contextlib
+import io
 import json
+import math
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_corpus
 from eslong.checkpoint import MAGIC, VERSION, read_checkpoint, write_checkpoint
@@ -12,7 +16,7 @@ from eslong.cli import main
 from eslong.encoder import build_model, load_model, preset_config, save_model
 from eslong.head import HeadConfig, fit_standardizer, init_head, save_head
 from eslong.pipeline import EmbeddingRecord, ProteinRecord, read_store, write_fasta, write_store
-from eslong.quant import QuantizedTensor
+from eslong.quant import QuantizedTensor, quantize_int4, quantize_model
 from eslong.training import attach_lora
 
 
@@ -215,6 +219,13 @@ def saved_toy(tmp, edit=None, lora_targets=()):
     return path
 
 
+def int4_with_scale(weight, scale):
+    """weight quantized to int4, with its first block scale replaced."""
+    quantized = quantize_int4(weight)
+    quantized.scales[0] = scale
+    return quantized
+
+
 class TestInputProbes:
     """Malformed configs, corrupt checkpoints and out-of-range inputs exit 2
     with one error line, never a traceback or a partial-success exit 1."""
@@ -256,6 +267,21 @@ class TestInputProbes:
         path = saved_toy(tmp, edit, lora_targets=["layers.0.q_proj"])
         assert_exits_2_with_one_line(["embed", "--model", str(path), "--fasta", str(fasta),
                                       "--out", str(tmp / "x.esem")], capsys)
+
+    @pytest.mark.parametrize("edit,lora_targets", [
+        (lambda tensors, config: tensors["layers.1.ffn_in"].__setitem__((0, 0), np.nan), ()),
+        (lambda tensors, config: tensors.update({"layers.0.q_proj": int4_with_scale(
+            tensors["layers.0.q_proj"], np.inf)}), ()),
+        (lambda tensors, config: tensors["adapters.layers.0.q_proj.A"].__setitem__(
+            (0, 0), np.nan), ["layers.0.q_proj"]),
+    ], ids=["nan-dense-weight", "inf-int4-scale", "nan-adapter"])
+    def test_non_finite_checkpoint_exits_2(self, workdir, capsys, edit, lora_targets):
+        tmp, fasta, _, _ = workdir
+        out = tmp / "x.esem"
+        path = saved_toy(tmp, edit, lora_targets=lora_targets)
+        assert_exits_2_with_one_line(["embed", "--model", str(path), "--fasta", str(fasta),
+                                      "--out", str(out)], capsys)
+        assert not out.exists()
 
     def test_huge_checkpoint_dims_exit_2(self, workdir, capsys):
         tmp, fasta, _, _ = workdir
@@ -322,10 +348,11 @@ class TestHeadProbes:
         lambda tensors, config: config["term_list"].__setitem__(2, "GO:1"),
         lambda tensors, config: tensors.pop("feat_scale"),
         lambda tensors, config: tensors.update(feat_center=tensors["feat_center"][:-1]),
+        lambda tensors, config: tensors["W1"].__setitem__((0, 0), np.nan),
     ], ids=["no-head-key", "unknown-head-key", "string-hidden-dim", "nan-learning-rate",
             "negative-seed", "no-W2", "wrong-shaped-W1", "W2-too-few-terms", "b2-too-few-terms",
             "short-term-list", "duplicate-term", "center-without-scale",
-            "wrong-shaped-center"])
+            "wrong-shaped-center", "nan-W1"])
     def test_corrupt_head_exits_2(self, tmp_path, capsys, edit):
         head, store = saved_head_and_store(tmp_path, edit)
         out = tmp_path / "pred.tsv"
@@ -341,11 +368,95 @@ class TestHeadProbes:
                                       str(store), "--truth", str(truth), "--out",
                                       str(tmp_path / "h.eslg"), "--seed", "-1"], capsys)
 
+    def test_nan_store_vector_exits_2(self, tmp_path, capsys):
+        head, store = saved_head_and_store(tmp_path)
+        store.write_bytes(store.read_bytes()[:-4] + struct.pack("<f", np.nan))
+        out = tmp_path / "pred.tsv"
+        assert_exits_2_with_one_line(["predict", "--head", str(head), "--embeddings", str(store),
+                                      "--out", str(out)], capsys)
+        assert not out.exists()
+
     def test_non_utf8_store_id_exits_2(self, tmp_path, capsys):
         head, store = saved_head_and_store(tmp_path)
         store.write_bytes(store.read_bytes().replace(b"P1", b"\xff\xfe", 1))
         assert_exits_2_with_one_line(["predict", "--head", str(head), "--embeddings", str(store),
                                       "--out", str(tmp_path / "pred.tsv")], capsys)
+
+
+@st.composite
+def corruptions(draw, size: int):
+    """("cut", n) keeps the first n < size bytes; ("flip", bits) flips one to
+    three of the size * 8 bits."""
+    if draw(st.booleans()):
+        return "cut", draw(st.integers(0, size - 1))
+    return "flip", draw(st.lists(st.integers(0, 8 * size - 1), min_size=1, max_size=3))
+
+
+def corrupt(data: bytes, corruption) -> bytes:
+    kind, where = corruption
+    if kind == "cut":
+        return data[:where]
+    out = bytearray(data)
+    for bit in where:
+        out[bit // 8] ^= 1 << (bit % 8)
+    return bytes(out)
+
+
+@pytest.fixture(scope="session")
+def fuzz_files(tmp_path_factory):
+    """Intact inputs for the fuzz test: a toy model in fp32 and with int4
+    projections, a FASTA for it, and a head with a matching store."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    model = build_model(preset_config("toy"), seed=1)
+    save_model(model, tmp / "model.eslg")
+    save_model(quantize_model(model), tmp / "int4-model.eslg")
+    rng = np.random.default_rng(2)
+    write_fasta(tmp / "in.fasta", [ProteinRecord(f"P{i}", s)
+                                   for i, s in enumerate(random_corpus(rng, 3, 5, 40))])
+    saved_head_and_store(tmp)
+    return tmp
+
+
+class TestCorruptFileFuzz:
+    """Truncated and bit-flipped checkpoints and stores through the CLI: each
+    run exits 2 with one error line, or exits 0 with finite outputs. It never
+    exits 1 (partial success) and never raises."""
+
+    @staticmethod
+    def run_cli(argv) -> int:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2), (code, err.getvalue())
+        if code == 2:
+            lines = err.getvalue().strip().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        return code
+
+    @pytest.mark.parametrize("target", ["model.eslg", "int4-model.eslg", "head.eslg",
+                                        "emb.esem"])
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_corrupt_file_exits_2_or_gives_finite_output(self, fuzz_files, target, data):
+        intact = (fuzz_files / target).read_bytes()
+        bad = fuzz_files / f"bad-{target}"
+        bad.write_bytes(corrupt(intact, data.draw(corruptions(len(intact)))))
+        out = fuzz_files / "out"
+        out.unlink(missing_ok=True)
+        if target.endswith("model.eslg"):
+            argv = ["embed", "--model", str(bad), "--fasta", str(fuzz_files / "in.fasta")]
+        else:
+            head = bad if target == "head.eslg" else fuzz_files / "head.eslg"
+            store = bad if target == "emb.esem" else fuzz_files / "emb.esem"
+            argv = ["predict", "--head", str(head), "--embeddings", str(store)]
+        if self.run_cli(argv + ["--out", str(out)]) != 0:
+            return
+        if argv[0] == "embed":
+            records, _ = read_store(out)
+            assert all(np.isfinite(rec.vector).all() for rec in records)
+        else:
+            scores = [float(line.split("\t")[2]) for line in out.read_text().splitlines()]
+            assert all(math.isfinite(x) for x in scores)
 
 
 def build_eval_fixtures(tmp):

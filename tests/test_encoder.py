@@ -55,6 +55,13 @@ class TestPresets:
         with pytest.raises(ConfigError):
             preset_config("T99")
 
+    def test_vocab_needs_every_canonical_residue(self):
+        from eslong.encoder import TokenVocab
+
+        tokens = tuple(t for t in TokenVocab.default().tokens if t != "K")
+        with pytest.raises(ConfigError, match="missing K"):
+            TokenVocab(tokens)
+
     def test_invalid_config(self):
         from eslong.attention import AttentionSpec
         from eslong.encoder import ModelConfig

@@ -1,6 +1,7 @@
 """FASTA parsing, segmentation, embedding extraction, and the store format."""
 
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_corpus
 from eslong.encoder import forward, tokenize
-from eslong.errors import ConfigError, FormatError, IngestionError
+from eslong.errors import ConfigError, FormatError, IngestionError, InputError
 from eslong.pipeline import (
     EmbeddingRecord,
     ProteinRecord,
@@ -233,6 +234,28 @@ class TestStore:
         raw[12:16] = (2**30).to_bytes(4, "little")
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError):
+            read_store(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_vector_rejected(self, tmp_path, value):
+        path = tmp_path / "x.esem"
+        with pytest.raises(InputError):
+            write_store(path, [EmbeddingRecord("AB", np.array([0, value], dtype=np.float32), 1)])
+        assert not path.exists()
+        write_store(path, [EmbeddingRecord("AB", np.zeros(2, dtype=np.float32), 1)])
+        path.write_bytes(path.read_bytes()[:-4] + struct.pack("<f", value))
+        with pytest.raises(FormatError):
+            read_store(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        # a record count that lost a bit must not drop records silently
+        path = tmp_path / "x.esem"
+        write_store(path, [EmbeddingRecord(f"P{i}", np.zeros(2, dtype=np.float32), 1)
+                           for i in range(3)])
+        raw = bytearray(path.read_bytes())
+        raw[8:12] = struct.pack("<I", 2)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="after its 2 records"):
             read_store(path)
 
     def test_tsv_export_format(self, tmp_path):

@@ -78,6 +78,17 @@ class TestSoftmaxRows:
         assert (out >= 0).all()
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-6)
 
+    def test_stats_replay_is_bit_identical(self):
+        a = np.random.default_rng(3).normal(scale=10.0, size=(3, 5, 7)).astype(np.float32)
+        a[0, 1, 2:] = -np.inf
+        a[1, 2, :] = -np.inf  # nothing visible: zeros, replayed as zeros
+        probs, stats = softmax_rows(a, return_stats=True)
+        np.testing.assert_array_equal(softmax_rows(a), probs)
+        scores = a.copy()
+        assert softmax_rows(scores, out=scores, stats=stats) is scores
+        np.testing.assert_array_equal(scores, probs)
+        np.testing.assert_array_equal(probs[1, 2], 0.0)
+
 
 class TestLayerNorm:
     def test_constant_row_zeroed(self):
@@ -133,3 +144,11 @@ class TestGelu:
         h = 1e-6
         numeric = (gelu(x + h) - gelu(x - h)) / (2 * h)
         np.testing.assert_allclose(gelu_grad(x), numeric, atol=1e-6)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_returned_cdf_gives_the_same_bits(self, dtype):
+        x = np.linspace(-6, 6, 101).astype(dtype)
+        act, cdf = gelu(x, return_cdf=True)
+        np.testing.assert_array_equal(act, gelu(x))
+        np.testing.assert_array_equal(gelu_grad(x, cdf), gelu_grad(x))
+        assert cdf.dtype == dtype

@@ -17,7 +17,6 @@ which are discarded.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -57,19 +56,17 @@ class AttentionSpec:
 
 
 class OpCounter:
-    """Thread-safe accumulator for query-key score evaluations.
+    """Accumulator for query-key score evaluations.
 
-    Kernels add the number of pairs they actually computed; concurrent workers
-    may share one counter because accumulation happens under a lock.
+    Kernels add the number of pairs they actually computed. It takes no lock,
+    so a counter must not be shared across threads.
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._count = 0
 
     def add(self, n: int) -> None:
-        with self._lock:
-            self._count += int(n)
+        self._count += int(n)
 
     @property
     def count(self) -> int:

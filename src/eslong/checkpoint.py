@@ -20,7 +20,7 @@ from typing import Any, BinaryIO
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, InputError
 from .quant import QuantizedTensor
 
 MAGIC = b"ESLG"
@@ -43,7 +43,17 @@ def _write_entry_header(fh: BinaryIO, name: str, dtype: int, dims: tuple[int, ..
 
 
 def write_checkpoint(path, tensors: dict[str, Any], config: dict) -> None:
-    """Write the config entry followed by tensors in the given dict order."""
+    """Write the config entry followed by tensors in the given dict order.
+
+    A NaN or infinite real32 value or int4 scale, which readers reject, is
+    refused before the file is opened, so no unloadable file is left behind."""
+    tensors = {name: (value if isinstance(value, QuantizedTensor)
+                      else np.ascontiguousarray(value, dtype=np.float32))
+               for name, value in tensors.items()}
+    for name, value in tensors.items():
+        values = value.scales if isinstance(value, QuantizedTensor) else value
+        if not np.isfinite(values).all():
+            raise InputError(f"tensor {name!r} holds NaN or infinite values; not writing {path}")
     config_bytes = json.dumps(config, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
@@ -57,9 +67,8 @@ def write_checkpoint(path, tensors: dict[str, Any], config: dict) -> None:
                 fh.write(value.scales.astype("<f4").tobytes())
                 fh.write(value.packed.tobytes())
             else:
-                arr = np.ascontiguousarray(value, dtype=np.float32)
-                _write_entry_header(fh, name, DTYPE_REAL32, arr.shape)
-                fh.write(arr.astype("<f4", copy=False).tobytes())
+                _write_entry_header(fh, name, DTYPE_REAL32, value.shape)
+                fh.write(value.astype("<f4", copy=False).tobytes())
 
 
 def read_exact(fh: BinaryIO, n: int, what: str = "checkpoint") -> bytes:

@@ -16,6 +16,8 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from . import __version__
 from .attention import GLOBAL, LOCAL
 from .encoder import (
@@ -186,17 +188,14 @@ def cmd_embed(args) -> int:
     limit = args.residue_limit
     if limit is None:
         limit = model.config.max_positions - 2
-    embeddings, failures = embed_corpus(
-        model, records, limit, workers=args.workers, pool=args.pool
-    )
+    embeddings, failures = embed_corpus(model, records, limit, pool=args.pool)
     write_store(args.out, embeddings, embed_dim=model.config.embed_dim)
     if args.tsv:
         write_store_tsv(args.tsv, embeddings)
     write_manifest(
         args.out,
         command="embed",
-        config={"residue_limit": limit, "workers": args.workers, "pool": args.pool,
-                "model_tag": model_tag(model)},
+        config={"residue_limit": limit, "pool": args.pool, "model_tag": model_tag(model)},
         inputs={"model": args.model, "fasta": args.fasta},
         seed=None,
         wall_ms=int((time.monotonic() - started) * 1000),
@@ -360,7 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="embedding store output path")
     p.add_argument("--residue-limit", type=int, default=None,
                    help="slice length; defaults to model capacity minus CLS/EOS")
-    p.add_argument("--workers", type=int, default=1)
+    # Accepted for old command lines and ignored: records embed one at a time.
+    p.add_argument("--workers", type=int, default=1, help=argparse.SUPPRESS)
     p.add_argument("--pool", choices=["mean", "cls"], default="mean")
     p.add_argument("--tsv", default=None, help="optional TSV export path")
     p.set_defaults(func=cmd_embed)
@@ -408,7 +408,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # Every non-finite result ends in an EslongError check, so NumPy's
+        # float warnings would only print ahead of the one error line.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except EslongError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,7 +18,7 @@ import numpy as np
 from .attention import GLOBAL, LOCAL, AttentionSpec, attend
 from .checkpoint import read_checkpoint, write_checkpoint
 from .errors import ConfigError, ContractError, FormatError, InputError, LengthError
-from .quant import QuantizedTensor, qmatmul
+from .quant import QUANTIZABLE_FAMILIES, QuantizedTensor, qmatmul
 from .tensor_ops import gelu, layer_norm
 
 CANONICAL_RESIDUES = "ACDEFGHIKLMNPQRSTVWY"
@@ -424,6 +424,14 @@ def array_entry(tensors: dict, name: str, shape: tuple) -> np.ndarray:
     return tensors[name]
 
 
+def reject_unused(tensors: dict, used) -> None:
+    """A FormatError naming every checkpoint entry outside used, so a file that
+    holds more than its reader consumes is never taken for a smaller model."""
+    unused = sorted(set(tensors) - set(used))
+    if unused:
+        raise FormatError(f"checkpoint has entries its reader does not use: {unused}")
+
+
 def config_from_json(data) -> ModelConfig:
     """The one parser of a model config, in the JSON form config_to_json writes.
 
@@ -480,7 +488,7 @@ def _load_adapter(target: str, meta, tensors: dict, config: ModelConfig):
     the model: A must be [rank, in] and B [out, rank] for the target weight."""
     from .training import LoraAdapter, lora_target_names  # deferred: training imports encoder
 
-    if target not in lora_target_names(config, ("attention", "ffn", "head")):
+    if target not in lora_target_names(config, QUANTIZABLE_FAMILIES):
         raise ConfigError(f"LoRA target {target!r} is not a projection weight of this model")
     meta = json_fields(meta, f"LoRA entry {target!r}", ("rank", "alpha"))
     rank = positive_int(meta["rank"], f"LoRA {target!r} rank")
@@ -511,4 +519,5 @@ def load_model(path) -> EncoderModel:
         raise ConfigError("checkpoint config 'lora' must be a JSON object")
     adapters = {target: _load_adapter(target, meta, tensors, model_config)
                 for target, meta in lora.items()}
+    reject_unused(tensors, [*params, *(f"adapters.{t}.{m}" for t in adapters for m in "AB")])
     return EncoderModel(config=model_config, params=params, adapters=adapters)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint import read_checkpoint, write_checkpoint
-from .encoder import array_entry, finite_number, json_fields, positive_int
+from .encoder import array_entry, finite_number, json_fields, positive_int, reject_unused
 from .errors import ConfigError, DataError, InputError
 from .evaluation import fmax
 from .tensor_ops import gelu, gelu_grad
@@ -40,9 +40,9 @@ class HeadConfig:
             raise ConfigError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if self.learning_rate <= 0:
+        if finite_number(self.learning_rate, "learning_rate") <= 0:
             raise ConfigError("learning_rate must be positive")
-        if self.weight_decay < 0:
+        if finite_number(self.weight_decay, "weight_decay") < 0:
             raise ConfigError("weight_decay must not be negative")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
@@ -251,8 +251,8 @@ _HEAD_NUMBERS = ("learning_rate", "weight_decay")
 
 def load_head(path) -> ClassifierHead:
     """The head save_head wrote, with every field and tensor checked against
-    the config: a missing, unknown, ill-typed or wrong-shaped entry is a
-    ConfigError or FormatError."""
+    the config: a missing, unknown, unused, ill-typed or wrong-shaped entry is
+    a ConfigError or FormatError."""
     tensors, config = read_checkpoint(path)
     config = json_fields(config, "head checkpoint config", ("head", "term_list"))
     fields = json_fields(config["head"], "head config", _HEAD_INTS + _HEAD_NUMBERS + ("seed",))
@@ -274,5 +274,6 @@ def load_head(path) -> ClassifierHead:
     if "feat_center" in tensors or "feat_scale" in tensors:
         center = array_entry(tensors, "feat_center", (cfg.input_dim,))
         scale = array_entry(tensors, "feat_scale", (cfg.input_dim,))
+    reject_unused(tensors, [*shapes, "feat_center", "feat_scale"])
     return ClassifierHead(config=cfg, term_list=tuple(terms), params=params,
                           feat_center=center, feat_scale=scale)

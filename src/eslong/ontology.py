@@ -153,11 +153,11 @@ def close_scores(pred: AnnotationSet, graph: OntologyGraph) -> AnnotationSet:
     return closed
 
 
-def load_annotations(source, default_score: float = 1.0) -> AnnotationSet:
+def load_annotations(source) -> AnnotationSet:
     """Parse protein<TAB>term[<TAB>score] lines; a missing score means 1.0."""
     if isinstance(source, str) and "\n" not in source and "\t" not in source:
         with open(source, "r", encoding="utf-8") as fh:
-            return load_annotations(fh, default_score)
+            return load_annotations(fh)
     if isinstance(source, str):
         source = io.StringIO(source)
     annotations: AnnotationSet = {}
@@ -168,7 +168,7 @@ def load_annotations(source, default_score: float = 1.0) -> AnnotationSet:
         parts = line.split("\t")
         if len(parts) == 2:
             protein, term = parts
-            score = default_score
+            score = 1.0
         elif len(parts) == 3:
             protein, term, raw = parts
             try:
@@ -183,11 +183,8 @@ def load_annotations(source, default_score: float = 1.0) -> AnnotationSet:
     return annotations
 
 
-def save_annotations(path, annotations: AnnotationSet, with_scores: bool = True) -> None:
+def save_annotations(path, annotations: AnnotationSet) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for protein in sorted(annotations):
             for term in sorted(annotations[protein]):
-                if with_scores:
-                    fh.write(f"{protein}\t{term}\t{annotations[protein][term]:.6g}\n")
-                else:
-                    fh.write(f"{protein}\t{term}\n")
+                fh.write(f"{protein}\t{term}\t{annotations[protein][term]:.6g}\n")

@@ -4,21 +4,20 @@ Long sequences are cut into non-overlapping left-to-right slices that fit the
 model's residue limit; each slice is encoded separately, mean-pooled over its
 residue positions (CLS/EOS excluded), and the per-slice vectors are averaged
 elementwise into one fixed-length vector per protein. Slice vectors accumulate
-in float64 in a fixed left-to-right order, so results do not depend on worker
-count.
+in float64 in a fixed left-to-right order, and records are embedded one after
+another in input order, so reruns give byte-identical stores.
 """
 
 from __future__ import annotations
 
 import io
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .checkpoint import read_exact
-from .encoder import EncoderModel, forward, model_tag, tokenize
+from .encoder import EncoderModel, forward, tokenize
 from .errors import ConfigError, EslongError, FormatError, IngestionError, InputError
 
 STORE_MAGIC = b"ESEM"
@@ -41,7 +40,6 @@ class EmbeddingRecord:
     protein_id: str
     vector: np.ndarray  # float32, length = embed_dim
     slice_count: int
-    model_tag: str = ""
 
 
 def parse_fasta(source) -> list[ProteinRecord]:
@@ -115,7 +113,6 @@ def embed_protein(
     record: ProteinRecord,
     residue_limit: int,
     pool: str = POOL_MEAN,
-    tag: str | None = None,
 ) -> EmbeddingRecord:
     """One fixed-length vector per protein: encode each slice, pool residue
     rows (or take CLS with pool="cls"), then average slice vectors."""
@@ -138,23 +135,11 @@ def embed_protein(
             slice_vec = hidden[1:-1].mean(axis=0)
         total += slice_vec.astype(np.float64)
     vector = (total / len(slices)).astype(np.float32)
-    return EmbeddingRecord(
-        protein_id=record.id,
-        vector=vector,
-        slice_count=len(slices),
-        model_tag=tag if tag is not None else model_tag(model),
-    )
+    return EmbeddingRecord(protein_id=record.id, vector=vector, slice_count=len(slices))
 
 
-def embed_corpus(
-    model: EncoderModel,
-    records,
-    residue_limit: int,
-    workers: int = 1,
-    pool: str = POOL_MEAN,
-    tag: str | None = None,
-):
-    """Embed every record; output order matches input order for any worker count.
+def embed_corpus(model: EncoderModel, records, residue_limit: int, pool: str = POOL_MEAN):
+    """Embed every record in input order.
 
     Returns (embeddings, failures) where failures is a list of (protein id,
     error message) for records whose input was rejected with an EslongError;
@@ -167,35 +152,13 @@ def embed_corpus(
             f"model capacity {model.config.max_positions} cannot hold "
             f"residue_limit {residue_limit} plus CLS/EOS"
         )
-    records = list(records)
-    resolved_tag = tag if tag is not None else model_tag(model)
-
-    def work(record):
-        return embed_protein(model, record, residue_limit, pool=pool, tag=resolved_tag)
-
     results: list[EmbeddingRecord] = []
     failures: list[tuple[str, str]] = []
-    if workers <= 1:
-        outcomes = []
-        for rec in records:
-            try:
-                outcomes.append(work(rec))
-            except EslongError as exc:  # per-record isolation; summarized by caller
-                outcomes.append(exc)
-    else:
-        def safe(rec):
-            try:
-                return work(rec)
-            except EslongError as exc:
-                return exc
-
-        with ThreadPoolExecutor(max_workers=workers) as pool_exec:
-            outcomes = list(pool_exec.map(safe, records))
-    for rec, outcome in zip(records, outcomes):
-        if isinstance(outcome, EslongError):
-            failures.append((rec.id, str(outcome)))
-        else:
-            results.append(outcome)
+    for rec in records:
+        try:
+            results.append(embed_protein(model, rec, residue_limit, pool=pool))
+        except EslongError as exc:  # per-record isolation; summarized by caller
+            failures.append((rec.id, str(exc)))
     return results, failures
 
 

@@ -22,13 +22,14 @@ from .encoder import (
     EncoderModel,
     _merge_heads,
     _split_heads,
+    finite_number,
     forward,
     mlm_logits,
     param_names,
     tokenize,
 )
 from .errors import ConfigError, ContractError, LengthError
-from .quant import QuantizedTensor, decode_dense
+from .quant import QUANTIZABLE_FAMILIES, QuantizedTensor, decode_dense, param_family
 from .tensor_ops import gelu_grad
 
 
@@ -56,9 +57,6 @@ class LoraAdapter:
         return LoraAdapter(self.target, self.rank, self.alpha,
                            self.A.astype(dtype), self.B.astype(dtype))
 
-    def copy(self) -> "LoraAdapter":
-        return LoraAdapter(self.target, self.rank, self.alpha, self.A.copy(), self.B.copy())
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -75,12 +73,19 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
-        if not (0.0 <= self.mask_fraction < 1.0):
-            raise ConfigError("mask_fraction must lie in [0, 1)")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
+        if not 0.0 <= finite_number(self.mask_fraction, "mask_fraction") < 1.0:
+            raise ConfigError("mask_fraction must lie in [0, 1)")
+        if finite_number(self.learning_rate, "learning_rate") <= 0:
+            raise ConfigError("learning_rate must be positive")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= finite_number(getattr(self, name), name) < 1.0:
+                raise ConfigError(f"{name} must lie in [0, 1)")
+        if finite_number(self.eps, "eps") <= 0:
+            raise ConfigError("eps must be positive")
+        if finite_number(self.weight_decay, "weight_decay") < 0:
+            raise ConfigError("weight_decay must not be negative")
 
 
 def mask_batch(batch, cfg: TrainConfig, rng, vocab=DEFAULT_VOCAB):
@@ -143,13 +148,15 @@ def get_trainable(model: EncoderModel) -> dict[str, np.ndarray]:
     return out
 
 
-def set_trainable(model: EncoderModel, key: str, value: np.ndarray) -> None:
-    if key.startswith("adapters."):
-        target = key[len("adapters."):-2]
-        which = key[-1]
-        setattr(model.adapters[target], which, value)
-    else:
-        model.params[key] = value
+def with_trainable(model: EncoderModel, values: dict[str, np.ndarray]) -> EncoderModel:
+    """A new model whose trainable tensors are values (keyed as get_trainable
+    keys them); every other tensor is shared with model, never copied."""
+    if model.adapters:
+        adapters = {target: replace(ad, A=values[f"adapters.{target}.A"],
+                                    B=values[f"adapters.{target}.B"])
+                    for target, ad in model.adapters.items()}
+        return replace(model, adapters=adapters)
+    return replace(model, params={**model.params, **values})
 
 
 def _dense_weight(model: EncoderModel, name: str) -> np.ndarray:
@@ -292,21 +299,14 @@ def adamw_step(params, grads, state, cfg: TrainConfig):
     return new_params, {"t": t, "m": new_m, "v": new_v}
 
 
-def _copy_model(model: EncoderModel) -> EncoderModel:
-    params = {
-        k: (v if isinstance(v, QuantizedTensor) else v.copy())
-        for k, v in model.params.items()
-    }
-    adapters = {k: ad.copy() for k, ad in model.adapters.items()}
-    return EncoderModel(config=model.config, params=params, adapters=adapters)
-
-
 def pretrain(model: EncoderModel, corpus, cfg: TrainConfig, run_log=None):
     """Run the masked-LM loop over a pre-segmented corpus.
 
     Returns (trained model, per-epoch mean losses). Sequences must already fit
-    the model capacity; when adapters are attached only they are updated. The
-    optional run_log path receives one JSON record per epoch.
+    the model capacity; when adapters are attached only they are updated, and
+    the trained model shares the frozen base with model. Every step builds a
+    new model, so model itself is never written to. The optional run_log path
+    receives one JSON record per epoch.
     """
     if not corpus:
         raise ContractError("training corpus is empty")
@@ -320,8 +320,8 @@ def pretrain(model: EncoderModel, corpus, cfg: TrainConfig, run_log=None):
                 "segment the corpus first"
             )
     tokenized = [tokenize(seq, model.config) for seq in corpus]
-    work = _copy_model(model)
-    state = init_adam_state(get_trainable(work))
+    trained = model
+    state = init_adam_state(get_trainable(trained))
     mask_rng = np.random.default_rng(derive_seed(cfg.seed, "masking"))
     shuffle_rng = np.random.default_rng(derive_seed(cfg.seed, "shuffle"))
     curve: list[float] = []
@@ -338,11 +338,9 @@ def pretrain(model: EncoderModel, corpus, cfg: TrainConfig, run_log=None):
                 n_labels = sum(len(seq_labels) for seq_labels in labels)
                 if n_labels == 0:
                     continue
-                loss, grads = mlm_loss(work, masked, labels)
-                params_view = get_trainable(work)
-                new_params, state = adamw_step(params_view, grads, state, cfg)
-                for key, value in new_params.items():
-                    set_trainable(work, key, value)
+                loss, grads = mlm_loss(trained, masked, labels)
+                new_params, state = adamw_step(get_trainable(trained), grads, state, cfg)
+                trained = with_trainable(trained, new_params)
                 loss_weighted += loss * n_labels
                 label_count += n_labels
             mean_loss = loss_weighted / max(label_count, 1)
@@ -357,35 +355,27 @@ def pretrain(model: EncoderModel, corpus, cfg: TrainConfig, run_log=None):
     finally:
         if log_fh:
             log_fh.close()
-    return work, curve
-
-
-_MATMUL_SUFFIXES = (".q_proj", ".k_proj", ".v_proj", ".o_proj", ".ffn_in", ".ffn_out")
+    return trained, curve
 
 
 def lora_target_names(config, families=("attention",)) -> list[str]:
-    """Expand family shortcuts into concrete projection names."""
-    suffix_map = {
-        "attention": (".q_proj", ".k_proj", ".v_proj", ".o_proj"),
-        "ffn": (".ffn_in", ".ffn_out"),
-        "head": ("mlm_head",),
-    }
+    """The projection weights of the given matmul families, in parameter order."""
     for family in families:
-        if family not in suffix_map:
+        if family not in QUANTIZABLE_FAMILIES:
             raise ConfigError(f"unknown adapter family {family!r}")
-    wanted = tuple(s for family in families for s in suffix_map[family])
-    return [n for n in param_names(config) if n in wanted or n.endswith(wanted)]
+    return [n for n in param_names(config) if param_family(n) in families]
 
 
 def attach_lora(model: EncoderModel, targets, rank: int, alpha: float, seed: int = 0) -> EncoderModel:
     """Add zero-initialized low-rank adapters and freeze the base weights."""
     if rank < 1:
         raise ConfigError("adapter rank must be >= 1")
+    finite_number(alpha, "adapter alpha")
     adapters = dict(model.adapters)
     for target in targets:
         if target not in model.params:
             raise ConfigError(f"unknown adapter target {target!r}")
-        if target != "mlm_head" and not target.endswith(_MATMUL_SUFFIXES):
+        if param_family(target) not in QUANTIZABLE_FAMILIES:
             raise ConfigError(f"target {target!r} is not a projection weight")
         w = model.params[target]
         in_dim, out_dim = w.dims if isinstance(w, QuantizedTensor) else w.shape

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from eslong.attention import AttentionSpec
+from eslong.checkpoint import write_checkpoint
 from eslong.encoder import ModelConfig, build_model, preset_config
 
 CANONICAL = "ACDEFGHIKLMNPQRSTVWY"
@@ -26,6 +27,16 @@ def random_corpus(rng, count, min_len=8, max_len=40):
     return [
         "".join(rng.choice(list(CANONICAL), size=n)) for n in lengths
     ]
+
+
+def write_non_finite(path, tensors, config, marks):
+    """write_checkpoint refuses NaN and inf, so reader tests store finite marks
+    and swap each float32 mark for marks[mark] in the file's bytes."""
+    write_checkpoint(path, tensors, config)
+    data = path.read_bytes()
+    for mark, value in marks.items():
+        data = data.replace(np.float32(mark).tobytes(), np.float32(value).tobytes())
+    path.write_bytes(data)
 
 
 @pytest.fixture(scope="session")

@@ -477,19 +477,3 @@ class TestScoreOpCount:
         intercept = counts[0] - slope * ns[0]
         for n, c in zip(ns, counts):
             assert c == slope * n + intercept
-
-    def test_counter_thread_safety(self):
-        import threading
-
-        counter = OpCounter()
-
-        def bump():
-            for _ in range(1000):
-                counter.add(1)
-
-        threads = [threading.Thread(target=bump) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert counter.count == 8000

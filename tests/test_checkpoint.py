@@ -5,8 +5,9 @@ import struct
 import numpy as np
 import pytest
 
+from conftest import write_non_finite
 from eslong.checkpoint import MAGIC, VERSION, read_checkpoint, write_checkpoint
-from eslong.errors import FormatError
+from eslong.errors import FormatError, InputError
 from eslong.quant import quantize_int4
 
 
@@ -72,14 +73,17 @@ class TestRejection:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_values(self, tmp_path, value):
+        mark = 1234.5
         for name in ("dense", "packed"):
             tensors = sample_tensors()
-            if name == "dense":
-                tensors["dense"][1, 2] = value
-            else:
-                tensors["packed"].scales[0] = value
+            cell = tensors["dense"][1:2, 2] if name == "dense" else tensors["packed"].scales[:1]
+            cell[...] = value
             path = tmp_path / name
-            write_checkpoint(path, tensors, {})
+            with pytest.raises(InputError, match=f"{name}.*NaN or infinite"):
+                write_checkpoint(path, tensors, {})
+            assert not path.exists()
+            cell[...] = mark
+            write_non_finite(path, tensors, {}, {mark: value})
             with pytest.raises(FormatError, match=f"{name}.*NaN or infinite"):
                 read_checkpoint(path)
 

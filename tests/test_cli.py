@@ -4,14 +4,18 @@ import contextlib
 import io
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_corpus
-from eslong.checkpoint import MAGIC, VERSION, read_checkpoint, write_checkpoint
+import eslong
+from conftest import random_corpus, write_non_finite
+from eslong.checkpoint import MAGIC, VERSION, read_checkpoint
 from eslong.cli import main
 from eslong.encoder import build_model, load_model, preset_config, save_model
 from eslong.head import HeadConfig, fit_standardizer, init_head, save_head
@@ -204,6 +208,12 @@ def assert_exits_2_with_one_line(argv, capsys):
     assert len(err) == 1 and err[0].startswith("error: "), err
 
 
+# Finite stand-ins that saved_toy and saved_head_and_store turn into NaN and inf
+# in the file, since write_checkpoint refuses to write non-finite values.
+NAN_MARK, INF_MARK = 1234.5, -4321.5
+MARKS = {NAN_MARK: np.nan, INF_MARK: np.inf}
+
+
 def saved_toy(tmp, edit=None, lora_targets=()):
     """Path of a toy checkpoint, with rank-2 adapters on lora_targets;
     edit(tensors, config) may corrupt it first."""
@@ -215,7 +225,7 @@ def saved_toy(tmp, edit=None, lora_targets=()):
     if edit is not None:
         tensors, config = read_checkpoint(path)
         edit(tensors, config)
-        write_checkpoint(path, tensors, config)
+        write_non_finite(path, tensors, config, MARKS)
     return path
 
 
@@ -236,13 +246,38 @@ class TestInputProbes:
         {"model": {"num_layers": 1, "num_heads": 2, "embed_dim": 8, "ffn_dim": 16,
                    "num_layer": 3}},
         {"model": {"num_layers": 1, "num_heads": 2, "embed_dim": 8, "ffn_dim": "16"}},
-    ], ids=["unknown-train-key", "json-list", "unknown-model-key", "ill-typed-model-key"])
+        {"model": {"preset": "toy"}, "train": {"learning_rate": float("nan")}},
+        {"model": {"preset": "toy"}, "train": {"weight_decay": float("inf")}},
+        {"model": {"preset": "toy"}, "train": {"beta1": float("nan")}},
+        {"model": {"preset": "toy"}, "train": {"eps": -1}},
+    ], ids=["unknown-train-key", "json-list", "unknown-model-key", "ill-typed-model-key",
+            "nan-learning-rate", "infinite-weight-decay", "nan-beta1", "negative-eps"])
     def test_bad_config_exits_2(self, workdir, capsys, config):
         tmp, fasta, _, _ = workdir
         path = tmp / "probe.json"
         path.write_text(json.dumps(config))
         assert_exits_2_with_one_line(["pretrain", "--config", str(path), "--fasta", str(fasta),
                                       "--out", str(tmp / "x.eslg")], capsys)
+
+    def test_nan_lora_alpha_exits_2(self, workdir, capsys):
+        tmp, fasta, config, _ = workdir
+        assert_exits_2_with_one_line(["pretrain", "--config", str(config), "--fasta", str(fasta),
+                                      "--out", str(tmp / "x.eslg"), "--lora-rank", "2",
+                                      "--lora-alpha", "nan"], capsys)
+
+    def test_overflowing_model_prints_only_the_error_line(self, workdir):
+        """NumPy's float warnings must not print ahead of the error line. Run in
+        a subprocess: pytest captures warnings apart from stderr."""
+        tmp, fasta, _, _ = workdir
+        model = saved_toy(tmp, lambda tensors, config: tensors["layers.1.ffn_out"].fill(3e37))
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(eslong.__file__)))
+        done = subprocess.run([sys.executable, "-c", "from eslong.cli import run; run()",
+                               "embed", "--model", str(model), "--fasta", str(fasta),
+                               "--out", str(tmp / "x.esem")],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 2
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
     @pytest.mark.parametrize("edit", [
         lambda tensors, config: config["model"].pop("ffn_dim"),
@@ -261,7 +296,9 @@ class TestInputProbes:
         lambda tensors, config: tensors.pop("adapters.layers.0.q_proj.B"),
         lambda tensors, config: tensors.update({"adapters.layers.0.q_proj.A":
                                                 tensors["adapters.layers.0.q_proj.A"][:, :-1]}),
-    ], ids=["lora-lacks-rank", "lora-string-rank", "lora-lacks-B", "lora-wrong-shaped-A"])
+        lambda tensors, config: config.pop("lora"),
+    ], ids=["lora-lacks-rank", "lora-string-rank", "lora-lacks-B", "lora-wrong-shaped-A",
+            "adapters-without-lora-entry"])
     def test_corrupt_lora_exits_2(self, workdir, capsys, edit):
         tmp, fasta, _, _ = workdir
         path = saved_toy(tmp, edit, lora_targets=["layers.0.q_proj"])
@@ -269,11 +306,11 @@ class TestInputProbes:
                                       "--out", str(tmp / "x.esem")], capsys)
 
     @pytest.mark.parametrize("edit,lora_targets", [
-        (lambda tensors, config: tensors["layers.1.ffn_in"].__setitem__((0, 0), np.nan), ()),
+        (lambda tensors, config: tensors["layers.1.ffn_in"].__setitem__((0, 0), NAN_MARK), ()),
         (lambda tensors, config: tensors.update({"layers.0.q_proj": int4_with_scale(
-            tensors["layers.0.q_proj"], np.inf)}), ()),
+            tensors["layers.0.q_proj"], INF_MARK)}), ()),
         (lambda tensors, config: tensors["adapters.layers.0.q_proj.A"].__setitem__(
-            (0, 0), np.nan), ["layers.0.q_proj"]),
+            (0, 0), NAN_MARK), ["layers.0.q_proj"]),
     ], ids=["nan-dense-weight", "inf-int4-scale", "nan-adapter"])
     def test_non_finite_checkpoint_exits_2(self, workdir, capsys, edit, lora_targets):
         tmp, fasta, _, _ = workdir
@@ -318,7 +355,7 @@ def saved_head_and_store(tmp, edit=None):
     if edit is not None:
         tensors, config = read_checkpoint(head_path)
         edit(tensors, config)
-        write_checkpoint(head_path, tensors, config)
+        write_non_finite(head_path, tensors, config, MARKS)
     write_store(store_path, [EmbeddingRecord("P1", np.ones(4, dtype=np.float32), 1)])
     return head_path, store_path
 
@@ -348,11 +385,12 @@ class TestHeadProbes:
         lambda tensors, config: config["term_list"].__setitem__(2, "GO:1"),
         lambda tensors, config: tensors.pop("feat_scale"),
         lambda tensors, config: tensors.update(feat_center=tensors["feat_center"][:-1]),
-        lambda tensors, config: tensors["W1"].__setitem__((0, 0), np.nan),
+        lambda tensors, config: tensors["W1"].__setitem__((0, 0), NAN_MARK),
+        lambda tensors, config: tensors.update(W3=tensors["W2"]),
     ], ids=["no-head-key", "unknown-head-key", "string-hidden-dim", "nan-learning-rate",
             "negative-seed", "no-W2", "wrong-shaped-W1", "W2-too-few-terms", "b2-too-few-terms",
             "short-term-list", "duplicate-term", "center-without-scale",
-            "wrong-shaped-center", "nan-W1"])
+            "wrong-shaped-center", "nan-W1", "unused-tensor"])
     def test_corrupt_head_exits_2(self, tmp_path, capsys, edit):
         head, store = saved_head_and_store(tmp_path, edit)
         out = tmp_path / "pred.tsv"
@@ -367,6 +405,16 @@ class TestHeadProbes:
         assert_exits_2_with_one_line(["train-head", "--embeddings", str(store), "--val-embeddings",
                                       str(store), "--truth", str(truth), "--out",
                                       str(tmp_path / "h.eslg"), "--seed", "-1"], capsys)
+
+    def test_nan_train_head_lr_blames_the_rate(self, tmp_path, capsys):
+        _, store = saved_head_and_store(tmp_path)
+        truth = tmp_path / "truth.tsv"
+        truth.write_text("P1\tGO:1\n")
+        assert main(["train-head", "--embeddings", str(store), "--val-embeddings", str(store),
+                     "--truth", str(truth), "--out", str(tmp_path / "h.eslg"),
+                     "--lr", "nan"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "learning_rate" in err[0], err
 
     def test_nan_store_vector_exits_2(self, tmp_path, capsys):
         head, store = saved_head_and_store(tmp_path)

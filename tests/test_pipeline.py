@@ -151,22 +151,22 @@ class TestEmbedProtein:
 
 
 class TestEmbedCorpus:
-    def test_worker_count_does_not_change_bytes(self, toy_model, tmp_path):
+    def test_rerun_gives_identical_bytes(self, toy_model, tmp_path):
         rng = np.random.default_rng(3)
         records = [
             ProteinRecord(f"P{i:03d}", s) for i, s in enumerate(random_corpus(rng, 100, 5, 150))
         ]
-        out1, fail1 = embed_corpus(toy_model, records, 62, workers=1)
-        out8, fail8 = embed_corpus(toy_model, records, 62, workers=8)
-        assert not fail1 and not fail8
-        p1, p8 = tmp_path / "w1.esem", tmp_path / "w8.esem"
+        out1, fail1 = embed_corpus(toy_model, records, 62)
+        out2, fail2 = embed_corpus(toy_model, records, 62)
+        assert not fail1 and not fail2
+        p1, p2 = tmp_path / "run1.esem", tmp_path / "run2.esem"
         write_store(p1, out1)
-        write_store(p8, out8)
-        assert p1.read_bytes() == p8.read_bytes()
+        write_store(p2, out2)
+        assert p1.read_bytes() == p2.read_bytes()
 
     def test_order_preserved(self, toy_model):
         records = [ProteinRecord(f"P{i}", "ACDEF") for i in range(20)]
-        out, _ = embed_corpus(toy_model, records, 62, workers=4)
+        out, _ = embed_corpus(toy_model, records, 62)
         assert [r.protein_id for r in out] == [r.id for r in records]
 
     def test_failures_recorded_not_silent(self, toy_model):

@@ -239,6 +239,22 @@ class TestLora:
         moved = any(np.any(trained.adapters[t].B) for t in targets)
         assert moved
 
+    def test_pretrain_never_writes_to_its_model(self, toy_model):
+        rng = np.random.default_rng(15)
+        corpus = random_corpus(rng, 10, 8, 20)
+        before = hash_params(toy_model)
+        trained, _ = pretrain(toy_model, corpus, TrainConfig(epochs=1, learning_rate=1e-2, seed=2))
+        assert hash_params(toy_model) == before != hash_params(trained)
+        adapted = attach_lora(toy_model, lora_target_names(toy_model.config), rank=2, alpha=4.0,
+                              seed=1)
+        adapters = {t: (ad.A.copy(), ad.B.copy()) for t, ad in adapted.adapters.items()}
+        trained, _ = pretrain(adapted, corpus, TrainConfig(epochs=1, learning_rate=1e-2, seed=2))
+        assert all(trained.params[n] is adapted.params[n] for n in adapted.params)
+        for t, (a, b) in adapters.items():
+            np.testing.assert_array_equal(adapted.adapters[t].A, a)
+            np.testing.assert_array_equal(adapted.adapters[t].B, b)
+            assert np.any(trained.adapters[t].B)
+
     def test_trained_merge_matches_adapter_forward(self, toy_model):
         rng = np.random.default_rng(13)
         corpus = random_corpus(rng, 10, 8, 20)

@@ -226,7 +226,7 @@ def cmd_train_head(args) -> int:
         graph = load_ontology(args.ontology, args.namespace)
         truth = close_truth(truth, graph)
         inputs["ontology"] = args.ontology
-    num_terms = len({t for terms in truth.values() for t in terms})
+    num_terms = len(truth.annotated_terms())
     cfg = HeadConfig(
         input_dim=train_dim,
         num_terms=num_terms,

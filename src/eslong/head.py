@@ -4,6 +4,9 @@ A fixed one-hidden-layer network (affine -> GELU -> affine -> sigmoid) trained
 with per-term binary cross-entropy computed in logit space, which stays stable
 when num_terms x batch would underflow a naive sigmoid+log. The epoch whose
 validation Fmax is highest is the one returned.
+
+Truth comes in, and predictions go out, as `ontology.Annotations` tables:
+`predict` fills one [records, terms] row per record, every term present.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from .checkpoint import read_checkpoint, write_checkpoint
 from .encoder import array_entry, finite_number, json_fields, positive_int, reject_unused
 from .errors import ConfigError, DataError, InputError
 from .evaluation import fmax
+from .ontology import Annotations, as_annotations
 from .tensor_ops import gelu, gelu_grad
 from .training import TrainConfig, adamw_step, derive_seed, init_adam_state
 
@@ -125,29 +129,37 @@ def _sigmoid(z):
     return out
 
 
-def _matrices(embeddings, truth, term_list, input_dim):
-    index = {t: j for j, t in enumerate(term_list)}
+def _check_annotated(embeddings, truth: Annotations) -> None:
+    for rec in embeddings:
+        if rec.protein_id not in truth:
+            raise DataError(f"embedding {rec.protein_id!r} has no ground-truth annotation")
+
+
+def _matrices(embeddings, truth: Annotations, term_list, input_dim):
     x = np.zeros((len(embeddings), input_dim), dtype=np.float32)
-    y = np.zeros((len(embeddings), len(term_list)), dtype=np.float32)
     for i, rec in enumerate(embeddings):
         if rec.vector.shape != (input_dim,):
             raise DataError(
                 f"embedding {rec.protein_id!r} has dim {rec.vector.shape}, expected {input_dim}"
             )
-        if rec.protein_id not in truth:
-            raise DataError(f"embedding {rec.protein_id!r} has no ground-truth annotation")
         x[i] = rec.vector
-        for term, score in truth[rec.protein_id].items():
-            j = index.get(term)
-            if j is not None and score > 0:
-                y[i, j] = 1.0
+    _check_annotated(embeddings, truth)
+    rows = [truth.protein_index[rec.protein_id] for rec in embeddings]
+    cols = [truth.term_index[t] for t in term_list]
+    y = (truth.scores[np.ix_(rows, cols)] > 0).astype(np.float32)
     return x, y
 
 
 def train_head(train_embeddings, truth, cfg: HeadConfig, val_embeddings, metrics_log=None):
     """Train on the training store, score validation Fmax each epoch, and keep
-    the best-epoch weights. Returns (head, per-epoch metrics list)."""
-    term_list = tuple(sorted({t for terms in truth.values() for t in terms}))
+    the best-epoch weights. Returns (head, per-epoch metrics list).
+
+    truth is a table or a dict (see `ontology.as_annotations`); the head
+    predicts every term it annotates, and a term counts as a positive label
+    where its score is above 0. Every training and validation record needs a
+    row in truth."""
+    truth = as_annotations(truth)
+    term_list = truth.annotated_terms()
     if len(term_list) != cfg.num_terms:
         raise ConfigError(
             f"truth has {len(term_list)} distinct terms but config expects {cfg.num_terms}"
@@ -156,7 +168,8 @@ def train_head(train_embeddings, truth, cfg: HeadConfig, val_embeddings, metrics
     x_train, y_train = _matrices(train_embeddings, truth, term_list, cfg.input_dim)
     fit_standardizer(head, x_train)
     x_train = head.standardize(x_train)
-    val_truth = {rec.protein_id: truth[rec.protein_id] for rec in val_embeddings}
+    _check_annotated(val_embeddings, truth)
+    val_truth = truth.rows(rec.protein_id for rec in val_embeddings)
     opt_cfg = TrainConfig(
         epochs=cfg.epochs,
         learning_rate=cfg.learning_rate,
@@ -205,11 +218,13 @@ def train_head(train_embeddings, truth, cfg: HeadConfig, val_embeddings, metrics
     return head, metrics
 
 
-def predict(head: ClassifierHead, embeddings) -> dict[str, dict[str, float]]:
-    """Per-protein, per-term sigmoid scores; pure, order-independent per record.
-    A record whose logits overflow to NaN is an InputError, never a NaN score."""
-    out: dict[str, dict[str, float]] = {}
-    for rec in embeddings:
+def predict(head: ClassifierHead, embeddings) -> Annotations:
+    """Sigmoid scores of every head term for each record, one record at a
+    time, so a record's scores do not depend on the others. A record whose
+    logits overflow to NaN is an InputError, never a NaN score."""
+    embeddings = list(embeddings)
+    scores = np.empty((len(embeddings), len(head.term_list)))
+    for i, rec in enumerate(embeddings):
         if rec.vector.shape != (head.config.input_dim,):
             raise DataError(
                 f"embedding {rec.protein_id!r} has dim {rec.vector.shape}, "
@@ -217,11 +232,10 @@ def predict(head: ClassifierHead, embeddings) -> dict[str, dict[str, float]]:
             )
         x = head.standardize(rec.vector[None, :].astype(np.float32))
         z = head_logits(head.params, x)[0]
-        scores = _sigmoid(z.astype(np.float64))
-        if np.isnan(scores).any():
+        scores[i] = _sigmoid(z.astype(np.float64))
+        if np.isnan(scores[i]).any():
             raise InputError(f"embedding {rec.protein_id!r} overflows the head to NaN scores")
-        out[rec.protein_id] = {term: float(s) for term, s in zip(head.term_list, scores)}
-    return out
+    return Annotations(tuple(rec.protein_id for rec in embeddings), head.term_list, scores)
 
 
 def save_head(head: ClassifierHead, path) -> None:

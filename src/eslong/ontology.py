@@ -1,22 +1,31 @@
-"""GO-style ontology graphs and annotation closures.
+"""GO-style ontology graphs, the annotation score table, and its closures.
 
 A graph is a DAG of is-a edges with a single root; annotating a term implies
-annotating every ancestor (ground truth closes with score 1.0, predictions
-close by max-propagating scores toward the root so parents never score below
-their children).
+annotating every ancestor. Annotations of every kind (ground truth, head
+predictions, closed scores) are one type, `Annotations`: a dense float64
+[proteins, terms] table with NaN where a (protein, term) pair is absent. It
+reads as a Mapping of protein -> {term -> score} over the present pairs, and
+plain dicts of that shape enter through `as_annotations`.
+
+Ground truth closes with score 1.0 on every ancestor of an annotated term.
+Predictions close by max-propagating scores toward the root, children first,
+so parents never score below their children: a parent is raised to a child's
+score only where the child scores higher, an absent parent counting as 0.0,
+so a child scored 0.0 adds no parent.
 """
 
 from __future__ import annotations
 
 import io
+from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-from .errors import IngestionError, OntologyError
+import numpy as np
+
+from .errors import IngestionError, InputError, OntologyError, ShapeError
 
 NAMESPACES = ("BPO", "CCO", "MFO")
-
-# protein id -> {term id -> score}
-AnnotationSet = dict[str, dict[str, float]]
 
 
 @dataclass(frozen=True)
@@ -25,6 +34,10 @@ class OntologyGraph:
     parents: dict[str, frozenset[str]]
     root: str
     topo_order: tuple[str, ...]  # children strictly before parents
+    # term -> its position in topo_order
+    index: dict[str, int] = field(repr=False, compare=False)
+    # (child, parent) positions in topo_order, children first
+    edges: tuple[tuple[int, int], ...] = field(repr=False, compare=False)
     _ancestor_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -85,11 +98,14 @@ def load_ontology(source, namespace: str) -> OntologyGraph:
             "check for dangling parents or disconnected subgraphs"
         )
     topo = _topological_order(parents)
+    index = {t: i for i, t in enumerate(topo)}
     return OntologyGraph(
         namespace=namespace,
         parents={t: frozenset(ps) for t, ps in parents.items()},
         root=roots[0],
         topo_order=topo,
+        index=index,
+        edges=tuple((i, index[p]) for i, t in enumerate(topo) for p in parents[t]),
     )
 
 
@@ -115,76 +131,239 @@ def _topological_order(parents: dict[str, set[str]]) -> tuple[str, ...]:
     return tuple(order)
 
 
-def _check_terms(annotations: AnnotationSet, graph: OntologyGraph) -> None:
-    for protein, terms in annotations.items():
-        for term, score in terms.items():
-            if term not in graph.parents:
-                raise OntologyError(f"protein {protein!r} uses unknown term {term!r}")
-            if not (0.0 <= score <= 1.0):
-                raise OntologyError(
-                    f"protein {protein!r} term {term!r} has score {score} outside [0, 1]"
-                )
+@dataclass(frozen=True, eq=False)
+class Annotations(Mapping):
+    """Scores of (protein, term) pairs: `scores[i, j]` belongs to
+    `proteins[i]` and `terms[j]`, NaN where the pair is absent.
+
+    Read-only; as a Mapping it yields each protein (a row may hold no present
+    pair) and a read-only {term -> score} view of the row's present pairs,
+    and compares equal to a dict holding the same pairs.
+    """
+
+    proteins: tuple[str, ...]
+    terms: tuple[str, ...]
+    scores: np.ndarray
+    protein_index: dict[str, int] = field(init=False, repr=False)
+    term_index: dict[str, int] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if self.scores.dtype != np.float64 or self.scores.shape != (len(self.proteins),
+                                                                     len(self.terms)):
+            raise ShapeError(
+                f"scores must be float64 of shape ({len(self.proteins)}, {len(self.terms)}), "
+                f"got {self.scores.dtype} {self.scores.shape}"
+            )
+        for name, ids in (("protein", self.proteins), ("term", self.terms)):
+            index = {key: i for i, key in enumerate(ids)}
+            if len(index) != len(ids):
+                repeated = next(key for i, key in enumerate(ids) if index[key] != i)
+                raise InputError(f"duplicate {name} id {repeated!r}")
+            object.__setattr__(self, f"{name}_index", index)
+        self.scores.flags.writeable = False
+
+    def __getitem__(self, protein: str) -> Mapping[str, float]:
+        return _Row(self, self.protein_index[protein])
+
+    def __contains__(self, protein) -> bool:
+        return protein in self.protein_index
+
+    def __iter__(self):
+        return iter(self.proteins)
+
+    def __len__(self) -> int:
+        return len(self.proteins)
+
+    def __repr__(self) -> str:
+        return f"Annotations({len(self.proteins)} proteins x {len(self.terms)} terms)"
+
+    def rows(self, proteins) -> Annotations:
+        """The table restricted to the given proteins, in their order."""
+        proteins = tuple(proteins)
+        return Annotations(proteins, self.terms,
+                           self.scores[[self.protein_index[p] for p in proteins]])
+
+    def annotated_terms(self) -> tuple[str, ...]:
+        """Sorted terms that hold at least one present pair."""
+        used = ~np.isnan(self.scores).all(axis=0)
+        return tuple(sorted(t for t, u in zip(self.terms, used.tolist()) if u))
 
 
-def close_truth(truth: AnnotationSet, graph: OntologyGraph) -> AnnotationSet:
-    """True-path closure: every ancestor of an annotated term is annotated at 1.0."""
-    _check_terms(truth, graph)
-    closed: AnnotationSet = {}
-    for protein, terms in truth.items():
-        full = set(terms)
-        for term in terms:
-            full |= graph.ancestors(term)
-        closed[protein] = {t: 1.0 for t in full}
-    return closed
+class _Row(Mapping):
+    """One protein's present pairs, read through the table."""
+
+    __slots__ = ("_table", "_i")
+
+    def __init__(self, table: Annotations, i: int):
+        self._table, self._i = table, i
+
+    def __getitem__(self, term: str) -> float:
+        score = self._table.scores[self._i, self._table.term_index[term]]
+        if np.isnan(score):
+            raise KeyError(term)
+        return float(score)
+
+    def __iter__(self):
+        present = np.flatnonzero(~np.isnan(self._table.scores[self._i]))
+        return map(self._table.terms.__getitem__, present.tolist())
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(~np.isnan(self._table.scores[self._i])))
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
 
 
-def close_scores(pred: AnnotationSet, graph: OntologyGraph) -> AnnotationSet:
-    """Max-propagate scores toward the root so parent >= child on every edge."""
-    _check_terms(pred, graph)
-    closed: AnnotationSet = {}
-    for protein, terms in pred.items():
-        scores = dict(terms)
-        for term in graph.topo_order:  # children first
-            if term in scores:
-                for parent in graph.parents[term]:
-                    if scores.get(parent, 0.0) < scores[term]:
-                        scores[parent] = scores[term]
-        closed[protein] = scores
-    return closed
+def _table(proteins, terms, rows, cols, values) -> Annotations:
+    """The table of (rows[k], cols[k]) -> values[k]; when a pair repeats, the
+    last value wins."""
+    proteins, terms = tuple(proteins), tuple(terms)
+    flat = np.frombuffer(rows, dtype=np.int64) * len(terms) + np.frombuffer(cols, dtype=np.int64)
+    last = np.full(len(proteins) * len(terms), -1, dtype=np.int64)
+    np.maximum.at(last, flat, np.arange(len(flat)))
+    scores = np.full(len(proteins) * len(terms), np.nan)
+    cells = np.flatnonzero(last >= 0)
+    scores[cells] = np.frombuffer(values, dtype=np.float64)[last[cells]]
+    return Annotations(proteins, terms, scores.reshape(len(proteins), len(terms)))
 
 
-def load_annotations(source) -> AnnotationSet:
-    """Parse protein<TAB>term[<TAB>score] lines; a missing score means 1.0."""
+def as_annotations(data) -> Annotations:
+    """`data` as a table: an Annotations is returned as is, and a Mapping of
+    protein -> {term -> score} is converted, protein and term order kept as
+    first seen. A NaN score, which would read as an absent pair, is an
+    InputError."""
+    if isinstance(data, Annotations):
+        return data
+    terms: dict[str, int] = {}
+    rows, cols, values = array("q"), array("q"), array("d")
+    for i, protein in enumerate(data):
+        for term, score in data[protein].items():
+            rows.append(i)
+            cols.append(terms.setdefault(term, len(terms)))
+            values.append(score)
+    bad = np.flatnonzero(np.isnan(np.frombuffer(values, dtype=np.float64)))
+    if bad.size:
+        protein = list(data)[rows[bad[0]]]
+        term = list(terms)[cols[bad[0]]]
+        raise InputError(f"protein {protein!r} term {term!r} has a NaN score")
+    return _table(data, terms, rows, cols, values)
+
+
+def _graph_columns(table: Annotations, graph: OntologyGraph) -> tuple[list[int], list[int]]:
+    """The table's columns whose terms are in the graph, and those terms'
+    positions in topo order. A present pair with a term outside the graph, or
+    a score outside [0, 1], is an OntologyError."""
+    present = ~np.isnan(table.scores)
+    unknown = [j for j, t in enumerate(table.terms) if t not in graph.index]
+    hits = np.argwhere(present[:, unknown])
+    if len(hits):
+        i, j = hits[0]
+        raise OntologyError(
+            f"protein {table.proteins[i]!r} uses unknown term {table.terms[unknown[j]]!r}"
+        )
+    hits = np.argwhere((table.scores < 0.0) | (table.scores > 1.0))
+    if len(hits):
+        i, j = hits[0]
+        raise OntologyError(
+            f"protein {table.proteins[i]!r} term {table.terms[j]!r} has score "
+            f"{table.scores[i, j]} outside [0, 1]"
+        )
+    cols = [j for j, t in enumerate(table.terms) if t in graph.index]
+    return cols, [graph.index[table.terms[j]] for j in cols]
+
+
+def _from_graph(proteins, graph: OntologyGraph, used: np.ndarray, scores) -> Annotations:
+    """The table of the graph terms at the topo positions `used`, given their
+    [proteins, used] scores."""
+    return Annotations(tuple(proteins), tuple(graph.topo_order[k] for k in used.tolist()),
+                       np.ascontiguousarray(scores))
+
+
+def close_truth(truth, graph: OntologyGraph) -> Annotations:
+    """True-path closure: every ancestor of an annotated term is annotated at
+    1.0. Any present pair counts as annotated, whatever its score."""
+    truth = as_annotations(truth)
+    cols, rows = _graph_columns(truth, graph)
+    annotated = np.zeros((len(graph.topo_order), len(truth)), dtype=bool)
+    annotated[rows] = ~np.isnan(truth.scores[:, cols].T)
+    for child, parent in graph.edges:
+        annotated[parent] |= annotated[child]
+    used = np.flatnonzero(annotated.any(axis=1))
+    return _from_graph(truth.proteins, graph, used,
+                       np.where(annotated[used].T, 1.0, np.nan))
+
+
+def close_scores(pred, graph: OntologyGraph) -> Annotations:
+    """Max-propagate scores toward the root so parent >= child on every edge.
+    Edges run children first; a parent takes the child's score where the
+    child scores above it, an absent parent counting as 0.0."""
+    pred = as_annotations(pred)
+    cols, rows = _graph_columns(pred, graph)
+    work = np.full((len(graph.topo_order), len(pred)), np.nan)
+    work[rows] = pred.scores[:, cols].T
+    for child, parent in graph.edges:
+        below, above = work[parent], work[child]
+        np.copyto(below, above, where=above > np.fmax(below, 0.0))
+    used = np.flatnonzero(~np.isnan(work).all(axis=1))
+    return _from_graph(pred.proteins, graph, used, work[used].T)
+
+
+def load_annotations(source) -> Annotations:
+    """Parse protein<TAB>term[<TAB>score] lines (path, IO, or str) into a
+    table; a missing score means 1.0, and a repeated pair keeps its last
+    score. Blank lines and lines starting with '#' are skipped."""
     if isinstance(source, str) and "\n" not in source and "\t" not in source:
         with open(source, "r", encoding="utf-8") as fh:
             return load_annotations(fh)
     if isinstance(source, str):
         source = io.StringIO(source)
-    annotations: AnnotationSet = {}
-    for lineno, line in enumerate(source, start=1):
-        line = line.rstrip("\n")
-        if not line.strip() or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) == 2:
-            protein, term = parts
-            score = 1.0
-        elif len(parts) == 3:
-            protein, term, raw = parts
-            try:
-                score = float(raw)
-            except ValueError as exc:
-                raise IngestionError(f"annotation line {lineno}: bad score {raw!r}") from exc
-        else:
-            raise IngestionError(f"annotation line {lineno}: expected 2 or 3 columns")
-        if not (0.0 <= score <= 1.0):
-            raise IngestionError(f"annotation line {lineno}: score {score} outside [0, 1]")
-        annotations.setdefault(protein, {})[term] = score
-    return annotations
+    proteins: dict[str, int] = {}
+    terms: dict[str, int] = {}
+    rows, cols, values = array("q"), array("q"), array("d")
+    last, row = None, -1
+    lineno = 0
+    try:
+        # line keeps its newline: float() ignores it, and only a two-column
+        # line's term needs it stripped
+        for lineno, line in enumerate(source, start=1):
+            if line.isspace() or line.startswith("#"):
+                continue
+            parts = line.split("\t")
+            if len(parts) == 3:
+                protein, term, raw = parts
+                try:
+                    score = float(raw)
+                except ValueError as exc:
+                    raw = raw.rstrip("\n")
+                    raise IngestionError(f"annotation line {lineno}: bad score {raw!r}") from exc
+            elif len(parts) == 2:
+                protein, term = parts
+                term = term.rstrip("\n")
+                score = 1.0
+            else:
+                raise IngestionError(f"annotation line {lineno}: expected 2 or 3 columns")
+            if not (0.0 <= score <= 1.0):
+                raise IngestionError(f"annotation line {lineno}: score {score} outside [0, 1]")
+            if protein != last:  # saved files hold each protein's lines together
+                last, row = protein, proteins.setdefault(protein, len(proteins))
+            rows.append(row)
+            cols.append(terms.setdefault(term, len(terms)))
+            values.append(score)
+    except UnicodeDecodeError as exc:
+        raise IngestionError("annotation text is not UTF-8") from exc
+    return _table(proteins, terms, rows, cols, values)
 
 
-def save_annotations(path, annotations: AnnotationSet) -> None:
+def save_annotations(path, annotations) -> None:
+    """Write the present pairs as protein<TAB>term<TAB>score lines, proteins
+    and terms sorted, scores at 6 significant digits."""
+    table = as_annotations(annotations)
+    order = sorted(range(len(table.terms)), key=table.terms.__getitem__)
+    terms = [table.terms[j] for j in order]
     with open(path, "w", encoding="utf-8") as fh:
-        for protein in sorted(annotations):
-            for term in sorted(annotations[protein]):
-                fh.write(f"{protein}\t{term}\t{annotations[protein][term]:.6g}\n")
+        for i in sorted(range(len(table.proteins)), key=table.proteins.__getitem__):
+            row = table.scores[i, order]
+            values = row.tolist()
+            prefix = table.proteins[i] + "\t"
+            fh.write("".join(f"{prefix}{terms[j]}\t{values[j]:.6g}\n"
+                             for j in np.flatnonzero(~np.isnan(row)).tolist()))

@@ -166,14 +166,19 @@ def write_store(path, embeddings, embed_dim: int | None = None) -> None:
     """Binary embedding store: magic, version, record count, embed_dim, then
     (id, slice_count, float32 vector) per record. Every record is checked
     before the file is opened, so a rejected store leaves no partial file; a
-    NaN or infinite vector, which only a broken model produces, is rejected."""
+    repeated id, or a NaN or infinite vector, which only a broken model
+    produces, is rejected."""
     embeddings = list(embeddings)
     if embed_dim is None:
         if not embeddings:
             raise ConfigError("embed_dim is required for an empty store")
         embed_dim = int(embeddings[0].vector.shape[0])
     rows = []
+    seen: set[str] = set()
     for rec in embeddings:
+        if rec.protein_id in seen:
+            raise InputError(f"duplicate store id {rec.protein_id!r}")
+        seen.add(rec.protein_id)
         if rec.vector.shape != (embed_dim,):
             raise ConfigError(
                 f"record {rec.protein_id!r} vector length {rec.vector.shape} != {embed_dim}"
@@ -213,12 +218,16 @@ def read_store(path) -> tuple[list[EmbeddingRecord], int]:
         if version != STORE_VERSION:
             raise FormatError(f"unsupported store version {version}")
         records = []
+        seen: set[str] = set()
         for _ in range(count):
             (id_len,) = struct.unpack("<H", read(fh, 2))
             try:
                 pid = read(fh, id_len).decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise FormatError("embedding store protein id is not UTF-8") from exc
+            if pid in seen:
+                raise FormatError(f"embedding store repeats the id {pid!r}")
+            seen.add(pid)
             (slice_count,) = struct.unpack("<H", read(fh, 2))
             vec = np.frombuffer(read(fh, 4 * dim), dtype="<f4").copy()
             if not np.isfinite(vec).all():

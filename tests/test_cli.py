@@ -424,6 +424,26 @@ class TestHeadProbes:
                                       "--out", str(out)], capsys)
         assert not out.exists()
 
+    def test_unannotated_validation_protein_exits_2(self, tmp_path, capsys):
+        _, store = saved_head_and_store(tmp_path)
+        val = tmp_path / "val.esem"
+        write_store(val, [EmbeddingRecord("V1", np.ones(4, dtype=np.float32), 1)])
+        truth = tmp_path / "truth.tsv"
+        truth.write_text("P1\tGO:1\n")
+        assert_exits_2_with_one_line(["train-head", "--embeddings", str(store),
+                                      "--val-embeddings", str(val), "--truth", str(truth),
+                                      "--out", str(tmp_path / "h.eslg")], capsys)
+
+    def test_repeated_store_id_exits_2(self, tmp_path, capsys):
+        head, store = saved_head_and_store(tmp_path)
+        write_store(store, [EmbeddingRecord(pid, np.ones(4, dtype=np.float32), 1)
+                            for pid in ("P1", "P2")])
+        store.write_bytes(store.read_bytes().replace(b"P2", b"P1"))
+        out = tmp_path / "pred.tsv"
+        assert_exits_2_with_one_line(["predict", "--head", str(head), "--embeddings", str(store),
+                                      "--out", str(out)], capsys)
+        assert not out.exists()
+
     def test_non_utf8_store_id_exits_2(self, tmp_path, capsys):
         head, store = saved_head_and_store(tmp_path)
         store.write_bytes(store.read_bytes().replace(b"P1", b"\xff\xfe", 1))
@@ -450,11 +470,21 @@ def corrupt(data: bytes, corruption) -> bytes:
     return bytes(out)
 
 
+FUZZ_CONFIG = {
+    "model": {"num_layers": 1, "num_heads": 2, "embed_dim": 8, "ffn_dim": 16,
+              "max_positions": 48, "attention_mode": "local", "window_k": 4},
+    "train": {"epochs": 1, "learning_rate": 0.001, "batch_size": 2, "seed": 0},
+}
+
+
 @pytest.fixture(scope="session")
 def fuzz_files(tmp_path_factory):
     """Intact inputs for the fuzz test: a toy model in fp32 and with int4
-    projections, a FASTA for it, and a head with a matching store."""
+    projections, a FASTA for it, a head with a matching store, the eval
+    inputs of build_eval_fixtures and a small pretrain config."""
     tmp = tmp_path_factory.mktemp("fuzz")
+    build_eval_fixtures(tmp)
+    (tmp / "config.json").write_text(json.dumps(FUZZ_CONFIG, indent=1))
     model = build_model(preset_config("toy"), seed=1)
     save_model(model, tmp / "model.eslg")
     save_model(quantize_model(model), tmp / "int4-model.eslg")
@@ -506,6 +536,34 @@ class TestCorruptFileFuzz:
             scores = [float(line.split("\t")[2]) for line in out.read_text().splitlines()]
             assert all(math.isfinite(x) for x in scores)
 
+    @pytest.mark.parametrize("target", ["pred.tsv", "truth.tsv", "config.json"])
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_corrupt_text_exits_2_or_gives_finite_output(self, fuzz_files, target, data):
+        intact = (fuzz_files / target).read_bytes()
+        bad = fuzz_files / f"bad-{target}"
+        bad.write_bytes(corrupt(intact, data.draw(corruptions(len(intact)))))
+        out = fuzz_files / "out"
+        out.unlink(missing_ok=True)
+        if target == "config.json":
+            argv = ["pretrain", "--config", str(bad), "--fasta", str(fuzz_files / "in.fasta")]
+        else:
+            pred = bad if target == "pred.tsv" else fuzz_files / "pred.tsv"
+            truth = bad if target == "truth.tsv" else fuzz_files / "truth.tsv"
+            argv = ["eval", "--pred", str(pred), "--truth", str(truth),
+                    "--ontology", str(fuzz_files / "onto.tsv")]
+            if data.draw(st.booleans()):
+                argv.append("--close-scores")
+        if self.run_cli(argv + ["--out", str(out)]) != 0:
+            return
+        if argv[0] == "pretrain":
+            load_model(out)  # rejects NaN or inf weights
+        else:
+            report = json.loads(out.read_text())
+            values = [report["fmax"]] + [point[key] for point in report["curve"]
+                                         for key in ("pr", "rc", "f")]
+            assert all(math.isfinite(x) for x in values)
+
 
 def build_eval_fixtures(tmp):
     ontology = tmp / "onto.tsv"
@@ -548,6 +606,15 @@ class TestEvalCommand:
                      "--min-length", "1024", "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         assert report["n"] == 1
+
+    def test_min_length_keeps_the_unknown_protein_check(self, tmp_path, capsys):
+        onto, truth, pred = build_eval_fixtures(tmp_path)
+        pred.write_text(pred.read_text() + "ZZ\talpha\t0.5\n")
+        fasta = tmp_path / "lens.fasta"
+        write_fasta(fasta, [ProteinRecord("P000", "A" * 1500), ProteinRecord("P001", "AC")])
+        assert_exits_2_with_one_line(["eval", "--pred", str(pred), "--truth", str(truth),
+                                      "--ontology", str(onto), "--fasta", str(fasta),
+                                      "--min-length", "1024"], capsys)
 
     def test_min_length_without_fasta_exits_2(self, tmp_path):
         onto, truth, pred = build_eval_fixtures(tmp_path)

@@ -3,15 +3,9 @@
 import numpy as np
 import pytest
 
+from annotation_oracles import precision_at, recall_at
 from eslong.errors import EvaluationError
-from eslong.evaluation import (
-    GRID,
-    fmax,
-    precision_at,
-    recall_at,
-    result_to_json,
-    stratified_eval,
-)
+from eslong.evaluation import GRID, fmax, result_to_json, stratified_eval
 
 
 def bruteforce_fmax(pred, truth, taus=None):

@@ -247,6 +247,17 @@ class TestStore:
         with pytest.raises(FormatError):
             read_store(path)
 
+    def test_repeated_id_rejected(self, tmp_path):
+        path = tmp_path / "x.esem"
+        with pytest.raises(InputError, match="'P1'"):
+            write_store(path, [EmbeddingRecord("P1", np.zeros(2, dtype=np.float32), 1)] * 2)
+        assert not path.exists()
+        write_store(path, [EmbeddingRecord(pid, np.zeros(2, dtype=np.float32), 1)
+                           for pid in ("P1", "P2")])
+        path.write_bytes(path.read_bytes().replace(b"P2", b"P1"))
+        with pytest.raises(FormatError, match="'P1'"):
+            read_store(path)
+
     def test_trailing_bytes_rejected(self, tmp_path):
         # a record count that lost a bit must not drop records silently
         path = tmp_path / "x.esem"

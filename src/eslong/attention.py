@@ -2,16 +2,15 @@
 
 Both modes run one loop over query blocks. Each block takes one matmul against
 the keys it can see: in local mode its own rows plus window_k / 2 keys on each
-side, in global mode all n keys. So local cost is O(n * window_k), and scores
-are built one block at a time in a buffer that every block reuses. No
-probability tile outlives its block: attend keeps each row's softmax max and
-sum ([heads, n] each), and attend_backward recomputes every tile from q, k and
-those statistics, as FlashAttention does. A global attend at n keys therefore
-holds one block's [heads, 256, n] tile, not heads * n^2 floats. An OpCounter
-threaded through attend receives the number of visible query-key pairs, which
-is how the linear-versus-quadratic cost claims are checked; the local tiles
-also compute up to (rows + window_k) / (window_k + 1) times as many products,
-which are discarded.
+side, in global mode all n keys, so local cost is O(n * window_k). The loop
+follows FlashAttention-2: q is scaled once, a tile is exponentiated but never
+normalized (the context rows are divided instead), and no tile outlives its
+block. attend keeps each row's max and sum and ctx; attend_backward rebuilds
+every tile from them and takes the softmax gradient's row term as
+rowsum(d_ctx * ctx). A global attend at n keys holds one block's
+[heads, 256, n] tile, not heads * n^2 floats. An OpCounter threaded through
+attend receives the number of visible query-key pairs, which is how the
+linear-versus-quadratic cost claims are checked.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, ContractError, ShapeError
-from .tensor_ops import softmax_rows
+from .tensor_ops import shifted_exp, softmax_rows
 
 GLOBAL = "global"
 LOCAL = "local"
@@ -74,9 +73,7 @@ class OpCounter:
 
 
 def _check_qkv(q, k, v, pad_mask):
-    q = np.asarray(q)
-    k = np.asarray(k)
-    v = np.asarray(v)
+    q, k, v = (np.asarray(x) for x in (q, k, v))
     if q.ndim != 2 or q.shape != k.shape or q.shape != v.shape:
         raise ShapeError(f"q/k/v must share one [n, d] shape, got {q.shape}, {k.shape}, {v.shape}")
     pad = np.asarray(pad_mask, dtype=bool)
@@ -120,14 +117,16 @@ def _geometry(n: int, spec: AttentionSpec) -> _Geometry:
     return _Geometry(rows, n, 0, 0, n - 1, n)
 
 
-def _padded(x, g: _Geometry):
-    """x [heads, n, m] at rows g.lead : g.lead + n of zeros [heads, g.length, m];
-    x itself when that adds no rows."""
+def _padded(x, g: _Geometry, ones: bool = False):
+    """x [heads, n, m] at rows g.lead : g.lead + n of zeros [heads, g.length, m],
+    with a last column of ones when ones is set; x itself when that adds nothing."""
     heads, n, m = x.shape
-    if g.length == n:
+    if g.length == n and not ones:
         return x
-    out = np.zeros((heads, g.length, m), dtype=x.dtype)
-    out[:, g.lead:g.lead + n] = x
+    out = np.zeros((heads, g.length, m + ones), dtype=x.dtype)
+    out[:, g.lead:g.lead + n, :m] = x
+    if ones:
+        out[..., m] = 1.0
     return out
 
 
@@ -138,56 +137,59 @@ def _band_pairs(n: int, w: int) -> int:
 
 class SoftmaxStats(NamedTuple):
     """What attend keeps for attend_backward: each row's max and sum of
-    exponentials ([heads, n], from softmax_rows) and the pad mask."""
+    exponentials ([heads, n]), the pad mask and attend's ctx."""
 
     row_max: np.ndarray
     row_sum: np.ndarray
     pad: np.ndarray
+    ctx: np.ndarray
 
 
 class _Tiles:
-    """The query blocks of _geometry over one input, with the keys each block
-    sees and `buffers` tile buffers that every block reuses; buffer 0 holds
-    the scores. attend and attend_backward both build their tiles here, so
-    they mask the same keys and compute the same bits."""
+    """The query blocks of _geometry over one input, the keys each block sees
+    and `buffers` reused tile buffers (0 holds the scores). attend and
+    attend_backward both build tiles here, so they compute the same bits."""
 
-    def __init__(self, qh, kh, vh, pad, spec: AttentionSpec, buffers: int):
+    def __init__(self, qh, kh, pad, spec: AttentionSpec, buffers: int):
         heads, n, head_dim = qh.shape
         g = _geometry(n, spec)
-        self.g, self.n, self.qh = g, n, qh
+        self.g, self.n = g, n
+        # q is scaled once, on [heads, n, head_dim], not every tile.
         self.scale = 1.0 / math.sqrt(head_dim)
-        self.kp, self.vp = _padded(kh, g), _padded(vh, g)
-        self.hidden_keys = np.ones(g.length, dtype=bool)
-        self.hidden_keys[g.lead:g.lead + n] = pad
+        self.qs, self.kp = qh * self.scale, _padded(kh, g)
+        # Global mode without pad hides no key, so it builds no mask.
+        self.hides = g.length != n or g.w != n - 1 or bool(pad.any())
+        self.hidden_keys = np.pad(pad, (g.lead, g.length - g.lead - n), constant_values=True)
         self.query_at, self.key_at = np.arange(n), np.arange(g.length) - g.lead
-        # One allocation for all buffers. malloc keeps one freed block for
-        # the next call; several, freed together, would leave a heap top it
-        # returns to the OS, to be faulted in again on every call.
-        self.work = np.empty((buffers, qh.shape[0] * g.rows * g.keys), dtype=qh.dtype)
+        self.buffers = buffers
 
     def tile(self, buffer: int, rows: slice):
         """Buffer `buffer` as a [heads, len(rows), keys] array. It is a prefix of
         the buffer, so a shorter last block is contiguous too and runs the same
         kernels, which keeps the recomputed tiles bit-identical."""
-        heads, size = self.qh.shape[0], rows.stop - rows.start
+        heads, size = self.qs.shape[0], rows.stop - rows.start
         return self.work[buffer, :heads * size * self.g.keys].reshape(heads, size, self.g.keys)
 
     def __iter__(self):
         """(query rows, padded key window) slices of each block, in order."""
         g = self.g
+        # One allocation for all tile buffers, made after every [heads, n, *]
+        # array: freed above what outlives the call, it is the one block
+        # malloc keeps for the next call, not a hole that raises peak RSS.
+        self.work = np.empty((self.buffers, self.qs.shape[0] * g.rows * g.keys), self.qs.dtype)
         for b, r0 in enumerate(range(0, self.n, g.rows)):
             yield slice(r0, min(self.n, r0 + g.rows)), slice(b * g.step, b * g.step + g.keys)
 
     def masked_scores(self, rows, keys):
         """The block's scaled scores in the score buffer, with keys hidden
         from a query (outside the sequence, padded, or beyond w) at -inf."""
-        scores = np.matmul(self.qh[:, rows], self.kp[:, keys].swapaxes(-1, -2),
+        scores = np.matmul(self.qs[:, rows], self.kp[:, keys].swapaxes(-1, -2),
                            out=self.tile(0, rows))
-        scores *= self.scale
-        i, j = self.query_at[rows, None], self.key_at[keys]
-        hidden = self.hidden_keys[keys] | (j < i - self.g.w) | (j > i + self.g.w)
-        if hidden.any():
-            np.copyto(scores, -np.inf, where=hidden)
+        if self.hides:
+            i, j = self.query_at[rows, None], self.key_at[keys]
+            hidden = self.hidden_keys[keys] | (j < i - self.g.w) | (j > i + self.g.w)
+            if hidden.any():
+                np.copyto(scores, -np.inf, where=hidden)
         return scores
 
 
@@ -195,52 +197,52 @@ def attend(qh, kh, vh, pad, spec: AttentionSpec, counter: OpCounter | None = Non
     """Multi-head attention under spec's visibility rule; returns (ctx, stats).
 
     qh/kh/vh are [heads, n, head_dim]; pad marks keys no query may see, and a
-    query with no visible key gets zeros. One loop walks the query blocks of
-    _geometry: each block's scores are one matmul against its key window into
-    a buffer reused by every block, hidden keys (outside the sequence, padded,
-    or beyond w) are set to -inf, softmax_rows turns the tile into
-    probabilities in place, and ctx is the tile @ V_window. No tile outlives
-    its block: stats, a SoftmaxStats, keeps only the row max and row sum that
-    softmax_rows used, from which attend_backward rebuilds each tile.
+    query with no visible key gets zeros. Per block: scaled q @ K_windowᵀ,
+    hidden keys (outside the sequence, padded, or beyond w) at -inf when any
+    can be, shifted_exp in place, then one matmul with V_window and a column
+    of ones for the unnormalized context and the row sums; the context rows,
+    not the tile, are divided by those sums. stats, a SoftmaxStats, keeps the
+    row max, row sum and ctx, from which attend_backward rebuilds each tile.
 
     counter receives the number of visible query-key pairs, summed over heads
-    (n^2 per head in global mode). In local mode the tiles also evaluate up to
-    (rows + window_k) / (window_k + 1) times as many products, which are
-    discarded.
+    (n^2 per head in global mode); local tiles also evaluate up to
+    (rows + window_k) / (window_k + 1) times as many products, discarded.
     """
-    heads, n, _ = qh.shape
-    tiles = _Tiles(qh, kh, vh, pad, spec, buffers=1)
+    heads, n, head_dim = qh.shape
+    # Outputs, V, then tiles: other allocation orders raised embed's peak RSS by up to 15 MB.
+    ctx_sum, row_max = np.empty((heads, n, head_dim + 1), vh.dtype), np.empty((heads, n), qh.dtype)
+    vp = _padded(vh, _geometry(n, spec), ones=True)
+    tiles = _Tiles(qh, kh, pad, spec, buffers=1)
     if counter is not None:
         counter.add(heads * _band_pairs(n, tiles.g.w))
-    ctx = np.empty_like(vh)
-    row_max = np.empty((heads, n), dtype=qh.dtype)
-    row_sum = np.empty((heads, n), dtype=qh.dtype)
     for rows, keys in tiles:
         scores = tiles.masked_scores(rows, keys)
-        tile, (m, total) = softmax_rows(scores, out=scores, return_stats=True)
-        row_max[:, rows], row_sum[:, rows] = m[..., 0], total[..., 0]
-        np.matmul(tile, tiles.vp[:, keys], out=ctx[:, rows])
-    return ctx, SoftmaxStats(row_max, row_sum, pad)
+        _, m = shifted_exp(scores, out=scores)
+        row_max[:, rows] = m[..., 0]
+        np.matmul(scores, vp[:, keys], out=ctx_sum[:, rows])
+    ctx, total = ctx_sum[..., :head_dim], ctx_sum[..., head_dim:]
+    total[total == 0] = 1.0
+    ctx /= total
+    return ctx, SoftmaxStats(row_max, total[..., 0], pad, ctx)
 
 
 def attend_backward(d_ctx, qh, kh, vh, stats: SoftmaxStats, spec: AttentionSpec):
     """Gradients (d_qh, d_kh, d_vh) of attend's ctx, given d_ctx and attend's stats.
 
-    The same loop over attend's blocks. Each tile is recomputed, not read
-    back: the block's masked scores go through softmax_rows with attend's row
-    max and row sum, which repeats attend's probabilities bit for bit. Then
-    d_probs = d_ctx @ V_windowᵀ becomes d_scores in place, d_q = d_scores @
-    K_window, and d_k, d_v are tileᵀ @ {q, d_ctx} overlap-added into the
-    padded key axis. Three tile buffers are reused by every block.
+    The same loop over attend's blocks. Each tile is recomputed: the masked
+    scores go through softmax_rows with attend's row max and row sum. Then
+    d_probs = d_ctx @ V_windowᵀ becomes d_scores = tile * (d_probs - D) in
+    place, with D = rowsum(d_ctx * ctx) taken once on [heads, n, head_dim];
+    d_q = d_scores @ K_window, and d_k, d_v are tileᵀ @ {scaled q, d_ctx}
+    overlap-added into the padded key axis. Two tile buffers serve all blocks.
 
     The scale is a Python float, as in attend, so the gradients keep the
     inputs' dtype (a NumPy float64 scalar would promote float32 to float64).
     """
-    n = qh.shape[1]
-    tiles = _Tiles(qh, kh, vh, stats.pad, spec, buffers=3)
-    g, kp, vp, scale = tiles.g, tiles.kp, tiles.vp, tiles.scale
-    d_qh = np.empty_like(qh)
-    d_kp, d_vp = np.zeros_like(kp), np.zeros_like(vp)
+    tiles = _Tiles(qh, kh, stats.pad, spec, buffers=2)
+    g, n, qs, kp, vp = tiles.g, tiles.n, tiles.qs, tiles.kp, _padded(vh, tiles.g)
+    d_rows = (d_ctx * stats.ctx).sum(axis=-1, keepdims=True)
+    d_qh, d_kp, d_vp = np.empty_like(qh), np.zeros_like(kp), np.zeros_like(vp)
     for rows, keys in tiles:
         scores = tiles.masked_scores(rows, keys)
         tile = softmax_rows(scores, out=scores,
@@ -248,17 +250,15 @@ def attend_backward(d_ctx, qh, kh, vh, stats: SoftmaxStats, spec: AttentionSpec)
         d_vp[:, keys] += tile.swapaxes(-1, -2) @ d_ctx[:, rows]
         d_scores = np.matmul(d_ctx[:, rows], vp[:, keys].swapaxes(-1, -2),
                              out=tiles.tile(1, rows))
-        d_scores -= np.multiply(d_scores, tile, out=tiles.tile(2, rows)).sum(
-            axis=-1, keepdims=True)
+        d_scores -= d_rows[:, rows]
         d_scores *= tile
-        d_qh[:, rows] = (d_scores @ kp[:, keys]) * scale
-        d_kp[:, keys] += (d_scores.swapaxes(-1, -2) @ qh[:, rows]) * scale
+        d_qh[:, rows] = (d_scores @ kp[:, keys]) * tiles.scale
+        d_kp[:, keys] += d_scores.swapaxes(-1, -2) @ qs[:, rows]
     return d_qh, d_kp[:, g.lead:g.lead + n], d_vp[:, g.lead:g.lead + n]
 
 
 def _single_head(q, k, v, pad, spec, counter):
-    ctx, _ = attend(q[None], k[None], v[None], pad, spec, counter)
-    out = ctx[0]
+    out = attend(q[None], k[None], v[None], pad, spec, counter)[0][0]
     out[pad] = 0.0
     return out
 

@@ -270,8 +270,8 @@ def forward(model: EncoderModel, token_ids, want_cache: bool = False):
 
     With want_cache=True also returns the intermediate activations the
     training module needs for its hand-derived backward pass: O(n * d) per
-    layer in both attention modes, since attention keeps only its per-row
-    softmax statistics and GELU its CDF.
+    layer in both attention modes, since attention keeps only its context and
+    per-row softmax statistics, and GELU its CDF.
     """
     cfg = model.config
     vocab = cfg.vocab
@@ -295,8 +295,7 @@ def forward(model: EncoderModel, token_ids, want_cache: bool = False):
         kh = _split_heads(_project(model, f"{p}.k_proj", h1), cfg.num_heads)
         vh = _split_heads(_project(model, f"{p}.v_proj", h1), cfg.num_heads)
         ctx_h, stats = attend(qh, kh, vh, pad, cfg.attention)
-        ctx = _merge_heads(ctx_h)
-        x_mid = x_in + _project(model, f"{p}.o_proj", ctx)
+        x_mid = x_in + _project(model, f"{p}.o_proj", _merge_heads(ctx_h))
         h2, ln2_cache = layer_norm(x_mid, P[f"{p}.ffn_ln.gain"], P[f"{p}.ffn_ln.bias"])
         u = _project(model, f"{p}.ffn_in", h2)
         act, cdf = gelu(u, return_cdf=True) if want_cache else (gelu(u), None)
@@ -304,9 +303,12 @@ def forward(model: EncoderModel, token_ids, want_cache: bool = False):
         if want_cache:
             layer_caches.append(
                 dict(x_in=x_in, h1=h1, ln1=ln1_cache, qh=qh, kh=kh, vh=vh,
-                     stats=stats, ctx=ctx, x_mid=x_mid, h2=h2, ln2=ln2_cache,
+                     stats=stats, x_mid=x_mid, h2=h2, ln2=ln2_cache,
                      u=u, act=act, cdf=cdf)
             )
+        # Without a cache these are dead; freed now, they are not held
+        # through the next layer's attention, which sets the peak memory.
+        del ctx_h, stats, x_mid, h2, ln2_cache, u, act, cdf
     hidden, lnf_cache = layer_norm(x, P["final_ln.gain"], P["final_ln.bias"])
     if not want_cache:
         return hidden

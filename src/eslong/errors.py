@@ -1,8 +1,14 @@
-"""Exception hierarchy shared by every module.
+"""Exception hierarchy shared by every module, and the one reader of text inputs.
 
 The CLI maps any EslongError to exit code 2 (invalid input or configuration);
 unexpected exceptions are left to propagate as bugs.
 """
+
+from __future__ import annotations
+
+import io
+import os
+from contextlib import contextmanager, nullcontext
 
 
 class EslongError(Exception):
@@ -47,3 +53,23 @@ class EvaluationError(EslongError):
 
 class DataError(EslongError):
     """Embeddings and annotations disagree (ids or dimensions)."""
+
+
+@contextmanager
+def text_lines(source, what: str):
+    """Numbered lines (from 1, each with its newline) of a text input.
+
+    source is a path (an os.PathLike, or a str holding no newline, tab or
+    '>'), text (any other str), or an open text file. The file is closed on
+    exit, and text that is not UTF-8 is an IngestionError naming what.
+    """
+    if isinstance(source, os.PathLike) or (
+            isinstance(source, str) and not any(c in source for c in "\n\t>")):
+        opened = open(source, "r", encoding="utf-8")
+    else:
+        opened = nullcontext(io.StringIO(source) if isinstance(source, str) else source)
+    with opened as fh:
+        try:
+            yield enumerate(fh, start=1)
+        except UnicodeDecodeError as exc:
+            raise IngestionError(f"{what} is not UTF-8") from exc

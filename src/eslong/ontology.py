@@ -16,14 +16,13 @@ so a child scored 0.0 adds no parent.
 
 from __future__ import annotations
 
-import io
 from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IngestionError, InputError, OntologyError, ShapeError
+from .errors import IngestionError, InputError, OntologyError, ShapeError, text_lines
 
 NAMESPACES = ("BPO", "CCO", "MFO")
 
@@ -38,29 +37,10 @@ class OntologyGraph:
     index: dict[str, int] = field(repr=False, compare=False)
     # (child, parent) positions in topo_order, children first
     edges: tuple[tuple[int, int], ...] = field(repr=False, compare=False)
-    _ancestor_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def terms(self) -> frozenset[str]:
         return frozenset(self.parents)
-
-    def ancestors(self, term: str) -> frozenset[str]:
-        """All proper ancestors of term (memoized walk to the root)."""
-        if term not in self.parents:
-            raise OntologyError(f"unknown term {term!r}")
-        cached = self._ancestor_cache.get(term)
-        if cached is not None:
-            return cached
-        acc: set[str] = set()
-        stack = list(self.parents[term])
-        while stack:
-            parent = stack.pop()
-            if parent not in acc:
-                acc.add(parent)
-                stack.extend(self.parents[parent])
-        result = frozenset(acc)
-        self._ancestor_cache[term] = result
-        return result
 
 
 def load_ontology(source, namespace: str) -> OntologyGraph:
@@ -71,24 +51,20 @@ def load_ontology(source, namespace: str) -> OntologyGraph:
     """
     if namespace not in NAMESPACES:
         raise OntologyError(f"namespace must be one of {NAMESPACES}, got {namespace!r}")
-    if isinstance(source, str) and "\n" not in source and "\t" not in source:
-        with open(source, "r", encoding="utf-8") as fh:
-            return load_ontology(fh, namespace)
-    if isinstance(source, str):
-        source = io.StringIO(source)
     parents: dict[str, set[str]] = {}
-    for lineno, line in enumerate(source, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise IngestionError(f"ontology line {lineno}: expected child<TAB>parent")
-        child, parent = parts
-        if child == parent:
-            raise OntologyError(f"self-edge on {child!r}")
-        parents.setdefault(child, set()).add(parent)
-        parents.setdefault(parent, set())
+    with text_lines(source, "ontology text") as lines:
+        for lineno, line in lines:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise IngestionError(f"ontology line {lineno}: expected child<TAB>parent")
+            child, parent = parts
+            if child == parent:
+                raise OntologyError(f"self-edge on {child!r}")
+            parents.setdefault(child, set()).add(parent)
+            parents.setdefault(parent, set())
     if not parents:
         raise OntologyError("ontology has no terms")
     roots = sorted(t for t, ps in parents.items() if not ps)
@@ -312,20 +288,14 @@ def load_annotations(source) -> Annotations:
     """Parse protein<TAB>term[<TAB>score] lines (path, IO, or str) into a
     table; a missing score means 1.0, and a repeated pair keeps its last
     score. Blank lines and lines starting with '#' are skipped."""
-    if isinstance(source, str) and "\n" not in source and "\t" not in source:
-        with open(source, "r", encoding="utf-8") as fh:
-            return load_annotations(fh)
-    if isinstance(source, str):
-        source = io.StringIO(source)
     proteins: dict[str, int] = {}
     terms: dict[str, int] = {}
     rows, cols, values = array("q"), array("q"), array("d")
     last, row = None, -1
-    lineno = 0
-    try:
+    with text_lines(source, "annotation text") as numbered:
         # line keeps its newline: float() ignores it, and only a two-column
         # line's term needs it stripped
-        for lineno, line in enumerate(source, start=1):
+        for lineno, line in numbered:
             if line.isspace() or line.startswith("#"):
                 continue
             parts = line.split("\t")
@@ -349,8 +319,6 @@ def load_annotations(source) -> Annotations:
             rows.append(row)
             cols.append(terms.setdefault(term, len(terms)))
             values.append(score)
-    except UnicodeDecodeError as exc:
-        raise IngestionError("annotation text is not UTF-8") from exc
     return _table(proteins, terms, rows, cols, values)
 
 

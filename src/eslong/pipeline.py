@@ -10,7 +10,6 @@ another in input order, so reruns give byte-identical stores.
 
 from __future__ import annotations
 
-import io
 import struct
 from dataclasses import dataclass
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from .checkpoint import read_exact
 from .encoder import EncoderModel, forward, tokenize
-from .errors import ConfigError, EslongError, FormatError, IngestionError, InputError
+from .errors import ConfigError, EslongError, FormatError, IngestionError, InputError, text_lines
 
 STORE_MAGIC = b"ESEM"
 STORE_VERSION = 1
@@ -49,11 +48,6 @@ def parse_fasta(source) -> list[ProteinRecord]:
     sequence lines are joined and uppercased. Duplicate ids, empty sequences,
     and characters outside A-Z are ingestion errors.
     """
-    if isinstance(source, str) and "\n" not in source and ">" not in source:
-        with open(source, "r", encoding="utf-8") as fh:
-            return parse_fasta(fh)
-    if isinstance(source, str):
-        source = io.StringIO(source)
     records: list[ProteinRecord] = []
     seen: set[str] = set()
     current_id: str | None = None
@@ -70,24 +64,25 @@ def parse_fasta(source) -> list[ProteinRecord]:
             raise IngestionError(f"record {current_id!r} has invalid characters {sorted(bad)}")
         records.append(ProteinRecord(id=current_id, sequence=seq))
 
-    for line in source:
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith(">"):
-            flush()
-            header = line[1:].strip()
-            if not header:
-                raise IngestionError("FASTA header with no id")
-            current_id = header.split()[0]
-            if current_id in seen:
-                raise IngestionError(f"duplicate FASTA id {current_id!r}")
-            seen.add(current_id)
-            chunks = []
-        else:
-            if current_id is None:
-                raise IngestionError("sequence data before the first FASTA header")
-            chunks.append(line.upper())
+    with text_lines(source, "FASTA text") as lines:
+        for _, line in lines:
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith(">"):
+                flush()
+                header = line[1:].strip()
+                if not header:
+                    raise IngestionError("FASTA header with no id")
+                current_id = header.split()[0]
+                if current_id in seen:
+                    raise IngestionError(f"duplicate FASTA id {current_id!r}")
+                seen.add(current_id)
+                chunks = []
+            else:
+                if current_id is None:
+                    raise IngestionError("sequence data before the first FASTA header")
+                chunks.append(line.upper())
     flush()
     return records
 

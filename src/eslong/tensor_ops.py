@@ -1,7 +1,9 @@
 """Dense numeric kernels shared by the encoder, attention, and classifier code.
 
-softmax_rows is the one softmax: attention.attend runs it in every forward pass,
-and attention.attend_backward replays it from the row statistics attend kept.
+softmax_rows is the one softmax. attention.attend runs only its first step,
+shifted_exp, and divides the context rows instead of the probabilities;
+attention.attend_backward replays the whole softmax from the row max and row
+sum attend kept.
 layer_norm is the one layer norm, and it returns the cache the backward pass reads.
 
 All kernels follow the dtype of their inputs; the production path runs in
@@ -34,8 +36,26 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
+def shifted_exp(a: np.ndarray, out=None, row_max=None):
+    """exp(a - row_max) over the last axis, the first step of softmax_rows.
+
+    row_max defaults to each row's max, taken as 0 where a row has nothing
+    finite, so a -inf entry comes out 0 and large scores cannot overflow. All
+    work happens in one buffer of a's shape: out when given, which may be a
+    itself, else a new array. Returns (exp, row_max), row_max with the last
+    axis kept at length 1.
+    """
+    a = np.asarray(a)
+    if row_max is None:
+        row_max = a.max(axis=-1, keepdims=True)
+        row_max[~np.isfinite(row_max)] = 0.0
+    out = np.subtract(a, row_max, out=out)
+    np.exp(out, out=out)
+    return out, row_max
+
+
 def softmax_rows(a: np.ndarray, out=None, stats=None, return_stats: bool = False):
-    """Softmax over the last axis, with max-subtraction so large scores cannot overflow.
+    """Softmax over the last axis: shifted_exp, then division by the row sum.
 
     A -inf entry is invisible, and a row with nothing visible comes out all
     zeros. All work happens in one output buffer of a's shape: out when given,
@@ -47,17 +67,13 @@ def softmax_rows(a: np.ndarray, out=None, stats=None, return_stats: bool = False
     the reductions and runs the same exp(a - row_max) / row_sum, so the same a
     gives bit-identical probabilities.
     """
-    a = np.asarray(a)
     if stats is None:
-        m = a.max(axis=-1, keepdims=True)
-        m[~np.isfinite(m)] = 0.0
-    else:
-        m, total = stats
-    out = np.subtract(a, m, out=out)
-    np.exp(out, out=out)
-    if stats is None:
+        out, m = shifted_exp(a, out)
         total = out.sum(axis=-1, keepdims=True)
         total[total == 0] = 1.0
+    else:
+        m, total = stats
+        out, _ = shifted_exp(a, out, m)
     out /= total
     return (out, (m, total)) if return_stats else out
 

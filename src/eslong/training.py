@@ -229,7 +229,7 @@ class _Backprop:
             self._acc(f"{p}.ffn_ln.bias", d_b2)
             d_x_mid = d_x + d_mid_ln
             # attention half: x_mid = x_in + o_proj(heads(LN1(x_in)))
-            d_ctx = self.proj_backward(f"{p}.o_proj", lc["ctx"], d_x_mid)
+            d_ctx = self.proj_backward(f"{p}.o_proj", _merge_heads(lc["stats"].ctx), d_x_mid)
             d_qh, d_kh, d_vh = attend_backward(_split_heads(d_ctx, cfg.num_heads), lc["qh"],
                                                lc["kh"], lc["vh"], lc["stats"], cfg.attention)
             d_h1 = self.proj_backward(f"{p}.q_proj", lc["h1"], _merge_heads(d_qh))

@@ -2,8 +2,9 @@
 unchanged as reference oracles: `close_truth`, `close_scores`,
 `load_annotations`, `save_annotations` and `fmax` walk dicts of
 protein -> {term -> score}; `precision_at` and `recall_at` score one
-threshold. Tests compare the table path in `eslong.ontology` and
-`eslong.evaluation` with these, field by field."""
+threshold, and `ancestors` walks a graph's parent sets. Tests compare the
+table path in `eslong.ontology` and `eslong.evaluation` with these, field by
+field."""
 
 import io
 
@@ -15,6 +16,30 @@ from eslong.ontology import OntologyGraph
 
 # protein id -> {term id -> score}
 AnnotationSet = dict[str, dict[str, float]]
+
+# id(graph) -> (graph, {term -> ancestors}); holding the graph keeps its id
+# from being reused by another graph while the entry exists
+_ancestor_cache: dict = {}
+
+
+def ancestors(graph: OntologyGraph, term: str) -> frozenset[str]:
+    """All proper ancestors of term (memoized walk to the root)."""
+    if term not in graph.parents:
+        raise OntologyError(f"unknown term {term!r}")
+    memo = _ancestor_cache.setdefault(id(graph), (graph, {}))[1]
+    cached = memo.get(term)
+    if cached is not None:
+        return cached
+    acc: set[str] = set()
+    stack = list(graph.parents[term])
+    while stack:
+        parent = stack.pop()
+        if parent not in acc:
+            acc.add(parent)
+            stack.extend(graph.parents[parent])
+    result = frozenset(acc)
+    memo[term] = result
+    return result
 
 
 def _check_terms(annotations: AnnotationSet, graph: OntologyGraph) -> None:
@@ -35,7 +60,7 @@ def close_truth(truth: AnnotationSet, graph: OntologyGraph) -> AnnotationSet:
     for protein, terms in truth.items():
         full = set(terms)
         for term in terms:
-            full |= graph.ancestors(term)
+            full |= ancestors(graph, term)
         closed[protein] = {t: 1.0 for t in full}
     return closed
 

@@ -284,6 +284,45 @@ class TestAttend:
         for grad in attend_backward(d_ctx, qh, kh, vh, stats, spec):
             assert grad.dtype == dtype
 
+    # Every key padded in global mode; in local mode keys 8-14 padded, so
+    # queries 10-12 see only padded keys in their window of radius 2.
+    @pytest.mark.parametrize("mode,window_k,padded", [
+        ("global", None, slice(None)),
+        ("local", 4, slice(8, 15)),
+    ], ids=["global-all-padded", "local-padded-window"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_query_with_no_visible_key_gets_zeros(self, mode, window_k, padded, dtype):
+        rng = np.random.default_rng(17)
+        n, spec = 20, AttentionSpec(mode, 2, 4, window_k)
+        qh, kh, vh, d_ctx = (rng.normal(size=(2, n, 4)).astype(dtype) for _ in range(4))
+        pad = np.zeros(n, dtype=bool)
+        pad[padded] = True
+        seen = visibility_mask(n, pad, mode, window_k).sum(axis=1)
+        blind = seen == 0
+        assert blind.any()
+        ctx, stats = attend(qh, kh, vh, pad, spec)
+        d_q, d_k, d_v = attend_backward(d_ctx, qh, kh, vh, stats, spec)
+        assert (ctx[:, blind] == 0).all() and (d_q[:, blind] == 0).all()
+        # A query that sees one key has a constant softmax, so d_q = 0 there.
+        assert (ctx[:, ~blind] != 0).all() and (d_q[:, seen > 1] != 0).all()
+        assert (d_k[:, pad] == 0).all() and (d_v[:, pad] == 0).all()
+
+    @pytest.mark.parametrize("n", [5, 300])
+    def test_unpadded_global_matches_masked_band(self, n):
+        # Global mode without pad builds no mask; a covering local window
+        # hides the keys outside the sequence, so it runs the masked path.
+        rng = np.random.default_rng(18)
+        qh, kh, vh, d_ctx = (rng.normal(size=(2, n, 4)) for _ in range(4))
+        pad = np.zeros(n, dtype=bool)
+        results = []
+        for spec in (AttentionSpec("global", 2, 4), AttentionSpec("local", 2, 4, 2 * n)):
+            ctx, stats = attend(qh, kh, vh, pad, spec)
+            results.append((ctx,) + attend_backward(d_ctx, qh, kh, vh, stats, spec))
+        for name, a, b in zip(("ctx", "d_q", "d_k", "d_v"), *results):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12, err_msg=name)
+        oracle = doubleloop_attention(qh[0], kh[0], vh[0], pad)
+        np.testing.assert_allclose(results[0][0][0], oracle, rtol=1e-12, atol=1e-12)
+
 
 def interior_and_trailing_pads(n):
     """A pad in the middle and a trailing run of n // 4 pads (none below n = 3)."""
@@ -405,6 +444,14 @@ class TestRecompute:
         _, stats = attend(qh, kh, vh, pad, spec)
         peak = traced_peak(attend_backward, d_ctx, qh, kh, vh, stats, spec)
         assert peak < 150e6, peak / 1e6
+
+    def test_global_backward_peak_is_two_blocks(self):
+        # The rebuilt tile and d_probs, which becomes d_scores in place: two
+        # 42 MB buffers, since D = rowsum(d_ctx * ctx) needs no third.
+        qh, kh, vh, d_ctx, pad, spec = self.t6_global()
+        _, stats = attend(qh, kh, vh, pad, spec)
+        peak = traced_peak(attend_backward, d_ctx, qh, kh, vh, stats, spec)
+        assert peak < 110e6, peak / 1e6
 
     def test_stats_are_per_row(self):
         qh, kh, vh, _, pad, spec = self.t6_global(n=300)

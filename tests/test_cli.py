@@ -265,6 +265,27 @@ class TestInputProbes:
                                       "--out", str(tmp / "x.eslg"), "--lora-rank", "2",
                                       "--lora-alpha", "nan"], capsys)
 
+    @pytest.mark.parametrize("command", ["embed", "pretrain", "eval-ontology", "eval-fasta"])
+    def test_non_utf8_text_exits_2(self, workdir, capsys, command):
+        tmp, fasta, config, _ = workdir
+        onto, truth, pred = build_eval_fixtures(tmp)
+        bad = tmp / "bad.txt"
+        if command == "eval-ontology":
+            bad.write_bytes(onto.read_bytes().replace(b"beta", b"b\xffta"))
+        else:
+            bad.write_bytes(fasta.read_bytes().replace(b"P001", b"P\xff01"))
+        evaluate = ["eval", "--pred", str(pred), "--truth", str(truth)]
+        argv = {
+            "embed": ["embed", "--model", str(saved_toy(tmp)), "--fasta", str(bad),
+                      "--out", str(tmp / "x.esem")],
+            "pretrain": ["pretrain", "--config", str(config), "--fasta", str(bad),
+                         "--out", str(tmp / "x.eslg")],
+            "eval-ontology": evaluate + ["--ontology", str(bad)],
+            "eval-fasta": evaluate + ["--ontology", str(onto), "--fasta", str(bad),
+                                      "--min-length", "1"],
+        }[command]
+        assert_exits_2_with_one_line(argv, capsys)
+
     def test_overflowing_model_prints_only_the_error_line(self, workdir):
         """NumPy's float warnings must not print ahead of the error line. Run in
         a subprocess: pytest captures warnings apart from stderr."""
@@ -496,9 +517,9 @@ def fuzz_files(tmp_path_factory):
 
 
 class TestCorruptFileFuzz:
-    """Truncated and bit-flipped checkpoints and stores through the CLI: each
-    run exits 2 with one error line, or exits 0 with finite outputs. It never
-    exits 1 (partial success) and never raises."""
+    """Truncated and bit-flipped checkpoints, stores and text inputs through
+    the CLI: each run exits 2 with one error line, or exits 0 with finite
+    outputs. It never exits 1 (partial success) and never raises."""
 
     @staticmethod
     def run_cli(argv) -> int:
@@ -536,7 +557,8 @@ class TestCorruptFileFuzz:
             scores = [float(line.split("\t")[2]) for line in out.read_text().splitlines()]
             assert all(math.isfinite(x) for x in scores)
 
-    @pytest.mark.parametrize("target", ["pred.tsv", "truth.tsv", "config.json"])
+    @pytest.mark.parametrize("target", ["pred.tsv", "truth.tsv", "config.json", "in.fasta",
+                                        "onto.tsv"])
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_corrupt_text_exits_2_or_gives_finite_output(self, fuzz_files, target, data):
@@ -545,18 +567,25 @@ class TestCorruptFileFuzz:
         bad.write_bytes(corrupt(intact, data.draw(corruptions(len(intact)))))
         out = fuzz_files / "out"
         out.unlink(missing_ok=True)
-        if target == "config.json":
-            argv = ["pretrain", "--config", str(bad), "--fasta", str(fuzz_files / "in.fasta")]
+        fasta = bad if target == "in.fasta" else fuzz_files / "in.fasta"
+        config = bad if target == "config.json" else fuzz_files / "config.json"
+        if target == "config.json" or (target == "in.fasta" and data.draw(st.booleans())):
+            argv = ["pretrain", "--config", str(config), "--fasta", str(fasta)]
+        elif target == "in.fasta":
+            argv = ["embed", "--model", str(fuzz_files / "model.eslg"), "--fasta", str(fasta)]
         else:
             pred = bad if target == "pred.tsv" else fuzz_files / "pred.tsv"
             truth = bad if target == "truth.tsv" else fuzz_files / "truth.tsv"
-            argv = ["eval", "--pred", str(pred), "--truth", str(truth),
-                    "--ontology", str(fuzz_files / "onto.tsv")]
+            onto = bad if target == "onto.tsv" else fuzz_files / "onto.tsv"
+            argv = ["eval", "--pred", str(pred), "--truth", str(truth), "--ontology", str(onto)]
             if data.draw(st.booleans()):
                 argv.append("--close-scores")
         if self.run_cli(argv + ["--out", str(out)]) != 0:
             return
-        if argv[0] == "pretrain":
+        if argv[0] == "embed":
+            records, _ = read_store(out)
+            assert all(np.isfinite(rec.vector).all() for rec in records)
+        elif argv[0] == "pretrain":
             load_model(out)  # rejects NaN or inf weights
         else:
             report = json.loads(out.read_text())

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from annotation_oracles import ancestors
 from eslong.errors import OntologyError
 from eslong.ontology import (
     close_scores,
@@ -48,12 +49,20 @@ class TestLoadOntology:
         g = load_ontology("a\tb\nb\troot\n", "BPO")
         assert g.terms == {"a", "b", "root"}
         assert g.root == "root"
-        assert g.ancestors("a") == {"b", "root"}
-        assert g.ancestors("root") == frozenset()
+        assert ancestors(g, "a") == {"b", "root"}
+        assert ancestors(g, "root") == frozenset()
 
     def test_diamond(self):
         g = load_ontology("a\tb\na\tc\nb\troot\nc\troot\n", "CCO")
-        assert g.ancestors("a") == {"b", "c", "root"}
+        assert ancestors(g, "a") == {"b", "c", "root"}
+
+    def test_non_utf8_file_rejected(self, tmp_path):
+        from eslong.errors import IngestionError
+
+        path = tmp_path / "onto.tsv"
+        path.write_bytes(b"a\troot\nb\xff\troot\n")
+        with pytest.raises(IngestionError, match="not UTF-8"):
+            load_ontology(str(path), "BPO")
 
     def test_smallest_cycle_rejected(self):
         with pytest.raises(OntologyError, match="cycle|root"):

@@ -51,6 +51,12 @@ class TestParseFasta:
         with pytest.raises(IngestionError):
             parse_fasta("ACDE\n>P1\nACDE\n")
 
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "bad.fasta"
+        path.write_bytes(b">P1\nAC\xffDE\n")
+        with pytest.raises(IngestionError, match="not UTF-8"):
+            parse_fasta(path)
+
     def test_thousand_record_roundtrip(self, tmp_path):
         rng = np.random.default_rng(0)
         seqs = random_corpus(rng, 1000, 5, 80)

@@ -219,22 +219,25 @@ def train_head(train_embeddings, truth, cfg: HeadConfig, val_embeddings, metrics
 
 
 def predict(head: ClassifierHead, embeddings) -> Annotations:
-    """Sigmoid scores of every head term for each record, one record at a
-    time, so a record's scores do not depend on the others. A record whose
-    logits overflow to NaN is an InputError, never a NaN score."""
+    """Sigmoid scores of every head term for each record. All records run in
+    one stacked [records, 1, d] pass, whose matmuls take each record as its
+    own product, so a record's scores do not depend on the others. A record
+    whose logits overflow to NaN is an InputError, never a NaN score."""
     embeddings = list(embeddings)
-    scores = np.empty((len(embeddings), len(head.term_list)))
+    x = np.empty((len(embeddings), 1, head.config.input_dim), dtype=np.float32)
     for i, rec in enumerate(embeddings):
         if rec.vector.shape != (head.config.input_dim,):
             raise DataError(
                 f"embedding {rec.protein_id!r} has dim {rec.vector.shape}, "
                 f"expected {head.config.input_dim}"
             )
-        x = head.standardize(rec.vector[None, :].astype(np.float32))
-        z = head_logits(head.params, x)[0]
-        scores[i] = _sigmoid(z.astype(np.float64))
-        if np.isnan(scores[i]).any():
-            raise InputError(f"embedding {rec.protein_id!r} overflows the head to NaN scores")
+        x[i, 0] = rec.vector
+    z = head_logits(head.params, head.standardize(x))[:, 0]
+    scores = _sigmoid(z.astype(np.float64))
+    bad = np.isnan(scores).any(axis=1)
+    if bad.any():
+        rec = embeddings[int(bad.argmax())]
+        raise InputError(f"embedding {rec.protein_id!r} overflows the head to NaN scores")
     return Annotations(tuple(rec.protein_id for rec in embeddings), head.term_list, scores)
 
 

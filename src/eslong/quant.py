@@ -133,11 +133,28 @@ def dequantize(q: QuantizedTensor) -> np.ndarray:
 
 
 def decode_dense(q: QuantizedTensor) -> np.ndarray:
-    """Vectorized on-the-fly decode used inside qmatmul (distinct from the
-    loop-by-block reference in `dequantize`, which tests compose as an oracle)."""
-    codes = unpack_codes(q.packed, q.numel).astype(np.float32)
-    per_elem = np.repeat(q.scales, q.block_size)[: q.numel]
-    return (codes * per_elem).reshape(q.dims)
+    """Vectorized on-the-fly decode used inside qmatmul, bit-identical to the
+    loop-by-block reference in `dequantize`, which tests compose as an oracle.
+
+    Byte passes over the payload viewed as int8: arithmetic shifts sign-extend,
+    so (b << 4) >> 4 is the low nibble's code and b >> 4 the high one's. The
+    codes land in the even and odd slots of an output allocated before them,
+    which the full blocks then multiply in place by their scales as one
+    [blocks, block_size] product, and a partial last block by its own scale.
+    """
+    numel, bs = q.numel, q.block_size
+    out = np.empty(numel, dtype=np.float32)
+    b = np.asarray(q.packed, dtype=np.uint8).view(np.int8)
+    lo = np.left_shift(b, 4)
+    lo >>= 4
+    out[0::2] = lo
+    out[1::2] = (b >> 4)[: numel // 2]
+    full = numel // bs
+    head = full * bs
+    blocks = out[:head].reshape(full, bs)
+    blocks *= q.scales[:full, None]
+    out[head:] *= q.scales[full:]
+    return out.reshape(q.dims)
 
 
 def qmatmul(a: np.ndarray, qw: QuantizedTensor) -> np.ndarray:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from eslong.errors import ConfigError, DataError
+from eslong.errors import ConfigError, DataError, InputError
 from eslong.evaluation import fmax
 from eslong.head import (
     ClassifierHead,
@@ -142,6 +142,38 @@ class TestPredict:
         fwd = predict(head, records)
         rev = predict(head, list(reversed(records)))
         assert fwd == rev
+
+    def test_each_row_matches_a_lone_call(self):
+        rng = np.random.default_rng(8)
+        cfg = HeadConfig(input_dim=32, num_terms=50, hidden_dim=64, epochs=1)
+        head = init_head(cfg, [f"t{i}" for i in range(50)])
+        for k in head.params:
+            head.params[k] = rng.normal(0, 0.3, size=head.params[k].shape).astype(np.float32)
+        records = [
+            EmbeddingRecord(f"P{i}", rng.normal(size=32).astype(np.float32) * 4, 1)
+            for i in range(40)
+        ]
+        together = predict(head, records)
+        for i, rec in enumerate(records):
+            assert together.scores[i].tobytes() == predict(head, [rec]).scores[0].tobytes()
+
+    def test_first_nan_record_is_named(self):
+        rng = np.random.default_rng(9)
+        cfg = HeadConfig(input_dim=6, num_terms=2, hidden_dim=4, epochs=1)
+        head = init_head(cfg, ["a", "b"])
+        records = [
+            EmbeddingRecord(f"P{i}", rng.normal(size=6).astype(np.float32), 1)
+            for i in range(6)
+        ]
+        for i in (2, 4):
+            records[i].vector[1] = np.nan
+        with pytest.raises(InputError, match="'P2'"):
+            predict(head, records)
+
+    def test_empty_input_gives_empty_table(self):
+        cfg = HeadConfig(input_dim=6, num_terms=2, hidden_dim=4, epochs=1)
+        head = init_head(cfg, ["a", "b"])
+        assert predict(head, []).scores.shape == (0, 2)
 
     def test_dim_mismatch_rejected(self):
         cfg = HeadConfig(input_dim=6, num_terms=2, hidden_dim=4, epochs=1)

@@ -10,6 +10,7 @@ from eslong.errors import ConfigError, InputError, ShapeError
 from eslong.quant import (
     QuantPolicy,
     QuantizedTensor,
+    decode_dense,
     dequantize,
     footprint_ratio,
     int4_payload_bytes,
@@ -114,6 +115,30 @@ class TestPacking:
         packed = pack_codes(codes)
         assert packed.size == 2
         assert unpack_codes(packed, 3).tolist() == [3, -5, 7]
+
+
+class TestDecodeDense:
+    """decode_dense must give the bits of the block-by-block reference."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(1, 301), st.integers(1, 400), st.integers(0, 2**32 - 1))
+    def test_matches_dequantize_bitwise(self, numel, block_size, seed):
+        # block sizes past numel, odd numel and partial last blocks all occur
+        w = np.random.default_rng(seed).normal(scale=2.0, size=numel).astype(np.float32)
+        q = quantize_int4(w, block_size)
+        assert decode_dense(q).tobytes() == dequantize(q).tobytes()
+
+    @pytest.mark.parametrize("block_size", [1, 5, 64, 600])
+    def test_every_byte_value_matches_dequantize(self, block_size):
+        # all 256 bytes, so every nibble pair and code -8 decode
+        numel = 512
+        nblocks = (numel + block_size - 1) // block_size
+        scales = np.random.default_rng(block_size).uniform(0.01, 3.0, nblocks).astype(np.float32)
+        q = QuantizedTensor(dims=(16, 32), block_size=block_size,
+                            packed=np.arange(256, dtype=np.uint8), scales=scales)
+        out = decode_dense(q)
+        assert out.shape == (16, 32) and out.dtype == np.float32
+        assert out.tobytes() == dequantize(q).tobytes()
 
 
 class TestQmatmul:

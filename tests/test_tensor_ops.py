@@ -1,13 +1,15 @@
 """Kernel-level tests: matmul, softmax, layer norm, gelu."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import erf
 
 from eslong.errors import ShapeError
-from eslong.tensor_ops import gelu, gelu_grad, layer_norm, matmul, softmax_rows
+from eslong.tensor_ops import _CDF_CHUNK, gelu, gelu_grad, layer_norm, matmul, softmax_rows
 
 
 def naive_matmul(a, b):
@@ -152,3 +154,56 @@ class TestGelu:
         np.testing.assert_array_equal(act, gelu(x))
         np.testing.assert_array_equal(gelu_grad(x, cdf), gelu_grad(x))
         assert cdf.dtype == dtype
+
+
+class TestGeluFloat32:
+    """float32 Phi comes from a rational erf evaluated in chunked passes."""
+
+    def test_within_bound_of_float64_erf(self):
+        x = np.linspace(-10, 10, 400_001).astype(np.float32)
+        x64 = x.astype(np.float64)
+        exact_cdf = 0.5 * (1.0 + erf(x64 / math.sqrt(2.0)))
+        act, cdf = gelu(x, return_cdf=True)
+        assert act.dtype == np.float32 and cdf.dtype == np.float32
+        assert np.abs(cdf - exact_cdf).max() <= 5e-7
+        assert np.abs(act - x64 * exact_cdf).max() <= 2e-6
+
+    def test_large_negative_inputs_give_zero(self):
+        x = np.array([-6.0, -50.0, -1e6], dtype=np.float32)
+        act, cdf = gelu(x, return_cdf=True)
+        np.testing.assert_array_equal(cdf, 0.0)
+        np.testing.assert_array_equal(act, 0.0)
+
+    def test_rows_across_a_chunk_boundary_match_alone(self):
+        width = 1280
+        rows = _CDF_CHUNK // width + 2
+        x = np.random.default_rng(0).normal(0, 3, size=(rows, width)).astype(np.float32)
+        lo = _CDF_CHUNK // width - 1  # rows lo .. lo + 2 hold element _CDF_CHUNK
+        whole = gelu(x)
+        np.testing.assert_array_equal(whole[lo: lo + 3], gelu(x[lo: lo + 3]))
+        np.testing.assert_array_equal(whole[lo + 1], gelu(x[lo + 1]))
+
+    def test_zero_d_and_transposed_inputs(self):
+        x = np.random.default_rng(1).normal(0, 2, size=(37, 300)).astype(np.float32)
+        for view in (x.T, x[:, ::3]):
+            act, cdf = gelu(view, return_cdf=True)
+            want_act, want_cdf = gelu(np.ascontiguousarray(view), return_cdf=True)
+            np.testing.assert_array_equal(act, want_act)
+            np.testing.assert_array_equal(cdf, want_cdf)
+        assert gelu(np.float32(-1.25)) == gelu(np.array([-1.25], dtype=np.float32))[0]
+        assert gelu(np.array(0.75, dtype=np.float32)) == gelu(np.full(3, 0.75, np.float32))[1]
+
+    def test_nan_in_nan_out_without_warning(self):
+        x = np.array([np.nan, -1.0, np.nan, 2.0], dtype=np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            act, cdf = gelu(x, return_cdf=True)
+            grad = gelu_grad(x, cdf)
+        assert np.isnan(act[[0, 2]]).all() and np.isnan(cdf[[0, 2]]).all()
+        assert np.isnan(grad[[0, 2]]).all()
+        assert np.isfinite(act[[1, 3]]).all()
+
+    def test_grad_from_cached_cdf_near_float64(self):
+        x = np.linspace(-8, 8, 20_001).astype(np.float32)
+        _, cdf = gelu(x, return_cdf=True)
+        np.testing.assert_allclose(gelu_grad(x, cdf), gelu_grad(x.astype(np.float64)), rtol=0, atol=1e-5)

@@ -5,10 +5,13 @@ the keys it can see: in local mode its own rows plus window_k / 2 keys on each
 side, in global mode all n keys, so local cost is O(n * window_k). The loop
 follows FlashAttention-2: q is scaled once, a tile is exponentiated but never
 normalized (the context rows are divided instead), and no tile outlives its
-block. attend keeps each row's max and sum and ctx; attend_backward rebuilds
-every tile from them and takes the softmax gradient's row term as
-rowsum(d_ctx * ctx). A global attend at n keys holds one block's
-[heads, 256, n] tile, not heads * n^2 floats. An OpCounter threaded through
+block. The shift subtracted before exp only keeps exp in range, so a block
+whose scores a Cauchy-Schwarz bound, |q . k| <= |q| * max |k|, proves small
+takes no shift; every other block subtracts its exact row max. attend keeps
+each row's shift and sum and ctx; attend_backward rebuilds every tile from
+them and takes the softmax gradient's row term as rowsum(d_ctx * ctx). A
+global attend at n keys holds one block's [heads, 256, n] tile, not
+heads * n^2 floats. An OpCounter threaded through
 attend receives the number of visible query-key pairs, which is how the
 linear-versus-quadratic cost claims are checked.
 """
@@ -86,6 +89,12 @@ def _check_qkv(q, k, v, pad_mask):
 
 _LOCAL_ROWS = 32     # most query rows per block in local mode
 _GLOBAL_ROWS = 256   # most query rows per block in global mode
+# A block whose scaled scores are bounded by T in magnitude is exponentiated
+# without a shift. Each term then lies in [e^-T, e^T], about [3e-4, 3e3] for
+# T = 8: the row's largest term stays a normal float32, far from underflow,
+# and ctx_sum grows at most e^T-fold over a shifted block's n * max |v|, far
+# from overflow.
+_NO_SHIFT_BOUND = 8.0
 
 
 class _Geometry(NamedTuple):
@@ -94,7 +103,9 @@ class _Geometry(NamedTuple):
     Block b holds query rows b * rows : (b + 1) * rows (the last may be
     shorter) and sees rows b * step : b * step + keys of a zero-padded key
     axis, length rows long, that holds K/V from row lead on. Query i sees
-    key j when |i - j| <= w.
+    key j when |i - j| <= w. Which of a block's window keys lie beyond w of
+    its t-th row is the same in every block: local windows move with their
+    rows (step == rows), and a global w = n - 1 hides no key.
     """
 
     rows: int
@@ -136,8 +147,9 @@ def _band_pairs(n: int, w: int) -> int:
 
 
 class SoftmaxStats(NamedTuple):
-    """What attend keeps for attend_backward: each row's max and sum of
-    exponentials ([heads, n]), the pad mask and attend's ctx."""
+    """What attend keeps for attend_backward: each row's shift (0 in a block
+    the norm bound proved small, else the row's max) and sum of exponentials
+    ([heads, n]), the pad mask and attend's ctx."""
 
     row_max: np.ndarray
     row_sum: np.ndarray
@@ -160,7 +172,10 @@ class _Tiles:
         # Global mode without pad hides no key, so it builds no mask.
         self.hides = g.length != n or g.w != n - 1 or bool(pad.any())
         self.hidden_keys = np.pad(pad, (g.lead, g.length - g.lead - n), constant_values=True)
-        self.query_at, self.key_at = np.arange(n), np.arange(g.length) - g.lead
+        # The band part of the mask is the same in every block (see _Geometry),
+        # so it is built once, on block 0, and a shorter last block takes a prefix.
+        i, j = np.arange(g.rows)[:, None], np.arange(g.keys) - g.lead
+        self.band = (j < i - g.w) | (j > i + g.w)
         self.buffers = buffers
 
     def tile(self, buffer: int, rows: slice):
@@ -186,10 +201,10 @@ class _Tiles:
         scores = np.matmul(self.qs[:, rows], self.kp[:, keys].swapaxes(-1, -2),
                            out=self.tile(0, rows))
         if self.hides:
-            i, j = self.query_at[rows, None], self.key_at[keys]
-            hidden = self.hidden_keys[keys] | (j < i - self.g.w) | (j > i + self.g.w)
-            if hidden.any():
-                np.copyto(scores, -np.inf, where=hidden)
+            hidden, edge = self.band[:rows.stop - rows.start], self.hidden_keys[keys]
+            if edge.any():
+                hidden = hidden | edge
+            np.copyto(scores, -np.inf, where=hidden)
         return scores
 
 
@@ -201,8 +216,11 @@ def attend(qh, kh, vh, pad, spec: AttentionSpec, counter: OpCounter | None = Non
     hidden keys (outside the sequence, padded, or beyond w) at -inf when any
     can be, shifted_exp in place, then one matmul with V_window and a column
     of ones for the unnormalized context and the row sums; the context rows,
-    not the tile, are divided by those sums. stats, a SoftmaxStats, keeps the
-    row max, row sum and ctx, from which attend_backward rebuilds each tile.
+    not the tile, are divided by those sums. The shift is the one used: 0 in
+    a block where |scaled q_i| * max_j |k_j| is at most _NO_SHIFT_BOUND for
+    every row and head, which skips the row max and the subtraction, and
+    each row's max elsewhere. stats, a SoftmaxStats, keeps the shift, row
+    sum and ctx, from which attend_backward rebuilds each tile.
 
     counter receives the number of visible query-key pairs, summed over heads
     (n^2 per head in global mode); local tiles also evaluate up to
@@ -215,10 +233,14 @@ def attend(qh, kh, vh, pad, spec: AttentionSpec, counter: OpCounter | None = Non
     tiles = _Tiles(qh, kh, pad, spec, buffers=1)
     if counter is not None:
         counter.add(heads * _band_pairs(n, tiles.g.w))
+    # Cauchy-Schwarz bounds every score of row i in head h by bound[h, i].
+    k_max = np.sqrt(np.einsum("hnd,hnd->hn", kh, kh).max(axis=-1, keepdims=True))
+    bound = np.sqrt(np.einsum("hnd,hnd->hn", tiles.qs, tiles.qs)) * k_max
     for rows, keys in tiles:
         scores = tiles.masked_scores(rows, keys)
-        _, m = shifted_exp(scores, out=scores)
-        row_max[:, rows] = m[..., 0]
+        small = bound[:, rows].max() <= _NO_SHIFT_BOUND
+        _, m = shifted_exp(scores, out=scores, row_max=0.0 if small else None)
+        row_max[:, rows, None] = m
         np.matmul(scores, vp[:, keys], out=ctx_sum[:, rows])
     ctx, total = ctx_sum[..., :head_dim], ctx_sum[..., head_dim:]
     total[total == 0] = 1.0
@@ -230,7 +252,9 @@ def attend_backward(d_ctx, qh, kh, vh, stats: SoftmaxStats, spec: AttentionSpec)
     """Gradients (d_qh, d_kh, d_vh) of attend's ctx, given d_ctx and attend's stats.
 
     The same loop over attend's blocks. Each tile is recomputed: the masked
-    scores go through softmax_rows with attend's row max and row sum. Then
+    scores go through softmax_rows with attend's shift and row sum, which
+    subtracts nothing in a block whose shift is all zero, as attend did, so
+    the tile matches attend's bit for bit. Then
     d_probs = d_ctx @ V_windowᵀ becomes d_scores = tile * (d_probs - D) in
     place, with D = rowsum(d_ctx * ctx) taken once on [heads, n, head_dim];
     d_q = d_scores @ K_window, and d_k, d_v are tileᵀ @ {scaled q, d_ctx}

@@ -1,8 +1,9 @@
 """Dense numeric kernels shared by the encoder, attention, and classifier code.
 
 softmax_rows is the one softmax. attention.attend runs only its first step,
-shifted_exp, and divides the context rows instead of the probabilities;
-attention.attend_backward replays the whole softmax from the row max and row
+shifted_exp, with no shift where a norm bound proves the scores small, and
+divides the context rows instead of the probabilities;
+attention.attend_backward replays the whole softmax from the shift and row
 sum attend kept.
 layer_norm is the one layer norm, and it returns the cache the backward pass reads.
 
@@ -66,18 +67,23 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def shifted_exp(a: np.ndarray, out=None, row_max=None):
     """exp(a - row_max) over the last axis, the first step of softmax_rows.
 
-    row_max defaults to each row's max, taken as 0 where a row has nothing
-    finite, so a -inf entry comes out 0 and large scores cannot overflow. All
-    work happens in one buffer of a's shape: out when given, which may be a
-    itself, else a new array. Returns (exp, row_max), row_max with the last
+    row_max is the shift: any value that keeps exp in range gives the same
+    softmax. It defaults to each row's max, taken as 0 where a row has nothing
+    finite, so a -inf entry comes out 0 and large scores cannot overflow. A
+    caller that knows its scores are small passes row_max=0.0, the no-shift
+    form. A shift that is zero in every row is not subtracted, which changes
+    no bit, since x - 0 == x for every float. All work happens in one buffer
+    of a's shape: out when given, which may be a itself, else a new array.
+    Returns (exp, row_max), row_max as given or, when computed, with the last
     axis kept at length 1.
     """
     a = np.asarray(a)
     if row_max is None:
         row_max = a.max(axis=-1, keepdims=True)
         row_max[~np.isfinite(row_max)] = 0.0
-    out = np.subtract(a, row_max, out=out)
-    np.exp(out, out=out)
+    if np.any(row_max):
+        a = out = np.subtract(a, row_max, out=out)
+    out = np.exp(a, out=out)
     return out, row_max
 
 
@@ -119,10 +125,12 @@ def layer_norm(
     if eps <= 0:
         raise ShapeError("layer_norm eps must be positive")
     a = np.asarray(a)
-    mean = a.mean(axis=-1, keepdims=True)
-    var = a.var(axis=-1, keepdims=True)
+    # One mean and one centred copy, squared for the variance and then scaled
+    # in place: the same sums and divisions as a.var, so the same bits.
+    xhat = a - a.mean(axis=-1, keepdims=True)
+    var = np.square(xhat).mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (a - mean) * inv_std
+    xhat *= inv_std
     return xhat * gain + bias, (xhat, inv_std)
 
 

@@ -1,7 +1,9 @@
 """Attention kernels: global/local equivalence, locality, and cost counting."""
 
+import hashlib
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -473,6 +475,143 @@ class TestRecompute:
             for key, value in layer.items():
                 size = sum(a.size for a in arrays_in(value))
                 assert size < bound, (i, key, size / bound)
+
+
+class TestNoShift:
+    """A block whose rows all have |scaled q_i| * max_j |k_j| <= _NO_SHIFT_BOUND
+    exponentiates its scores unshifted and keeps a shift of 0; every other
+    block subtracts each row's max, as the kernel did before the bound."""
+
+    @staticmethod
+    def inputs(n, dtype, scale, seed=20):
+        """Normal q/k/v/d_ctx of 2 heads of width 4, q and k times scale. At
+        scale 0.25 every bound is below 1; at scale 4 above 8 in every row."""
+        rng = np.random.default_rng(seed)
+        qh, kh, vh, d_ctx = (rng.normal(size=(2, n, 4)).astype(dtype) for _ in range(4))
+        return qh * dtype(scale), kh * dtype(scale), vh, d_ctx
+
+    @staticmethod
+    def walk_spec(spec, n):
+        return spec if spec.mode == LOCAL else AttentionSpec(LOCAL, 2, 4, 2 * n)
+
+    @classmethod
+    def assert_matches_oracles(cls, qh, kh, vh, d_ctx, pad, spec):
+        """ctx against the float64 double loop, and ctx and the gradients
+        against the diagonal walk, within tolerances of the dtype. Returns stats."""
+        n, dtype = qh.shape[1], qh.dtype
+        walk = cls.walk_spec(spec, n)
+        ctx, stats = attend(qh, kh, vh, pad, spec)
+        got = (ctx,) + attend_backward(d_ctx, qh, kh, vh, stats, spec)
+        ref_ctx, ref_probs = diagonal_attend(qh, kh, vh, pad, walk)
+        ref = (ref_ctx,) + diagonal_attend_backward(d_ctx, qh, kh, vh, ref_probs, walk)
+        # Scores of size s carry a rounding of about s * eps, which exp turns
+        # into a relative error of the same size in the probabilities.
+        scores = np.abs(np.einsum("hid,hjd->hij", qh, kh, dtype=np.float64)).max() / 2
+        tol = 64 * np.finfo(dtype).eps * max(1.0, scores)
+        for name, a, b in zip(("ctx", "d_q", "d_k", "d_v"), got, ref):
+            assert a.dtype == dtype, name
+            np.testing.assert_allclose(a, b, rtol=tol, atol=tol * max(1.0, np.abs(b).max()),
+                                       err_msg=name)
+        visible = visibility_mask(n, pad, spec.mode, walk.window_k)
+        for h in range(qh.shape[0]):
+            oracle = doubleloop_attention(qh[h], kh[h], vh[h], pad, visible=visible)
+            np.testing.assert_allclose(ctx[h][~pad], oracle[~pad], rtol=tol, atol=tol)
+        return stats
+
+    @pytest.mark.parametrize("scale", [0.25, 4.0], ids=["bounded", "exact"])
+    @pytest.mark.parametrize("mode,window_k", [("global", None), ("local", 16)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("padded", [False, True], ids=["no-pad", "pad"])
+    def test_both_paths_match_oracles(self, scale, mode, window_k, dtype, padded):
+        # n = 100: one global block, four local blocks of 25 rows.
+        n, spec = 100, AttentionSpec(mode, 2, 4, window_k)
+        qh, kh, vh, d_ctx = self.inputs(n, dtype, scale)
+        pad = interior_and_trailing_pads(n) if padded else np.zeros(n, dtype=bool)
+        stats = self.assert_matches_oracles(qh, kh, vh, d_ctx, pad, spec)
+        sees_a_key = visibility_mask(n, pad, mode, window_k).any(axis=1)
+        if scale < 1:
+            assert (stats.row_max == 0).all()
+        else:
+            assert (stats.row_max[:, sees_a_key] != 0).all()
+
+    @pytest.mark.parametrize("mode,window_k,n,block", [
+        ("global", None, 300, slice(150, 300)),   # two blocks of 150 rows
+        ("local", 16, 100, slice(25, 50)),        # four blocks of 25 rows
+    ])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_call_mixes_both_paths(self, mode, window_k, n, block, dtype):
+        # Large-norm query rows in one block only: that block subtracts its
+        # exact row max, and every other block keeps a shift of exactly 0.
+        spec = AttentionSpec(mode, 2, 4, window_k)
+        qh, kh, vh, d_ctx = self.inputs(n, dtype, 0.5)
+        qh[:, block] *= 40
+        pad = interior_and_trailing_pads(n)
+        stats = self.assert_matches_oracles(qh, kh, vh, d_ctx, pad, spec)
+        rest = np.ones(n, dtype=bool)
+        rest[block] = False
+        assert (stats.row_max[:, rest] == 0).all()
+        visible = visibility_mask(n, pad, mode, window_k)
+        scores = np.where(visible, np.einsum("hid,hjd->hij", qh, kh, dtype=np.float64) / 2, -np.inf)
+        np.testing.assert_allclose(stats.row_max[:, block], scores[:, block].max(axis=-1),
+                                   rtol=1e-5)
+
+    # sha256 (first 16 hex digits) of ctx, d_q, d_k and d_v from the kernel as
+    # it was before the norm bound, for the inputs of this test, on x86-64 with
+    # numpy 2.4 and OpenBLAS 0.3.31; another BLAS build may round differently.
+    RECORDED = {
+        ("global", "float32", False): "77e919f90d049884",
+        ("global", "float32", True): "48f9dc66d42f340d",
+        ("global", "float64", False): "df4268f78b83ddf9",
+        ("global", "float64", True): "f74752327b5748cc",
+        ("local", "float32", False): "b2e91ed0193260c9",
+        ("local", "float32", True): "43c3ce2260b2c806",
+        ("local", "float64", False): "7d360bfad0e64969",
+        ("local", "float64", True): "634f6c62372f2651",
+    }
+
+    @pytest.mark.parametrize("mode,window_k,n", [("global", None, 300), ("local", 16, 100)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("padded", [False, True], ids=["no-pad", "pad"])
+    def test_exact_path_keeps_recorded_bits(self, mode, window_k, n, dtype, padded):
+        spec = AttentionSpec(mode, 2, 4, window_k)
+        qh, kh, vh, d_ctx = self.inputs(n, dtype, 4.0)
+        pad = interior_and_trailing_pads(n) if padded else np.zeros(n, dtype=bool)
+        ctx, stats = attend(qh, kh, vh, pad, spec)
+        grads = attend_backward(d_ctx, qh, kh, vh, stats, spec)
+        assert (stats.row_max[:, visibility_mask(n, pad, mode, window_k).any(axis=1)] != 0).all()
+        digest = hashlib.sha256(b"".join(a.tobytes() for a in (ctx,) + grads)).hexdigest()
+        assert digest[:16] == self.RECORDED[mode, np.dtype(dtype).name, padded]
+
+    @pytest.mark.parametrize("mode,window_k", [("global", None), ("local", 16)])
+    def test_large_scores_stay_finite(self, mode, window_k):
+        # Scores up to about 80 in float32, where e^80 alone is 5.5e34: the
+        # exact path shifts them, so nothing overflows and nothing warns.
+        n, spec = 100, AttentionSpec(mode, 2, 4, window_k)
+        qh, kh, vh, d_ctx = self.inputs(n, np.float32, 1.0)
+        scores = np.abs(np.einsum("hid,hjd->hij", qh, kh, dtype=np.float64)).max() / 2
+        factor = np.float32(math.sqrt(80 / scores))
+        qh, kh = qh * factor, kh * factor
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ctx, stats = attend(qh, kh, vh, np.zeros(n, dtype=bool), spec)
+            grads = attend_backward(d_ctx, qh, kh, vh, stats, spec)
+        assert (stats.row_max != 0).all() and np.abs(stats.row_max).max() > 70
+        for a in (ctx,) + grads:
+            assert np.isfinite(a).all()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 300), window_k=st.sampled_from([None, 2, 8, 64]),
+           q_exp=st.floats(-3, 2), k_exp=st.floats(-3, 2),
+           pad_frac=st.sampled_from([0.0, 0.1, 0.5]), seed=st.integers(0, 2**32 - 1))
+    def test_property_against_oracles(self, n, window_k, q_exp, k_exp, pad_frac, seed):
+        # q and k scale factors from 1e-3 to 1e2 put blocks on both sides of
+        # the bound; n crosses the 32-row local and 256-row global blocks.
+        rng = np.random.default_rng(seed)
+        qh, kh, vh, d_ctx = (rng.normal(size=(2, n, 4)) for _ in range(4))
+        qh, kh = qh * 10.0 ** q_exp, kh * 10.0 ** k_exp
+        pad = rng.random(n) < pad_frac
+        spec = AttentionSpec(LOCAL if window_k else GLOBAL, 2, 4, window_k)
+        self.assert_matches_oracles(qh, kh, vh, d_ctx, pad, spec)
 
 
 def traced_peak(fn, *args) -> int:

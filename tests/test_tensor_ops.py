@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import erf
 
 from eslong.errors import ShapeError
-from eslong.tensor_ops import _CDF_CHUNK, gelu, gelu_grad, layer_norm, matmul, softmax_rows
+from eslong.tensor_ops import (
+    _CDF_CHUNK, gelu, gelu_grad, layer_norm, matmul, shifted_exp, softmax_rows,
+)
 
 
 def naive_matmul(a, b):
@@ -91,6 +93,20 @@ class TestSoftmaxRows:
         np.testing.assert_array_equal(scores, probs)
         np.testing.assert_array_equal(probs[1, 2], 0.0)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_zero_shift_is_plain_exp(self, dtype):
+        # row_max=0.0, or a row_max of zeros, subtracts nothing: x - 0 == x.
+        a = np.random.default_rng(5).normal(scale=3.0, size=(2, 4, 9)).astype(dtype)
+        a[0, 1, 3:] = -np.inf
+        out, m = shifted_exp(a, row_max=0.0)
+        assert m == 0.0 and out.dtype == dtype
+        np.testing.assert_array_equal(out, np.exp(a))
+        zeros = np.zeros((2, 4, 1), dtype=dtype)
+        scores = a.copy()
+        assert shifted_exp(scores, out=scores, row_max=zeros)[0] is scores
+        np.testing.assert_array_equal(scores, np.exp(a))
+        np.testing.assert_array_equal(shifted_exp(a, row_max=zeros)[0], np.exp(a - zeros))
+
 
 class TestLayerNorm:
     def test_constant_row_zeroed(self):
@@ -124,6 +140,21 @@ class TestLayerNorm:
         np.testing.assert_allclose(
             layer_norm(a, gain, bias)[0], layer_norm(a + 7.5, gain, bias)[0], atol=1e-5
         )
+
+    @pytest.mark.parametrize("n", [1, 7, 350, 2048])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_same_bits_as_mean_and_var(self, n, dtype):
+        # The centred copy gives the same sums and divisions as a.var.
+        rng = np.random.default_rng(n)
+        a = rng.normal(loc=3.0, scale=2.0, size=(n, 320)).astype(dtype)
+        gain, bias = (rng.normal(size=320).astype(dtype) for _ in range(2))
+        mean, var = a.mean(axis=-1, keepdims=True), a.var(axis=-1, keepdims=True)
+        inv_std = 1.0 / np.sqrt(var + 1e-5)
+        xhat = (a - mean) * inv_std
+        y, (got_xhat, got_inv_std) = layer_norm(a, gain, bias)
+        for got, want in ((y, xhat * gain + bias), (got_xhat, xhat), (got_inv_std, inv_std)):
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got, want)
 
     def test_bad_eps(self):
         with pytest.raises(ShapeError):

@@ -105,10 +105,9 @@ def bce_loss_and_grads(params, x, y):
     """Mean logit-space binary cross-entropy over batch x terms, with gradients."""
     z2, (z1, h, cdf) = head_logits(params, x, want_cache=True)
     count = z2.size
-    loss = float(
-        (np.maximum(z2, 0.0) - z2 * y + np.log1p(np.exp(-np.abs(z2)))).sum() / count
-    )
-    d_z2 = (_sigmoid(z2) - y) / count
+    e = np.exp(-np.abs(z2))  # one exp serves the loss and the sigmoid
+    loss = float((np.maximum(z2, 0.0) - z2 * y + np.log1p(e)).sum() / count)
+    d_z2 = (_sigmoid(z2, e) - y) / count
     grads = {
         "W2": h.T @ d_z2,
         "b2": d_z2.sum(axis=0),
@@ -120,13 +119,12 @@ def bce_loss_and_grads(params, x, y):
     return loss, grads
 
 
-def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+def _sigmoid(z, e=None):
+    """1 / (1 + exp(-z)) where z >= 0 and exp(z) / (1 + exp(z)) elsewhere, so no
+    exp overflows; e, when given, is exp(-|z|), the one exp both forms take."""
+    if e is None:
+        e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1, e) / (1 + e)
 
 
 def _check_annotated(embeddings, truth: Annotations) -> None:
@@ -205,11 +203,8 @@ def train_head(train_embeddings, truth, cfg: HeadConfig, val_embeddings, metrics
             if log_fh:
                 log_fh.write(json.dumps(record) + "\n")
             if val_result.fmax > best["fmax"]:
-                best = {
-                    "fmax": val_result.fmax,
-                    "epoch": epoch,
-                    "params": {k: v.copy() for k, v in head.params.items()},
-                }
+                # adamw_step never writes an array it returned: no copy needed.
+                best = {"fmax": val_result.fmax, "epoch": epoch, "params": head.params}
     finally:
         if log_fh:
             log_fh.close()

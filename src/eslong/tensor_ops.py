@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import ShapeError
 
@@ -139,6 +138,8 @@ def _normal_cdf(a: np.ndarray) -> np.ndarray:
     erf on every other dtype."""
     a = np.asarray(a)
     if a.dtype != np.float32:
+        from scipy.special import erf  # deferred: scipy is most of a CLI start's import time
+
         return 0.5 * (1.0 + erf(a * _INV_SQRT2))
     src = np.ascontiguousarray(a).reshape(-1)
     out = np.empty(a.shape, dtype=np.float32)

@@ -274,29 +274,67 @@ def mlm_loss(model: EncoderModel, masked_batch, labels):
 
 
 def init_adam_state(params: dict[str, np.ndarray]) -> dict:
+    """Zero moments, C-ordered so adamw_step can update them in place."""
     return {
         "t": 0,
-        "m": {k: np.zeros_like(v) for k, v in params.items()},
-        "v": {k: np.zeros_like(v) for k, v in params.items()},
+        "m": {k: np.zeros(v.shape, v.dtype) for k, v in params.items()},
+        "v": {k: np.zeros(v.shape, v.dtype) for k, v in params.items()},
     }
 
 
+# Elements per pass: 32K float32 (128 KB) keeps each operand of a pass in L2.
+_ADAM_CHUNK = 1 << 15
+
+
 def adamw_step(params, grads, state, cfg: TrainConfig):
-    """Decoupled-decay Adam update with bias correction; returns new params/state."""
+    """Decoupled-decay Adam update with bias correction; returns (new params, state).
+
+    The moments in state (from init_adam_state) are updated in place, and
+    state itself is returned. params and grads are only read, so an array
+    this function returned is never written afterwards. Each tensor runs one
+    pass over chunks of _ADAM_CHUNK elements, with the float ops of
+    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2,
+    p' = p (1 - lr wd) - lr (m / bc1) / (sqrt(v / bc2) + eps) in that order,
+    so the bits are those of the same expressions on whole tensors. The new
+    parameter array is the one allocation per tensor.
+    """
     t = state["t"] + 1
     lr = cfg.learning_rate
-    bc1 = 1.0 - cfg.beta1 ** t
-    bc2 = 1.0 - cfg.beta2 ** t
-    new_params, new_m, new_v = {}, {}, {}
+    b1, b2 = cfg.beta1, cfg.beta2
+    bc1 = 1.0 - b1 ** t
+    bc2 = 1.0 - b2 ** t
+    decay = 1.0 - lr * cfg.weight_decay
+    size = min(_ADAM_CHUNK, max((p.size for p in params.values()), default=0))
+    buffers = {}  # two chunk buffers per dtype
+    new_params = {}
     for key, p in params.items():
-        g = grads[key]
-        m = cfg.beta1 * state["m"][key] + (1.0 - cfg.beta1) * g
-        v = cfg.beta2 * state["v"][key] + (1.0 - cfg.beta2) * (g * g)
-        update = (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
-        new_params[key] = p * (1.0 - lr * cfg.weight_decay) - lr * update
-        new_m[key] = m
-        new_v[key] = v
-    return new_params, {"t": t, "m": new_m, "v": new_v}
+        m, v = state["m"][key], state["v"][key]
+        out = np.empty(p.shape, p.dtype)
+        new_params[key] = out
+        if p.dtype not in buffers:
+            buffers[p.dtype] = (np.empty(size, p.dtype), np.empty(size, p.dtype))
+        a_buf, b_buf = buffers[p.dtype]
+        flat = (p.reshape(-1), grads[key].reshape(-1), m.reshape(-1), v.reshape(-1),
+                out.reshape(-1))
+        for lo in range(0, p.size, _ADAM_CHUNK):
+            pc, gc, mc, vc, oc = (f[lo: lo + _ADAM_CHUNK] for f in flat)
+            a, b = a_buf[: pc.size], b_buf[: pc.size]
+            mc *= b1
+            mc += np.multiply(gc, 1.0 - b1, out=a)
+            np.multiply(gc, gc, out=a)
+            a *= 1.0 - b2
+            vc *= b2
+            vc += a
+            np.divide(vc, bc2, out=a)
+            np.sqrt(a, out=a)
+            a += cfg.eps
+            np.divide(mc, bc1, out=b)
+            b /= a
+            b *= lr
+            np.multiply(pc, decay, out=oc)
+            oc -= b
+    state["t"] = t
+    return new_params, state
 
 
 def pretrain(model: EncoderModel, corpus, cfg: TrainConfig, run_log=None):
@@ -341,6 +379,8 @@ def pretrain(model: EncoderModel, corpus, cfg: TrainConfig, run_log=None):
                 loss, grads = mlm_loss(trained, masked, labels)
                 new_params, state = adamw_step(get_trainable(trained), grads, state, cfg)
                 trained = with_trainable(trained, new_params)
+                # The next step's forward and backward run without these.
+                del grads, new_params
                 loss_weighted += loss * n_labels
                 label_count += n_labels
             mean_loss = loss_weighted / max(label_count, 1)

@@ -300,6 +300,16 @@ class TestInputProbes:
         lines = done.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
+    def test_cli_import_leaves_scipy_unloaded(self):
+        """scipy is imported only by the float64 GELU path, so a CLI start does
+        not pay for it. Run in a subprocess: the test run itself imports scipy."""
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(eslong.__file__)))
+        probe = "import sys, eslong.cli; print(sorted(m for m in sys.modules if 'scipy' in m))"
+        done = subprocess.run([sys.executable, "-c", probe],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
     @pytest.mark.parametrize("edit", [
         lambda tensors, config: config["model"].pop("ffn_dim"),
         lambda tensors, config: tensors.update(

@@ -8,6 +8,9 @@ from eslong.evaluation import fmax
 from eslong.head import (
     ClassifierHead,
     HeadConfig,
+    _sigmoid,
+    bce_loss_and_grads,
+    head_logits,
     init_head,
     load_head,
     predict,
@@ -15,6 +18,7 @@ from eslong.head import (
     train_head,
 )
 from eslong.pipeline import EmbeddingRecord
+from eslong.tensor_ops import gelu_grad
 
 
 def separable_task(rng, n_train=60, n_val=30, dim=8):
@@ -180,6 +184,64 @@ class TestPredict:
         head = init_head(cfg, ["a", "b"])
         with pytest.raises(DataError):
             predict(head, [EmbeddingRecord("P", np.ones(5, dtype=np.float32), 1)])
+
+
+def mask_sigmoid(z):
+    """The boolean-mask sigmoid _sigmoid replaced: each sign gathered, exp'd
+    and scattered apart."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def bce_oracle(params, x, y):
+    """bce_loss_and_grads as it was before it shared one exp between the loss
+    and the sigmoid."""
+    z2, (z1, h, cdf) = head_logits(params, x, want_cache=True)
+    count = z2.size
+    loss = float(
+        (np.maximum(z2, 0.0) - z2 * y + np.log1p(np.exp(-np.abs(z2)))).sum() / count
+    )
+    d_z2 = (mask_sigmoid(z2) - y) / count
+    grads = {"W2": h.T @ d_z2, "b2": d_z2.sum(axis=0)}
+    d_z1 = (d_z2 @ params["W2"].T) * gelu_grad(z1, cdf)
+    grads["W1"] = x.T @ d_z1
+    grads["b1"] = d_z1.sum(axis=0)
+    return loss, grads
+
+
+class TestLogitSpace:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_bitwise_equal_to_mask_form(self, dtype):
+        edges = [0.0, -0.0, 1e-3, -1e-3, 20.0, -20.0, 100.0, -100.0, 1e4, -1e4]
+        rng = np.random.default_rng(11)
+        z = np.concatenate([edges, rng.normal(0, 8, 500)]).astype(dtype)
+        assert _sigmoid(z).tobytes() == mask_sigmoid(z).tobytes()
+        e = np.exp(-np.abs(z))
+        assert _sigmoid(z, e).tobytes() == mask_sigmoid(z).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_of_nan_is_nan(self, dtype):
+        """A NaN logit stays NaN (predict rejects it). Float64 exp keeps the
+        sign of -|NaN|, so only NaN-ness is compared, not the sign bit."""
+        z = np.array([np.nan, -np.nan, 1.0], dtype=dtype)
+        np.testing.assert_array_equal(_sigmoid(z), mask_sigmoid(z))
+
+    def test_loss_and_grads_bitwise_equal_to_two_exp_form(self):
+        cfg = HeadConfig(input_dim=24, num_terms=40, hidden_dim=16, epochs=1)
+        params = init_head(cfg, [f"t{i}" for i in range(40)], seed=12).params
+        params["W2"] = params["W2"] * 400.0  # logits out to about +-25
+        rng = np.random.default_rng(13)
+        x = rng.normal(0, 3, (32, 24)).astype(np.float32)
+        y = (rng.random((32, 40)) < 0.3).astype(np.float32)
+        loss, grads = bce_loss_and_grads(params, x, y)
+        want_loss, want_grads = bce_oracle(params, x, y)
+        assert loss == want_loss
+        for key, want in want_grads.items():
+            assert grads[key].dtype == want.dtype and grads[key].tobytes() == want.tobytes()
 
 
 class TestHeadCheckpoint:

@@ -12,6 +12,7 @@ from eslong.encoder import DEFAULT_VOCAB, build_model, forward, preset_config, t
 from eslong.errors import ConfigError, ContractError, LengthError
 from eslong.quant import QuantizedTensor, quantize_model
 from eslong.training import (
+    _ADAM_CHUNK,
     LoraAdapter,
     TrainConfig,
     adamw_step,
@@ -124,7 +125,70 @@ class TestMlmLoss:
             mlm_loss(toy_model, [toks], [[]])
 
 
+def adamw_oracle(params, grads, state, cfg):
+    """The whole-tensor AdamW step adamw_step replaced: new params and new
+    moments from fresh arrays, the inputs untouched."""
+    t = state["t"] + 1
+    lr = cfg.learning_rate
+    bc1 = 1.0 - cfg.beta1 ** t
+    bc2 = 1.0 - cfg.beta2 ** t
+    new_params, new_m, new_v = {}, {}, {}
+    for key, p in params.items():
+        g = grads[key]
+        m = cfg.beta1 * state["m"][key] + (1.0 - cfg.beta1) * g
+        v = cfg.beta2 * state["v"][key] + (1.0 - cfg.beta2) * (g * g)
+        update = (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+        new_params[key] = p * (1.0 - lr * cfg.weight_decay) - lr * update
+        new_m[key] = m
+        new_v[key] = v
+    return new_params, {"t": t, "m": new_m, "v": new_v}
+
+
+ADAM_SHAPES = {"one": (1,), "below": (_ADAM_CHUNK - 1,), "chunk": (_ADAM_CHUNK,),
+               "above": (_ADAM_CHUNK + 1,), "matrix": (3, _ADAM_CHUNK // 2 + 7)}
+
+
 class TestAdamW:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_bitwise_equal_to_whole_tensor_oracle(self, dtype, weight_decay):
+        cfg = TrainConfig(learning_rate=1e-3, weight_decay=weight_decay)
+        rng = np.random.default_rng(5)
+        params = {k: rng.normal(0, 0.5, s).astype(dtype) for k, s in ADAM_SHAPES.items()}
+        state = init_adam_state(params)
+        expected, oracle_state = dict(params), init_adam_state(params)
+        for step in range(3):
+            # magnitudes over many decades, and exact zeros
+            grads = {k: (rng.normal(0, 1, s) * 10.0 ** rng.integers(-8, 3, s)
+                         * (rng.random(s) < 0.9)).astype(dtype)
+                     for k, s in ADAM_SHAPES.items()}
+            params, state = adamw_step(params, grads, state, cfg)
+            expected, oracle_state = adamw_oracle(expected, grads, oracle_state, cfg)
+            assert state["t"] == oracle_state["t"] == step + 1
+            for key in ADAM_SHAPES:
+                for got, want in ((params[key], expected[key]),
+                                  (state["m"][key], oracle_state["m"][key]),
+                                  (state["v"][key], oracle_state["v"][key])):
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert got.tobytes() == want.tobytes(), key
+
+    def test_inputs_read_only_and_moments_in_place(self):
+        cfg = TrainConfig(learning_rate=1e-2, weight_decay=0.1)
+        rng = np.random.default_rng(6)
+        params = {k: rng.normal(0, 1, s).astype(np.float32) for k, s in ADAM_SHAPES.items()}
+        grads = {k: rng.normal(0, 1, s).astype(np.float32) for k, s in ADAM_SHAPES.items()}
+        before = {k: (params[k].copy(), grads[k].copy()) for k in params}
+        state = init_adam_state(params)
+        m_arrays, v_arrays = dict(state["m"]), dict(state["v"])
+        new, returned = adamw_step(params, grads, state, cfg)
+        assert returned is state and state["t"] == 1
+        for key, (p, g) in before.items():
+            np.testing.assert_array_equal(params[key], p)
+            np.testing.assert_array_equal(grads[key], g)
+            assert state["m"][key] is m_arrays[key] and state["v"][key] is v_arrays[key]
+            assert np.any(state["m"][key]) and np.any(state["v"][key])
+            assert not np.shares_memory(new[key], params[key])
+
     def test_zero_grad_no_decay_is_identity(self):
         cfg = TrainConfig(learning_rate=0.1, weight_decay=0.0)
         params = {"w": np.array([1.0, -2.0, 3.0], dtype=np.float32)}

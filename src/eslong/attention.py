@@ -5,15 +5,17 @@ the keys it can see: in local mode its own rows plus window_k / 2 keys on each
 side, in global mode all n keys, so local cost is O(n * window_k). The loop
 follows FlashAttention-2: q is scaled once, a tile is exponentiated but never
 normalized (the context rows are divided instead), and no tile outlives its
-block. The shift subtracted before exp only keeps exp in range, so a block
-whose scores a Cauchy-Schwarz bound, |q . k| <= |q| * max |k|, proves small
-takes no shift; every other block subtracts its exact row max. attend keeps
-each row's shift and sum and ctx; attend_backward rebuilds every tile from
-them and takes the softmax gradient's row term as rowsum(d_ctx * ctx). A
-global attend at n keys holds one block's [heads, 256, n] tile, not
-heads * n^2 floats. An OpCounter threaded through
-attend receives the number of visible query-key pairs, which is how the
-linear-versus-quadratic cost claims are checked.
+block. The shift subtracted before exp only keeps exp in range, so a head
+whose scores in a block a Cauchy-Schwarz bound, |q . k| <= |q| * max |k|,
+proves small takes no shift there; every other head subtracts its exact row
+max. Every step is taken per head, so attend may split the heads over a
+LayerPool's threads and compute the same bits. attend keeps each row's
+shift and sum and ctx; attend_backward rebuilds every tile from them and
+takes the softmax gradient's row term as rowsum(d_ctx * ctx). A global
+attend at n keys holds one block's [heads, 256, n] tile, not heads * n^2
+floats. An OpCounter threaded through attend receives the number of visible
+query-key pairs, which is how the linear-versus-quadratic cost claims are
+checked.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, ContractError, ShapeError
-from .tensor_ops import shifted_exp, softmax_rows
+from .parallel import INLINE, LayerPool
+from .tensor_ops import row_shift, shifted_exp, softmax_rows
 
 GLOBAL = "global"
 LOCAL = "local"
@@ -128,17 +131,24 @@ def _geometry(n: int, spec: AttentionSpec) -> _Geometry:
     return _Geometry(rows, n, 0, 0, n - 1, n)
 
 
-def _padded(x, g: _Geometry, ones: bool = False):
-    """x [heads, n, m] at rows g.lead : g.lead + n of zeros [heads, g.length, m],
-    with a last column of ones when ones is set; x itself when that adds nothing."""
+def _pad_buffer(x, g: _Geometry, ones: bool = False):
+    """Zeros [heads, g.length, m] for x [heads, n, m] padded, with one more
+    column when ones is set; x itself when padding adds nothing."""
     heads, n, m = x.shape
     if g.length == n and not ones:
         return x
-    out = np.zeros((heads, g.length, m + ones), dtype=x.dtype)
-    out[:, g.lead:g.lead + n, :m] = x
-    if ones:
-        out[..., m] = 1.0
-    return out
+    return np.zeros((heads, g.length, m + ones), dtype=x.dtype)
+
+
+def _pad_into(out, x, g: _Geometry, heads: slice) -> None:
+    """x's heads at rows g.lead : g.lead + n of out (a _pad_buffer of x), and
+    ones in the extra last column when out has one."""
+    if out is x:
+        return
+    n, m = x.shape[1:]
+    out[heads, g.lead:g.lead + n, :m] = x[heads]
+    if out.shape[2] > m:
+        out[heads, :, m] = 1.0
 
 
 def _band_pairs(n: int, w: int) -> int:
@@ -147,9 +157,9 @@ def _band_pairs(n: int, w: int) -> int:
 
 
 class SoftmaxStats(NamedTuple):
-    """What attend keeps for attend_backward: each row's shift (0 in a block
-    the norm bound proved small, else the row's max) and sum of exponentials
-    ([heads, n]), the pad mask and attend's ctx."""
+    """What attend keeps for attend_backward: each row's shift (0 where the
+    norm bound proved the head's block small, else the row's max) and sum of
+    exponentials ([heads, n]), the pad mask and attend's ctx."""
 
     row_max: np.ndarray
     row_sum: np.ndarray
@@ -158,17 +168,20 @@ class SoftmaxStats(NamedTuple):
 
 
 class _Tiles:
-    """The query blocks of _geometry over one input, the keys each block sees
-    and `buffers` reused tile buffers (0 holds the scores). attend and
+    """The query blocks of _geometry over one input, the scaled queries and
+    padded keys load fills in, head by head, and `buffers` tile buffers (0
+    holds the scores), made by allocate and reused by every block. attend and
     attend_backward both build tiles here, so they compute the same bits."""
 
     def __init__(self, qh, kh, pad, spec: AttentionSpec, buffers: int):
         heads, n, head_dim = qh.shape
         g = _geometry(n, spec)
         self.g, self.n = g, n
-        # q is scaled once, on [heads, n, head_dim], not every tile.
+        # q is scaled once, on [heads, n, head_dim], not every tile; load
+        # fills qs and kp.
         self.scale = 1.0 / math.sqrt(head_dim)
-        self.qs, self.kp = qh * self.scale, _padded(kh, g)
+        self.qh, self.kh = qh, kh
+        self.qs, self.kp = np.empty(qh.shape, qh.dtype), _pad_buffer(kh, g)
         # Global mode without pad hides no key, so it builds no mask.
         self.hides = g.length != n or g.w != n - 1 or bool(pad.any())
         self.hidden_keys = np.pad(pad, (g.lead, g.length - g.lead - n), constant_values=True)
@@ -177,29 +190,42 @@ class _Tiles:
         i, j = np.arange(g.rows)[:, None], np.arange(g.keys) - g.lead
         self.band = (j < i - g.w) | (j > i + g.w)
         self.buffers = buffers
+        self.work = None
 
-    def tile(self, buffer: int, rows: slice):
-        """Buffer `buffer` as a [heads, len(rows), keys] array. It is a prefix of
-        the buffer, so a shorter last block is contiguous too and runs the same
-        kernels, which keeps the recomputed tiles bit-identical."""
-        heads, size = self.qs.shape[0], rows.stop - rows.start
-        return self.work[buffer, :heads * size * self.g.keys].reshape(heads, size, self.g.keys)
+    def load(self, heads: slice) -> None:
+        """The heads' scaled queries into qs and padded keys into kp."""
+        np.multiply(self.qh[heads], self.scale, out=self.qs[heads])
+        _pad_into(self.kp, self.kh, self.g, heads)
 
-    def __iter__(self):
+    def allocate(self) -> None:
+        """One allocation for all tile buffers, made after every [heads, n, *]
+        array: freed above what outlives the call, it is the one block malloc
+        keeps for the next call, not a hole that raises peak RSS."""
+        heads, g = self.qs.shape[0], self.g
+        self.work = np.empty((self.buffers, heads * g.rows * g.keys), self.qs.dtype)
+
+    def tile(self, buffer: int, rows: slice, heads: slice):
+        """The heads' share of buffer `buffer` as a [heads, len(rows), keys]
+        array. It is a prefix of that share, so a shorter last block is
+        contiguous too and runs the same kernels, which keeps the recomputed
+        tiles bit-identical; the heads of concurrent parts share no memory."""
+        g, size = self.g, rows.stop - rows.start
+        lo = heads.start * g.rows * g.keys
+        count = (heads.stop - heads.start) * size * g.keys
+        return self.work[buffer, lo:lo + count].reshape(-1, size, g.keys)
+
+    def blocks(self):
         """(query rows, padded key window) slices of each block, in order."""
         g = self.g
-        # One allocation for all tile buffers, made after every [heads, n, *]
-        # array: freed above what outlives the call, it is the one block
-        # malloc keeps for the next call, not a hole that raises peak RSS.
-        self.work = np.empty((self.buffers, self.qs.shape[0] * g.rows * g.keys), self.qs.dtype)
         for b, r0 in enumerate(range(0, self.n, g.rows)):
             yield slice(r0, min(self.n, r0 + g.rows)), slice(b * g.step, b * g.step + g.keys)
 
-    def masked_scores(self, rows, keys):
-        """The block's scaled scores in the score buffer, with keys hidden
-        from a query (outside the sequence, padded, or beyond w) at -inf."""
-        scores = np.matmul(self.qs[:, rows], self.kp[:, keys].swapaxes(-1, -2),
-                           out=self.tile(0, rows))
+    def masked_scores(self, rows, keys, heads: slice):
+        """The heads' scaled scores of the block in their score buffer, with
+        keys hidden from a query (outside the sequence, padded, or beyond w)
+        at -inf."""
+        scores = np.matmul(self.qs[heads, rows], self.kp[heads, keys].swapaxes(-1, -2),
+                           out=self.tile(0, rows, heads))
         if self.hides:
             hidden, edge = self.band[:rows.stop - rows.start], self.hidden_keys[keys]
             if edge.any():
@@ -208,7 +234,8 @@ class _Tiles:
         return scores
 
 
-def attend(qh, kh, vh, pad, spec: AttentionSpec, counter: OpCounter | None = None):
+def attend(qh, kh, vh, pad, spec: AttentionSpec, counter: OpCounter | None = None,
+           pool: LayerPool = INLINE):
     """Multi-head attention under spec's visibility rule; returns (ctx, stats).
 
     qh/kh/vh are [heads, n, head_dim]; pad marks keys no query may see, and a
@@ -216,11 +243,15 @@ def attend(qh, kh, vh, pad, spec: AttentionSpec, counter: OpCounter | None = Non
     hidden keys (outside the sequence, padded, or beyond w) at -inf when any
     can be, shifted_exp in place, then one matmul with V_window and a column
     of ones for the unnormalized context and the row sums; the context rows,
-    not the tile, are divided by those sums. The shift is the one used: 0 in
-    a block where |scaled q_i| * max_j |k_j| is at most _NO_SHIFT_BOUND for
-    every row and head, which skips the row max and the subtraction, and
+    not the tile, are divided by those sums. The shift is the one used: 0 for
+    a head whose |scaled q_i| * max_j |k_j| is at most _NO_SHIFT_BOUND in
+    every row of the block, which skips the row max and the subtraction, and
     each row's max elsewhere. stats, a SoftmaxStats, keeps the shift, row
     sum and ctx, from which attend_backward rebuilds each tile.
+
+    pool runs the block loop with the heads split into its parts, inline by
+    default. Every step above is taken per head, so the bits do not depend
+    on how the heads are grouped.
 
     counter receives the number of visible query-key pairs, summed over heads
     (n^2 per head in global mode); local tiles also evaluate up to
@@ -229,23 +260,36 @@ def attend(qh, kh, vh, pad, spec: AttentionSpec, counter: OpCounter | None = Non
     heads, n, head_dim = qh.shape
     # Outputs, V, then tiles: other allocation orders raised embed's peak RSS by up to 15 MB.
     ctx_sum, row_max = np.empty((heads, n, head_dim + 1), vh.dtype), np.empty((heads, n), qh.dtype)
-    vp = _padded(vh, _geometry(n, spec), ones=True)
+    vp = _pad_buffer(vh, _geometry(n, spec), ones=True)
     tiles = _Tiles(qh, kh, pad, spec, buffers=1)
     if counter is not None:
         counter.add(heads * _band_pairs(n, tiles.g.w))
-    # Cauchy-Schwarz bounds every score of row i in head h by bound[h, i].
-    k_max = np.sqrt(np.einsum("hnd,hnd->hn", kh, kh).max(axis=-1, keepdims=True))
-    bound = np.sqrt(np.einsum("hnd,hnd->hn", tiles.qs, tiles.qs)) * k_max
-    for rows, keys in tiles:
-        scores = tiles.masked_scores(rows, keys)
-        small = bound[:, rows].max() <= _NO_SHIFT_BOUND
-        _, m = shifted_exp(scores, out=scores, row_max=0.0 if small else None)
-        row_max[:, rows, None] = m
-        np.matmul(scores, vp[:, keys], out=ctx_sum[:, rows])
-    ctx, total = ctx_sum[..., :head_dim], ctx_sum[..., head_dim:]
-    total[total == 0] = 1.0
-    ctx /= total
-    return ctx, SoftmaxStats(row_max, total[..., 0], pad, ctx)
+    tiles.allocate()
+
+    def run_heads(h: slice):
+        tiles.load(h)
+        _pad_into(vp, vh, tiles.g, h)
+        # Cauchy-Schwarz bounds every score of row i in head h by bound[h, i].
+        k_max = np.sqrt(np.einsum("hnd,hnd->hn", kh[h], kh[h]).max(axis=-1, keepdims=True))
+        bound = np.sqrt(np.einsum("hnd,hnd->hn", tiles.qs[h], tiles.qs[h])) * k_max
+        for rows, keys in tiles.blocks():
+            scores = tiles.masked_scores(rows, keys, h)
+            small = bound[:, rows].max(axis=-1) <= _NO_SHIFT_BOUND
+            if small.all():
+                shift = 0.0
+            else:
+                shift = row_shift(scores)
+                shift[small] = 0.0
+            shifted_exp(scores, out=scores, row_max=shift)
+            row_max[h, rows, None] = shift
+            np.matmul(scores, vp[h, keys], out=ctx_sum[h, rows])
+        total = ctx_sum[h, :, head_dim:]
+        total[total == 0] = 1.0
+        ctx_sum[h, :, :head_dim] /= total
+
+    pool.run(run_heads, pool.split(heads))
+    ctx = ctx_sum[..., :head_dim]
+    return ctx, SoftmaxStats(row_max, ctx_sum[..., head_dim], pad, ctx)
 
 
 def attend_backward(d_ctx, qh, kh, vh, stats: SoftmaxStats, spec: AttentionSpec):
@@ -264,16 +308,20 @@ def attend_backward(d_ctx, qh, kh, vh, stats: SoftmaxStats, spec: AttentionSpec)
     inputs' dtype (a NumPy float64 scalar would promote float32 to float64).
     """
     tiles = _Tiles(qh, kh, stats.pad, spec, buffers=2)
-    g, n, qs, kp, vp = tiles.g, tiles.n, tiles.qs, tiles.kp, _padded(vh, tiles.g)
+    every_head = slice(0, qh.shape[0])
+    tiles.load(every_head)
+    g, n, qs, kp, vp = tiles.g, tiles.n, tiles.qs, tiles.kp, _pad_buffer(vh, tiles.g)
+    _pad_into(vp, vh, g, every_head)
     d_rows = (d_ctx * stats.ctx).sum(axis=-1, keepdims=True)
     d_qh, d_kp, d_vp = np.empty_like(qh), np.zeros_like(kp), np.zeros_like(vp)
-    for rows, keys in tiles:
-        scores = tiles.masked_scores(rows, keys)
+    tiles.allocate()
+    for rows, keys in tiles.blocks():
+        scores = tiles.masked_scores(rows, keys, every_head)
         tile = softmax_rows(scores, out=scores,
                             stats=(stats.row_max[:, rows, None], stats.row_sum[:, rows, None]))
         d_vp[:, keys] += tile.swapaxes(-1, -2) @ d_ctx[:, rows]
         d_scores = np.matmul(d_ctx[:, rows], vp[:, keys].swapaxes(-1, -2),
-                             out=tiles.tile(1, rows))
+                             out=tiles.tile(1, rows, every_head))
         d_scores -= d_rows[:, rows]
         d_scores *= tile
         d_qh[:, rows] = (d_scores @ kp[:, keys]) * tiles.scale

@@ -4,7 +4,9 @@ Pre-LN blocks, learned absolute position table, bias-free linear projections,
 and a final layer norm applied before both the MLM head and embedding
 extraction. The position table is a materialized per-position matrix so its
 row count (the context capacity) can be extended by cyclic copying. Every
-layer runs attention.attend, one loop over query blocks in both modes.
+layer runs attention.attend, one loop over query blocks in both modes. A
+forward without a cache runs each layer's heads, and a long input's rows,
+on parallel.layer_pool.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ import numpy as np
 from .attention import GLOBAL, LOCAL, AttentionSpec, attend
 from .checkpoint import read_checkpoint, write_checkpoint
 from .errors import ConfigError, ContractError, FormatError, InputError, LengthError
-from .quant import QUANTIZABLE_FAMILIES, QuantizedTensor, qmatmul
+from .parallel import INLINE, layer_pool
+from .quant import QUANTIZABLE_FAMILIES, QuantizedTensor, decode_dense, qmatmul
 from .tensor_ops import gelu, layer_norm
 
 CANONICAL_RESIDUES = "ACDEFGHIKLMNPQRSTVWY"
@@ -243,16 +246,28 @@ def detokenize(token_ids, vocab: TokenVocab = DEFAULT_VOCAB) -> str:
     return "".join(vocab.tokens[i] for i in token_ids if len(vocab.tokens[i]) == 1)
 
 
-def _project(model: EncoderModel, name: str, x: np.ndarray) -> np.ndarray:
-    w = model.params[name]
+def _project(model: EncoderModel, name: str, x: np.ndarray, weight=None, out=None):
+    """x @ W for the weight `name`, plus its LoRA delta when the adapter's B is
+    nonzero. weight, when given, is W as a dense array (forward decodes int4
+    weights once per phase), and out receives the product."""
+    w = model.params[name] if weight is None else weight
     if isinstance(w, QuantizedTensor):
         out = qmatmul(x, w)
     else:
-        out = x @ w
+        out = np.matmul(x, w, out=out)
     adapter = model.adapters.get(name)
     if adapter is not None and np.any(adapter.B):
-        out = out + (adapter.alpha / adapter.rank) * ((x @ adapter.A.T) @ adapter.B.T)
+        out += (adapter.alpha / adapter.rank) * ((x @ adapter.A.T) @ adapter.B.T)
     return out
+
+
+def _dense_weight(model: EncoderModel, name: str, dtype) -> np.ndarray:
+    """model.params[name] as a dense array; an int4 weight is decoded to
+    dtype, as qmatmul decodes it for activations of that dtype."""
+    w = model.params[name]
+    if isinstance(w, QuantizedTensor):
+        return decode_dense(w).astype(dtype, copy=False)
+    return w
 
 
 def _split_heads(x: np.ndarray, num_heads: int) -> np.ndarray:
@@ -265,8 +280,44 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(1, 0, 2).reshape(n, nh * dh)
 
 
+# Row parts of phases A and C start at multiples of _ROW_ALIGN rows and hold
+# at least _ROW_ALIGN: OpenBLAS then gives each row of a part's product the
+# bits of the whole product's row, which an unaligned or 1-2 row part does not.
+# That holds for products at least _MIN_SPLIT_WIDTH columns wide; narrower
+# ones, such as a LoRA adapter's rank-r product, round some rows differently
+# when they are split. A part also holds at least _MIN_PART_ROWS: a
+# product's cost does not fall with its rows until packing the weight no
+# longer dominates it, and two halves of a 130-row product took as long as
+# the whole.
+_ROW_ALIGN = 16
+_MIN_SPLIT_WIDTH = 32
+_MIN_PART_ROWS = 128
+
+
+def _uses_pool(model: EncoderModel, want_cache: bool) -> bool:
+    """Whether forward runs on the layer pool: only when every product of a
+    part is at least _MIN_SPLIT_WIDTH wide, and not for training's cached
+    forward. Its serial backward pass runs on OpenBLAS's own threads, which
+    spin for a while after each product, and pool threads beside them ran a
+    training step slower than serial code did."""
+    cfg = model.config
+    return (not want_cache and min(cfg.embed_dim, cfg.ffn_dim) >= _MIN_SPLIT_WIDTH
+            and not any(np.any(adapter.B) for adapter in model.adapters.values()))
+
+
 def forward(model: EncoderModel, token_ids, want_cache: bool = False):
     """Last-layer hidden states after the final layer norm, one row per token.
+
+    Each layer runs as three phases, each cut into parts that write disjoint
+    slices of arrays allocated here: A, the rows of layer norm 1 and the
+    Q/K/V projections; B, attend over the heads; C, the rows of the output
+    projection, residual, layer norm 2, FFN with GELU, and residual. When
+    _uses_pool, the phases run on parallel.layer_pool with OpenBLAS held at
+    one thread, and the rows split from 2 * _MIN_PART_ROWS tokens on;
+    otherwise they run inline, with OpenBLAS's own threads. Every part
+    computes what the whole layer would for its rows or heads, bit for bit,
+    so the output does not depend on the number of workers. int4 weights are
+    decoded once per phase, here.
 
     With want_cache=True also returns the intermediate activations the
     training module needs for its hand-derived backward pass: O(n * d) per
@@ -285,30 +336,68 @@ def forward(model: EncoderModel, token_ids, want_cache: bool = False):
     n = tok.size
     pad = tok == vocab.pad_id
     P = model.params
+    # Off the pool every phase runs inline, on OpenBLAS's own threads. The
+    # choice does not depend on the number of workers, and neither do the bits.
+    pool = layer_pool() if _uses_pool(model, want_cache) else INLINE
+    row_parts = pool.split(n, _ROW_ALIGN, _MIN_PART_ROWS)
     x = P["token_embedding"][tok] + P["position_embedding"][:n]
+    d, f, dtype = cfg.embed_dim, cfg.ffn_dim, x.dtype
+
+    def new(cols):
+        return np.empty((n, cols), dtype)
+
     layer_caches = []
-    for i in range(cfg.num_layers):
-        p = f"layers.{i}"
-        x_in = x
-        h1, ln1_cache = layer_norm(x_in, P[f"{p}.attn_ln.gain"], P[f"{p}.attn_ln.bias"])
-        qh = _split_heads(_project(model, f"{p}.q_proj", h1), cfg.num_heads)
-        kh = _split_heads(_project(model, f"{p}.k_proj", h1), cfg.num_heads)
-        vh = _split_heads(_project(model, f"{p}.v_proj", h1), cfg.num_heads)
-        ctx_h, stats = attend(qh, kh, vh, pad, cfg.attention)
-        x_mid = x_in + _project(model, f"{p}.o_proj", _merge_heads(ctx_h))
-        h2, ln2_cache = layer_norm(x_mid, P[f"{p}.ffn_ln.gain"], P[f"{p}.ffn_ln.bias"])
-        u = _project(model, f"{p}.ffn_in", h2)
-        act, cdf = gelu(u, return_cdf=True) if want_cache else (gelu(u), None)
-        x = x_mid + _project(model, f"{p}.ffn_out", act)
-        if want_cache:
-            layer_caches.append(
-                dict(x_in=x_in, h1=h1, ln1=ln1_cache, qh=qh, kh=kh, vh=vh,
-                     stats=stats, x_mid=x_mid, h2=h2, ln2=ln2_cache,
-                     u=u, act=act, cdf=cdf)
-            )
-        # Without a cache these are dead; freed now, they are not held
-        # through the next layer's attention, which sets the peak memory.
-        del ctx_h, stats, x_mid, h2, ln2_cache, u, act, cdf
+    with pool.one_blas_thread():
+        for i in range(cfg.num_layers):
+            p = f"layers.{i}"
+            x_in = x
+            h1, ln1, q, k, v = new(d), (new(d), new(1)), new(d), new(d), new(d)
+            w = {name: _dense_weight(model, f"{p}.{name}", dtype)
+                 for name in ("q_proj", "k_proj", "v_proj")}
+
+            def phase_a(r):
+                layer_norm(x_in[r], P[f"{p}.attn_ln.gain"], P[f"{p}.attn_ln.bias"],
+                           out=(h1[r], ln1[0][r], ln1[1][r]))
+                for name, out in zip(w, (q, k, v)):
+                    _project(model, f"{p}.{name}", h1[r], w[name], out[r])
+
+            pool.run(phase_a, row_parts)
+            qh, kh, vh = (_split_heads(t, cfg.num_heads) for t in (q, k, v))
+            ctx_h, stats = attend(qh, kh, vh, pad, cfg.attention, pool=pool)
+            if want_cache:
+                x_mid, x, cdf = new(d), new(d), new(f)
+            else:
+                # Nothing keeps them: the residuals go into x, Phi is not kept.
+                del h1, ln1, q, k, v, qh, kh, vh
+                x_mid, cdf = x, None
+            h2, ln2, u, act = new(d), (new(d), new(1)), new(f), new(f)
+            # Scratch: the merged heads, and a projection before its residual.
+            merged, proj = new(d), new(d)
+            w = {name: _dense_weight(model, f"{p}.{name}", dtype)
+                 for name in ("o_proj", "ffn_in", "ffn_out")}
+
+            def phase_c(r):
+                rows = r.stop - r.start
+                merged[r].reshape(rows, cfg.num_heads, -1)[...] = ctx_h[:, r].transpose(1, 0, 2)
+                _project(model, f"{p}.o_proj", merged[r], w["o_proj"], proj[r])
+                np.add(x_in[r], proj[r], out=x_mid[r])
+                layer_norm(x_mid[r], P[f"{p}.ffn_ln.gain"], P[f"{p}.ffn_ln.bias"],
+                           out=(h2[r], ln2[0][r], ln2[1][r]))
+                _project(model, f"{p}.ffn_in", h2[r], w["ffn_in"], u[r])
+                gelu(u[r], out=act[r], cdf_out=None if cdf is None else cdf[r])
+                _project(model, f"{p}.ffn_out", act[r], w["ffn_out"], proj[r])
+                np.add(x_mid[r], proj[r], out=x[r])
+
+            pool.run(phase_c, row_parts)
+            if want_cache:
+                layer_caches.append(
+                    dict(x_in=x_in, h1=h1, ln1=ln1, qh=qh, kh=kh, vh=vh,
+                         stats=stats, x_mid=x_mid, h2=h2, ln2=ln2,
+                         u=u, act=act, cdf=cdf)
+                )
+            # Freed now, they are not held through the next layer's
+            # attention, which sets the peak memory.
+            del ctx_h, stats, x_mid, h2, ln2, u, act, cdf, merged, proj, w
     hidden, lnf_cache = layer_norm(x, P["final_ln.gain"], P["final_ln.bias"])
     if not want_cache:
         return hidden

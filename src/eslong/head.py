@@ -102,18 +102,37 @@ def head_logits(params: dict[str, np.ndarray], x: np.ndarray, want_cache: bool =
 
 
 def bce_loss_and_grads(params, x, y):
-    """Mean logit-space binary cross-entropy over batch x terms, with gradients."""
+    """Mean logit-space binary cross-entropy over batch x terms, with gradients.
+
+    e = exp(-|z|) is the one exp the loss max(z, 0) - z y + log1p(e) and the
+    sigmoid where(z >= 0, 1, e) / (1 + e) take. The [batch, terms] work runs
+    in place in the logits and three buffers, with the float ops of those
+    expressions and of d_z = (sigmoid(z) - y) / count in the same order, so
+    the bits are those of whole-array expressions. params, x and y share one
+    dtype.
+    """
     z2, (z1, h, cdf) = head_logits(params, x, want_cache=True)
     count = z2.size
-    e = np.exp(-np.abs(z2))  # one exp serves the loss and the sigmoid
-    loss = float((np.maximum(z2, 0.0) - z2 * y + np.log1p(e)).sum() / count)
-    d_z2 = (_sigmoid(z2, e) - y) / count
+    e = np.abs(z2)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    d_z2 = np.where(z2 >= 0, 1, e)
+    buf = np.add(e, 1)
+    d_z2 /= buf
+    d_z2 -= y
+    d_z2 /= count
+    # The loss last: nothing reads z2 after it, so z2 takes its terms.
+    np.multiply(z2, y, out=buf)
+    np.maximum(z2, 0.0, out=z2)
+    z2 -= buf
+    z2 += np.log1p(e, out=e)
+    loss = float(z2.sum() / count)
     grads = {
         "W2": h.T @ d_z2,
         "b2": d_z2.sum(axis=0),
     }
-    d_h = d_z2 @ params["W2"].T
-    d_z1 = d_h * gelu_grad(z1, cdf)
+    d_z1 = d_z2 @ params["W2"].T
+    d_z1 *= gelu_grad(z1, cdf)
     grads["W1"] = x.T @ d_z1
     grads["b1"] = d_z1.sum(axis=0)
     return loss, grads

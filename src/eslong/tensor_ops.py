@@ -63,14 +63,22 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
+def row_shift(a: np.ndarray) -> np.ndarray:
+    """Each row's max over the last axis, kept at length 1, or 0 where a row
+    has nothing finite: the shift shifted_exp takes by default."""
+    row_max = a.max(axis=-1, keepdims=True)
+    row_max[~np.isfinite(row_max)] = 0.0
+    return row_max
+
+
 def shifted_exp(a: np.ndarray, out=None, row_max=None):
     """exp(a - row_max) over the last axis, the first step of softmax_rows.
 
     row_max is the shift: any value that keeps exp in range gives the same
-    softmax. It defaults to each row's max, taken as 0 where a row has nothing
-    finite, so a -inf entry comes out 0 and large scores cannot overflow. A
-    caller that knows its scores are small passes row_max=0.0, the no-shift
-    form. A shift that is zero in every row is not subtracted, which changes
+    softmax. It defaults to row_shift(a), each row's max, taken as 0 where a
+    row has nothing finite, so a -inf entry comes out 0 and large scores
+    cannot overflow. A caller that knows its scores are small passes
+    row_max=0.0, the no-shift form. A shift that is zero in every row is not subtracted, which changes
     no bit, since x - 0 == x for every float. All work happens in one buffer
     of a's shape: out when given, which may be a itself, else a new array.
     Returns (exp, row_max), row_max as given or, when computed, with the last
@@ -78,8 +86,7 @@ def shifted_exp(a: np.ndarray, out=None, row_max=None):
     """
     a = np.asarray(a)
     if row_max is None:
-        row_max = a.max(axis=-1, keepdims=True)
-        row_max[~np.isfinite(row_max)] = 0.0
+        row_max = row_shift(a)
     if np.any(row_max):
         a = out = np.subtract(a, row_max, out=out)
     out = np.exp(a, out=out)
@@ -115,75 +122,107 @@ def layer_norm(
     gain: np.ndarray,
     bias: np.ndarray,
     eps: float = DEFAULT_LN_EPS,
+    out=None,
 ):
     """Normalize the last axis to zero mean / unit variance, then apply the affine pair.
 
     Returns (y, (xhat, inv_std)): the normalized input and the reciprocal
-    standard deviation are what the backward pass needs.
+    standard deviation are what the backward pass needs. out, when given, is
+    a (y, xhat, inv_std) triple of arrays the results are written to.
     """
     if eps <= 0:
         raise ShapeError("layer_norm eps must be positive")
     a = np.asarray(a)
+    y, xhat, inv_std = (None, None, None) if out is None else out
     # One mean and one centred copy, squared for the variance and then scaled
     # in place: the same sums and divisions as a.var, so the same bits.
-    xhat = a - a.mean(axis=-1, keepdims=True)
+    xhat = np.subtract(a, a.mean(axis=-1, keepdims=True), out=xhat)
     var = np.square(xhat).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = np.divide(1.0, np.sqrt(var + eps), out=inv_std)
     xhat *= inv_std
-    return xhat * gain + bias, (xhat, inv_std)
+    y = np.multiply(xhat, gain, out=y)
+    y += bias
+    return y, (xhat, inv_std)
 
 
-def _normal_cdf(a: np.ndarray) -> np.ndarray:
+def _passes(size: int, buffers: int):
+    """(chunk slice, scratch buffers cut to its length) for each pass over
+    size elements, with `buffers` float32 scratch buffers of one pass."""
+    scratch = [np.empty(min(_CDF_CHUNK, size), dtype=np.float32) for _ in range(buffers)]
+    for lo in range(0, size, _CDF_CHUNK):
+        hi = min(size, lo + _CDF_CHUNK)
+        yield slice(lo, hi), [buf[: hi - lo] for buf in scratch]
+
+
+def _cdf_pass(src, p, x, x2) -> None:
+    """Phi of the float32 chunk src into p, Horner in place: x (later Q) and
+    x^2 are scratch of p's length."""
+    np.clip(src, -_CDF_CLIP, _CDF_CLIP, out=x)
+    np.multiply(x, x, out=x2)
+    np.multiply(x2, _CDF_P[0], out=p)
+    p += _CDF_P[1]
+    for c in _CDF_P[2:]:
+        p *= x2
+        p += c
+    p *= x
+    q = np.multiply(x2, _CDF_Q[0], out=x)
+    q += _CDF_Q[1]
+    for c in _CDF_Q[2:]:
+        q *= x2
+        q += c
+    p /= q
+    p += 0.5
+    # The fit dips to -1.8e-7 for x < -5.1; the floor keeps gelu of a
+    # large negative input at -0, as the exact erf gives, not -6e-8 * x.
+    np.maximum(p, 0.0, out=p)
+
+
+def _normal_cdf(a: np.ndarray, out=None) -> np.ndarray:
     """Phi(x), the standard normal CDF: the rational erf on float32, the exact
-    erf on every other dtype."""
+    erf on every other dtype. out, when given, is a C-contiguous array of a's
+    shape and dtype that receives it."""
     a = np.asarray(a)
     if a.dtype != np.float32:
         from scipy.special import erf  # deferred: scipy is most of a CLI start's import time
 
-        return 0.5 * (1.0 + erf(a * _INV_SQRT2))
+        cdf = 0.5 * (1.0 + erf(a * _INV_SQRT2))
+        if out is None:
+            return cdf
+        np.copyto(out, cdf)
+        return out
     src = np.ascontiguousarray(a).reshape(-1)
-    out = np.empty(a.shape, dtype=np.float32)
+    if out is None:
+        out = np.empty(a.shape, dtype=np.float32)
     dst = out.reshape(-1)  # a view: out is C-contiguous
-    # Horner in place, one chunk at a time: x (later Q) and x^2 are scratch.
-    x_buf = np.empty(min(_CDF_CHUNK, src.size), dtype=np.float32)
-    x2_buf = np.empty_like(x_buf)
-    for lo in range(0, src.size, _CDF_CHUNK):
-        p = dst[lo: lo + _CDF_CHUNK]
-        x = x_buf[: p.size]
-        x2 = x2_buf[: p.size]
-        np.clip(src[lo: lo + _CDF_CHUNK], -_CDF_CLIP, _CDF_CLIP, out=x)
-        np.multiply(x, x, out=x2)
-        np.multiply(x2, _CDF_P[0], out=p)
-        p += _CDF_P[1]
-        for c in _CDF_P[2:]:
-            p *= x2
-            p += c
-        p *= x
-        q = np.multiply(x2, _CDF_Q[0], out=x)
-        q += _CDF_Q[1]
-        for c in _CDF_Q[2:]:
-            q *= x2
-            q += c
-        p /= q
-        p += 0.5
-        # The fit dips to -1.8e-7 for x < -5.1; the floor keeps gelu of a
-        # large negative input at -0, as the exact erf gives, not -6e-8 * x.
-        np.maximum(p, 0.0, out=p)
+    for chunk, (x, x2) in _passes(src.size, 2):
+        _cdf_pass(src[chunk], dst[chunk], x, x2)
     return out
 
 
-def gelu(a: np.ndarray, return_cdf: bool = False):
+def gelu(a: np.ndarray, return_cdf: bool = False, out=None, cdf_out=None):
     """Gaussian-error linear unit x * Phi(x), computed with the erf form (not
     the tanh fit): exact erf off float32, so float64 values match a
     high-precision oracle directly; float32 Phi is within 5e-7 of it.
 
     return_cdf=True returns (gelu(a), Phi(a)), so a backward pass can hand
-    Phi to gelu_grad instead of evaluating erf again.
+    Phi to gelu_grad instead of evaluating erf again. out, when given, is a
+    C-contiguous array of a's shape and dtype, other than a, that receives
+    gelu(a); cdf_out likewise receives Phi(a). When Phi is neither returned
+    nor kept, float32 GELU multiplies each pass's Phi by x where it lies.
     """
     a = np.asarray(a)
-    cdf = _normal_cdf(a)
-    out = a * cdf
-    return (out, cdf) if return_cdf else out
+    if return_cdf or cdf_out is not None or a.dtype != np.float32:
+        cdf = _normal_cdf(a, out=cdf_out)
+        y = np.multiply(a, cdf, out=out)
+        return (y, cdf) if return_cdf else y
+    src = np.ascontiguousarray(a).reshape(-1)
+    if out is None:
+        out = np.empty(a.shape, dtype=np.float32)
+    dst = out.reshape(-1)
+    for chunk, (x, x2) in _passes(src.size, 2):
+        _cdf_pass(src[chunk], dst[chunk], x, x2)
+        dst[chunk] *= src[chunk]
+    return out
 
 
 def gelu_grad(a: np.ndarray, cdf=None) -> np.ndarray:
@@ -192,5 +231,12 @@ def gelu_grad(a: np.ndarray, cdf=None) -> np.ndarray:
     a = np.asarray(a)
     if cdf is None:
         cdf = _normal_cdf(a)
-    pdf = _INV_SQRT_2PI * np.exp(-0.5 * a * a)
-    return cdf + a * pdf
+    # cdf + a * (c * exp(-0.5 * a * a)) in one buffer: each product and sum
+    # has its operands swapped at most, which changes no bit.
+    out = np.multiply(a, -0.5)
+    out *= a
+    np.exp(out, out=out)
+    out *= _INV_SQRT_2PI
+    out *= a
+    out += cdf
+    return out

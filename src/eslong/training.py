@@ -20,6 +20,7 @@ from .attention import attend_backward
 from .encoder import (
     DEFAULT_VOCAB,
     EncoderModel,
+    _dense_weight,
     _merge_heads,
     _split_heads,
     finite_number,
@@ -29,7 +30,7 @@ from .encoder import (
     tokenize,
 )
 from .errors import ConfigError, ContractError, LengthError
-from .quant import QUANTIZABLE_FAMILIES, QuantizedTensor, decode_dense, param_family
+from .quant import QUANTIZABLE_FAMILIES, QuantizedTensor, param_family
 from .tensor_ops import gelu_grad
 
 
@@ -159,13 +160,6 @@ def with_trainable(model: EncoderModel, values: dict[str, np.ndarray]) -> Encode
     return replace(model, params={**model.params, **values})
 
 
-def _dense_weight(model: EncoderModel, name: str) -> np.ndarray:
-    w = model.params[name]
-    if isinstance(w, QuantizedTensor):
-        return decode_dense(w)
-    return w
-
-
 def _ln_backward(d_y, cache, gain):
     xhat, inv_std = cache
     d_gain = (d_y * xhat).sum(axis=0)
@@ -188,7 +182,7 @@ class _Backprop:
 
     def dense(self, name: str) -> np.ndarray:
         if name not in self._dense:
-            self._dense[name] = _dense_weight(self.model, name)
+            self._dense[name] = _dense_weight(self.model, name, self.model.dtype)
         return self._dense[name]
 
     def _acc(self, key: str, value: np.ndarray) -> None:

@@ -555,6 +555,24 @@ class TestNoShift:
         np.testing.assert_allclose(stats.row_max[:, block], scores[:, block].max(axis=-1),
                                    rtol=1e-5)
 
+    @pytest.mark.parametrize("mode,window_k", [("global", None), ("local", 16)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_heads_of_one_block_decide_apart(self, mode, window_k, dtype):
+        # Head 1's queries are large in every row, head 0's small: in each
+        # block head 0 keeps a shift of 0 and head 1 its exact row max.
+        n, spec = 100, AttentionSpec(mode, 2, 4, window_k)
+        qh, kh, vh, d_ctx = self.inputs(n, dtype, 0.5)
+        qh[1] *= 40
+        pad = interior_and_trailing_pads(n)
+        stats = self.assert_matches_oracles(qh, kh, vh, d_ctx, pad, spec)
+        assert (stats.row_max[0] == 0).all()
+        visible = visibility_mask(n, pad, mode, window_k)
+        scores = np.where(visible, np.einsum("id,jd->ij", qh[1], kh[1], dtype=np.float64) / 2,
+                          -np.inf)
+        sees_a_key = visible.any(axis=1)
+        np.testing.assert_allclose(stats.row_max[1, sees_a_key],
+                                   scores[sees_a_key].max(axis=-1), rtol=1e-5)
+
     # sha256 (first 16 hex digits) of ctx, d_q, d_k and d_v from the kernel as
     # it was before the norm bound, for the inputs of this test, on x86-64 with
     # numpy 2.4 and OpenBLAS 0.3.31; another BLAS build may round differently.

@@ -292,7 +292,8 @@ def attend(qh, kh, vh, pad, spec: AttentionSpec, counter: OpCounter | None = Non
     return ctx, SoftmaxStats(row_max, ctx_sum[..., head_dim], pad, ctx)
 
 
-def attend_backward(d_ctx, qh, kh, vh, stats: SoftmaxStats, spec: AttentionSpec):
+def attend_backward(d_ctx, qh, kh, vh, stats: SoftmaxStats, spec: AttentionSpec,
+                    pool: LayerPool = INLINE):
     """Gradients (d_qh, d_kh, d_vh) of attend's ctx, given d_ctx and attend's stats.
 
     The same loop over attend's blocks. Each tile is recomputed: the masked
@@ -300,32 +301,38 @@ def attend_backward(d_ctx, qh, kh, vh, stats: SoftmaxStats, spec: AttentionSpec)
     subtracts nothing in a block whose shift is all zero, as attend did, so
     the tile matches attend's bit for bit. Then
     d_probs = d_ctx @ V_windowᵀ becomes d_scores = tile * (d_probs - D) in
-    place, with D = rowsum(d_ctx * ctx) taken once on [heads, n, head_dim];
+    place, with D = rowsum(d_ctx * ctx) taken once per head on [n, head_dim];
     d_q = d_scores @ K_window, and d_k, d_v are tileᵀ @ {scaled q, d_ctx}
     overlap-added into the padded key axis. Two tile buffers serve all blocks.
+    pool runs the block loop with the heads split into its parts, as attend
+    does; every step is taken per head, so the bits do not depend on how the
+    heads are grouped.
 
     The scale is a Python float, as in attend, so the gradients keep the
     inputs' dtype (a NumPy float64 scalar would promote float32 to float64).
     """
     tiles = _Tiles(qh, kh, stats.pad, spec, buffers=2)
-    every_head = slice(0, qh.shape[0])
-    tiles.load(every_head)
     g, n, qs, kp, vp = tiles.g, tiles.n, tiles.qs, tiles.kp, _pad_buffer(vh, tiles.g)
-    _pad_into(vp, vh, g, every_head)
-    d_rows = (d_ctx * stats.ctx).sum(axis=-1, keepdims=True)
     d_qh, d_kp, d_vp = np.empty_like(qh), np.zeros_like(kp), np.zeros_like(vp)
     tiles.allocate()
-    for rows, keys in tiles.blocks():
-        scores = tiles.masked_scores(rows, keys, every_head)
-        tile = softmax_rows(scores, out=scores,
-                            stats=(stats.row_max[:, rows, None], stats.row_sum[:, rows, None]))
-        d_vp[:, keys] += tile.swapaxes(-1, -2) @ d_ctx[:, rows]
-        d_scores = np.matmul(d_ctx[:, rows], vp[:, keys].swapaxes(-1, -2),
-                             out=tiles.tile(1, rows, every_head))
-        d_scores -= d_rows[:, rows]
-        d_scores *= tile
-        d_qh[:, rows] = (d_scores @ kp[:, keys]) * tiles.scale
-        d_kp[:, keys] += d_scores.swapaxes(-1, -2) @ qs[:, rows]
+
+    def run_heads(h: slice):
+        tiles.load(h)
+        _pad_into(vp, vh, g, h)
+        d_rows = (d_ctx[h] * stats.ctx[h]).sum(axis=-1, keepdims=True)
+        for rows, keys in tiles.blocks():
+            scores = tiles.masked_scores(rows, keys, h)
+            tile = softmax_rows(scores, out=scores,
+                                stats=(stats.row_max[h, rows, None], stats.row_sum[h, rows, None]))
+            d_vp[h, keys] += tile.swapaxes(-1, -2) @ d_ctx[h, rows]
+            d_scores = np.matmul(d_ctx[h, rows], vp[h, keys].swapaxes(-1, -2),
+                                 out=tiles.tile(1, rows, h))
+            d_scores -= d_rows[:, rows]
+            d_scores *= tile
+            d_qh[h, rows] = (d_scores @ kp[h, keys]) * tiles.scale
+            d_kp[h, keys] += d_scores.swapaxes(-1, -2) @ qs[h, rows]
+
+    pool.run(run_heads, pool.split(qh.shape[0]))
     return d_qh, d_kp[:, g.lead:g.lead + n], d_vp[:, g.lead:g.lead + n]
 
 

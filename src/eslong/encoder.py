@@ -4,9 +4,9 @@ Pre-LN blocks, learned absolute position table, bias-free linear projections,
 and a final layer norm applied before both the MLM head and embedding
 extraction. The position table is a materialized per-position matrix so its
 row count (the context capacity) can be extended by cyclic copying. Every
-layer runs attention.attend, one loop over query blocks in both modes. A
-forward without a cache runs each layer's heads, and a long input's rows,
-on parallel.layer_pool.
+layer runs attention.attend, one loop over query blocks in both modes. The
+forward of a wide model without a trained adapter runs each layer's heads,
+and a long input's rows, on parallel.layer_pool.
 """
 
 from __future__ import annotations
@@ -294,14 +294,11 @@ _MIN_SPLIT_WIDTH = 32
 _MIN_PART_ROWS = 128
 
 
-def _uses_pool(model: EncoderModel, want_cache: bool) -> bool:
+def _uses_pool(model: EncoderModel) -> bool:
     """Whether forward runs on the layer pool: only when every product of a
-    part is at least _MIN_SPLIT_WIDTH wide, and not for training's cached
-    forward. Its serial backward pass runs on OpenBLAS's own threads, which
-    spin for a while after each product, and pool threads beside them ran a
-    training step slower than serial code did."""
+    part is at least _MIN_SPLIT_WIDTH wide."""
     cfg = model.config
-    return (not want_cache and min(cfg.embed_dim, cfg.ffn_dim) >= _MIN_SPLIT_WIDTH
+    return (min(cfg.embed_dim, cfg.ffn_dim) >= _MIN_SPLIT_WIDTH
             and not any(np.any(adapter.B) for adapter in model.adapters.values()))
 
 
@@ -336,9 +333,10 @@ def forward(model: EncoderModel, token_ids, want_cache: bool = False):
     n = tok.size
     pad = tok == vocab.pad_id
     P = model.params
-    # Off the pool every phase runs inline, on OpenBLAS's own threads. The
-    # choice does not depend on the number of workers, and neither do the bits.
-    pool = layer_pool() if _uses_pool(model, want_cache) else INLINE
+    # Off the pool every phase runs inline, on OpenBLAS's own threads unless
+    # the caller holds them at one, as mlm_loss does. The choice does not
+    # depend on the number of workers, and neither do the bits.
+    pool = layer_pool() if _uses_pool(model) else INLINE
     row_parts = pool.split(n, _ROW_ALIGN, _MIN_PART_ROWS)
     x = P["token_embedding"][tok] + P["position_embedding"][:n]
     d, f, dtype = cfg.embed_dim, cfg.ffn_dim, x.dtype

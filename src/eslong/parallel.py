@@ -1,4 +1,5 @@
-"""The thread pool that runs the parts of an encoder layer.
+"""The thread pool that runs the parts of an encoder layer, and the
+sequences of a training batch.
 
 encoder.forward runs each layer as three phases, and every phase as parts
 that read shared inputs and write disjoint slices of arrays the caller
@@ -6,19 +7,24 @@ allocated: rows for layer norm, projections and GELU, heads for attention.
 LayerPool.run runs the parts of one phase on the caller's thread and its
 worker threads and returns when all are done. NumPy and OpenBLAS release the
 interpreter lock inside their loops, so the parts of a phase overlap.
+training.mlm_loss runs the sequences of a batch as the parts of one run, and
+each sequence's forward runs its phases on the same pool. The caller of a run
+takes parts too and never waits for a queued share, so such nested runs
+cannot deadlock: when every worker is busy, the caller runs all the parts.
 
 The parts' matrix products must each run on one core. Two BLAS threads on
 top of the workers oversubscribe the cores, and they also make attention's
 small score products slower. OpenBLAS exports openblas_set_num_threads_local
 for this, but in its pthreads builds, numpy's wheels among them, the call sets
 the thread count of the whole library, not of the calling thread. So the pool
-holds the count at 1 while any caller runs phases, and puts back the count it
-found when the last one leaves. It does so for one worker too: some OpenBLAS
-products, such as attention's [rows, n] @ [n, head_dim + 1] for n above about
-450, round differently on one thread and on two, and a store's bits should
-not depend on the worker count. Where the symbol cannot be found, the pool
-has one worker, and every part runs inline on the caller's thread, with
-whatever thread count OpenBLAS has.
+holds the count at 1 while any caller runs phases or a training batch, and
+puts back the count it found when the last one leaves. It does so for one
+worker too: some OpenBLAS products, such as attention's
+[rows, n] @ [n, head_dim + 1] for n above about 450, round differently on
+one thread and on two, and a store's or a checkpoint's bits should not
+depend on the worker count. Where the symbol cannot be found, the pool has
+one worker, and every part runs inline on the caller's thread, in order,
+with whatever thread count OpenBLAS has.
 
 Parts run in a copy of the caller's context: NumPy keeps np.errstate in a
 context variable, which a pool thread would not inherit.
@@ -85,13 +91,16 @@ class LayerPool:
         late finds no part left and returns; the caller waits only for the
         parts taken. All parts finish before the first exception, in part
         order, is raised, so no part still writes into the caller's arrays
-        once run has returned or raised."""
+        once run has returned or raised. A take_parts still queued behind a
+        busy worker then holds neither fn nor the parts nor their errors, and
+        so none of the arrays they reach."""
         if self._executor is None or len(parts) == 1:
             for part in parts:
                 fn(part)
             return
         lock, finished = threading.Lock(), threading.Event()
-        errors: list[BaseException | None] = [None] * len(parts)
+        count = len(parts)
+        errors: list[BaseException | None] = [None] * count
         taken = done = 0
 
         def take_parts():
@@ -99,7 +108,7 @@ class LayerPool:
             while True:
                 with lock:
                     i, taken = taken, taken + 1
-                if i >= len(parts):
+                if i >= count:
                     return
                 try:
                     fn(parts[i])
@@ -107,17 +116,19 @@ class LayerPool:
                     errors[i] = exc
                 with lock:
                     done += 1
-                    if done == len(parts):
+                    if done == count:
                         finished.set()
 
         # take_parts keeps every exception of fn, so the futures hold none.
-        for _ in range(min(self.workers, len(parts)) - 1):
+        for _ in range(min(self.workers, count) - 1):
             self._executor.submit(contextvars.copy_context().run, take_parts)
         take_parts()
         finished.wait()
-        for exc in errors:
-            if exc is not None:
-                raise exc
+        first = next((exc for exc in errors if exc is not None), None)
+        # take_parts reads these cells only for a part not yet done.
+        fn = parts = errors = None
+        if first is not None:
+            raise first
 
     @contextmanager
     def one_blas_thread(self):
@@ -144,7 +155,8 @@ class LayerPool:
             self._executor.shutdown()
 
 
-# For forwards that stay off the pool: no threads, and OpenBLAS keeps its own.
+# For forwards that stay off the pool: no threads, and OpenBLAS keeps its
+# count, or the one a training batch holds.
 INLINE = LayerPool(1)
 
 _pool: LayerPool | None = None

@@ -2,16 +2,21 @@
 
 The backward pass is hand-derived for the fixed encoder architecture (no
 autodiff), which is what makes the finite-difference gradient suite in the
-tests meaningful. Training is single-threaded and deterministic: batches
-accumulate gradients sequence by sequence in a fixed left-to-right order, and
-all randomness derives from one seed through named sub-streams.
+tests meaningful. The sequences of a batch run on parallel.layer_pool, with
+OpenBLAS held at one thread for the whole batch, and each adds to a gradient
+only after every earlier sequence has. So gradients, losses and checkpoints
+have the bits of a serial left-to-right loop for any number of workers. All
+randomness derives from one seed through named sub-streams.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,6 +28,7 @@ from .encoder import (
     _dense_weight,
     _merge_heads,
     _split_heads,
+    _uses_pool,
     finite_number,
     forward,
     mlm_logits,
@@ -30,6 +36,7 @@ from .encoder import (
     tokenize,
 )
 from .errors import ConfigError, ContractError, LengthError
+from .parallel import INLINE, layer_pool
 from .quant import QUANTIZABLE_FAMILIES, QuantizedTensor, param_family
 from .tensor_ops import gelu_grad
 
@@ -171,99 +178,171 @@ def _ln_backward(d_y, cache, gain):
     return d_x, d_gain, d_bias
 
 
+class _Abandoned(Exception):
+    """An earlier sequence of the batch raised, so this one cannot add its
+    gradients in turn; mlm_loss re-raises the earlier error."""
+
+
 class _Backprop:
-    """Accumulates gradients for one model across the sequences of a batch."""
+    """Accumulates gradients for one model across the sequences of a batch.
+
+    The sequences, numbered in input order, may run on different threads.
+    Sequence s adds to a gradient only after sequence s - 1 has, so every sum
+    has the bits of a serial loop. Each sequence adds to each gradient once.
+    """
 
     def __init__(self, model: EncoderModel):
         self.model = model
         self.base_trainable = not model.adapters
         self.grads = {k: np.zeros_like(v) for k, v in get_trainable(model).items()}
+        # The pool the forward uses; the backward runs its parts on it too.
+        self.pool = layer_pool() if _uses_pool(model) else INLINE
         self._dense = {}
+        self._dense_lock = threading.Lock()
+        self._added = dict.fromkeys(self.grads, 0)  # sequences that have added, per key
+        self._turns = threading.Condition()
+        self._failed = math.inf  # the first sequence that raised
 
     def dense(self, name: str) -> np.ndarray:
-        if name not in self._dense:
-            self._dense[name] = _dense_weight(self.model, name, self.model.dtype)
-        return self._dense[name]
+        # Under the lock, every thread waits for one decode of an int4 weight.
+        with self._dense_lock:
+            if name not in self._dense:
+                self._dense[name] = _dense_weight(self.model, name, self.model.dtype)
+            return self._dense[name]
 
-    def _acc(self, key: str, value: np.ndarray) -> None:
+    @contextmanager
+    def _turn(self, key: str, seq: int):
+        """grads[key], once every sequence before seq has added to it."""
+        with self._turns:
+            while self._added[key] < seq:
+                if self._failed < seq:
+                    raise _Abandoned
+                self._turns.wait()
+        yield self.grads[key]
+        with self._turns:
+            self._added[key] = seq + 1
+            self._turns.notify_all()
+
+    def abandon(self, seq: int) -> None:
+        """Sequence seq raised: the later ones stop waiting for their turns."""
+        with self._turns:
+            self._failed = min(self._failed, seq)
+            self._turns.notify_all()
+
+    def _acc(self, key: str, value: np.ndarray, seq: int) -> None:
         if key in self.grads:
-            self.grads[key] += value
+            with self._turn(key, seq) as grad:
+                grad += value
 
-    def proj_backward(self, name: str, x_in: np.ndarray, d_out: np.ndarray) -> np.ndarray:
-        """Backward of out = x_in @ W_eff with W_eff = W + (alpha/r) A^T B^T."""
+    def proj_backward(self, name: str, x_in: np.ndarray, d_out: np.ndarray,
+                      seq: int) -> np.ndarray:
+        """Backward of out = x_in @ W_eff with W_eff = W + (alpha/r) A^T B^T.
+
+        d_out @ W^T and, when W or its adapter trains, x_in^T @ d_out run as
+        two parts on the pool, each product whole on one thread."""
         adapter = self.model.adapters.get(name)
-        if self.base_trainable:
-            self._acc(name, x_in.T @ d_out)
-        d_x = d_out @ self.dense(name).T
+        products = [None, None]
+
+        def product(i):
+            products[i] = d_out @ self.dense(name).T if i == 0 else x_in.T @ d_out
+
+        self.pool.run(product, [0, 1] if adapter is not None or name in self.grads else [0])
+        d_x, g = products
+        if name in self.grads:
+            self._acc(name, g, seq)
         if adapter is not None:
             s = adapter.alpha / adapter.rank
-            g_eff = x_in.T @ d_out
-            self._acc(f"adapters.{name}.A", s * (g_eff @ adapter.B).T)
-            self._acc(f"adapters.{name}.B", s * (g_eff.T @ adapter.A.T))
+            self._acc(f"adapters.{name}.A", s * (g @ adapter.B).T, seq)
+            self._acc(f"adapters.{name}.B", s * (g.T @ adapter.A.T), seq)
             d_x = d_x + s * ((d_out @ adapter.B) @ adapter.A)
         return d_x
 
-    def sequence_backward(self, cache: dict, d_logits: np.ndarray) -> None:
+    def sequence_backward(self, cache: dict, d_logits: np.ndarray, seq: int) -> None:
+        """Adds sequence seq's gradients. Each layer's cache is released once
+        its gradients are taken."""
         model = self.model
         cfg = model.config
         P = model.params
-        d_hidden = self.proj_backward("mlm_head", cache["hidden"], d_logits)
+        d_hidden = self.proj_backward("mlm_head", cache["hidden"], d_logits, seq)
         d_x, d_gf, d_bf = _ln_backward(d_hidden, cache["lnf"], P["final_ln.gain"])
-        self._acc("final_ln.gain", d_gf)
-        self._acc("final_ln.bias", d_bf)
+        self._acc("final_ln.gain", d_gf, seq)
+        self._acc("final_ln.bias", d_bf, seq)
         for i in reversed(range(cfg.num_layers)):
             p = f"layers.{i}"
-            lc = cache["layers"][i]
+            lc = cache["layers"].pop()
             # feed-forward half: x = x_mid + ffn_out(gelu(ffn_in(LN2(x_mid))))
-            d_act = self.proj_backward(f"{p}.ffn_out", lc["act"], d_x)
+            d_act = self.proj_backward(f"{p}.ffn_out", lc["act"], d_x, seq)
             d_u = d_act * gelu_grad(lc["u"], lc["cdf"])
-            d_h2 = self.proj_backward(f"{p}.ffn_in", lc["h2"], d_u)
+            d_h2 = self.proj_backward(f"{p}.ffn_in", lc["h2"], d_u, seq)
             d_mid_ln, d_g2, d_b2 = _ln_backward(d_h2, lc["ln2"], P[f"{p}.ffn_ln.gain"])
-            self._acc(f"{p}.ffn_ln.gain", d_g2)
-            self._acc(f"{p}.ffn_ln.bias", d_b2)
+            self._acc(f"{p}.ffn_ln.gain", d_g2, seq)
+            self._acc(f"{p}.ffn_ln.bias", d_b2, seq)
             d_x_mid = d_x + d_mid_ln
             # attention half: x_mid = x_in + o_proj(heads(LN1(x_in)))
-            d_ctx = self.proj_backward(f"{p}.o_proj", _merge_heads(lc["stats"].ctx), d_x_mid)
+            d_ctx = self.proj_backward(f"{p}.o_proj", _merge_heads(lc["stats"].ctx), d_x_mid, seq)
             d_qh, d_kh, d_vh = attend_backward(_split_heads(d_ctx, cfg.num_heads), lc["qh"],
-                                               lc["kh"], lc["vh"], lc["stats"], cfg.attention)
-            d_h1 = self.proj_backward(f"{p}.q_proj", lc["h1"], _merge_heads(d_qh))
-            d_h1 += self.proj_backward(f"{p}.k_proj", lc["h1"], _merge_heads(d_kh))
-            d_h1 += self.proj_backward(f"{p}.v_proj", lc["h1"], _merge_heads(d_vh))
+                                               lc["kh"], lc["vh"], lc["stats"], cfg.attention,
+                                               self.pool)
+            d_h1 = self.proj_backward(f"{p}.q_proj", lc["h1"], _merge_heads(d_qh), seq)
+            d_h1 += self.proj_backward(f"{p}.k_proj", lc["h1"], _merge_heads(d_kh), seq)
+            d_h1 += self.proj_backward(f"{p}.v_proj", lc["h1"], _merge_heads(d_vh), seq)
             d_in_ln, d_g1, d_b1 = _ln_backward(d_h1, lc["ln1"], P[f"{p}.attn_ln.gain"])
-            self._acc(f"{p}.attn_ln.gain", d_g1)
-            self._acc(f"{p}.attn_ln.bias", d_b1)
+            self._acc(f"{p}.attn_ln.gain", d_g1, seq)
+            self._acc(f"{p}.attn_ln.bias", d_b1, seq)
             d_x = d_x_mid + d_in_ln
         if self.base_trainable:
             tok = cache["tok"]
-            np.add.at(self.grads["token_embedding"], tok, d_x)
-            self.grads["position_embedding"][: tok.size] += d_x
+            with self._turn("token_embedding", seq) as grad:
+                np.add.at(grad, tok, d_x)
+            with self._turn("position_embedding", seq) as grad:
+                grad[: tok.size] += d_x
 
 
 def mlm_loss(model: EncoderModel, masked_batch, labels):
     """Mean cross-entropy over all labeled positions, plus gradients for every
-    trainable tensor (summed over the batch in input order)."""
+    trainable tensor (summed over the batch in input order).
+
+    The labeled sequences are the parts of one layer_pool().run, taken in
+    input order, with OpenBLAS held at one thread throughout: each thread
+    runs a sequence's forward, loss and backward. Up to `workers` sequence
+    caches are alive at once. If a sequence raises, the later ones stop at
+    their next turn and the first error, in input order, is raised.
+    """
     total_labels = sum(len(seq_labels) for seq_labels in labels)
     if total_labels == 0:
         raise ContractError("mlm_loss needs at least one labeled position")
     bp = _Backprop(model)
+    labeled = [(tokens, seq_labels) for tokens, seq_labels in zip(masked_batch, labels)
+               if seq_labels]
+    losses = [0.0] * len(labeled)
+
+    def run_sequence(seq: int) -> None:
+        tokens, seq_labels = labeled[seq]
+        try:
+            hidden, cache = forward(model, tokens, want_cache=True)
+            logits = mlm_logits(model, hidden)
+            positions = np.array([p for p, _ in seq_labels], dtype=np.int64)
+            targets = np.array([t for _, t in seq_labels], dtype=np.int64)
+            z = logits[positions]
+            zmax = z.max(axis=1, keepdims=True)
+            lse = zmax + np.log(np.exp(z - zmax).sum(axis=1, keepdims=True))
+            losses[seq] = float((lse[:, 0] - z[np.arange(len(targets)), targets]).sum())
+            d_lab = np.exp(z - lse)
+            d_lab[np.arange(len(targets)), targets] -= 1.0
+            d_lab /= total_labels
+            d_logits = np.zeros_like(logits)
+            d_logits[positions] = d_lab
+            bp.sequence_backward(cache, d_logits, seq)
+        except BaseException:
+            bp.abandon(seq)
+            raise
+
+    pool = layer_pool()
+    with pool.one_blas_thread():
+        pool.run(run_sequence, range(len(labeled)))
     loss_sum = 0.0
-    for tokens, seq_labels in zip(masked_batch, labels):
-        if not seq_labels:
-            continue
-        hidden, cache = forward(model, tokens, want_cache=True)
-        logits = mlm_logits(model, hidden)
-        positions = np.array([p for p, _ in seq_labels], dtype=np.int64)
-        targets = np.array([t for _, t in seq_labels], dtype=np.int64)
-        z = logits[positions]
-        zmax = z.max(axis=1, keepdims=True)
-        lse = zmax + np.log(np.exp(z - zmax).sum(axis=1, keepdims=True))
-        loss_sum += float((lse[:, 0] - z[np.arange(len(targets)), targets]).sum())
-        d_lab = np.exp(z - lse)
-        d_lab[np.arange(len(targets)), targets] -= 1.0
-        d_lab /= total_labels
-        d_logits = np.zeros_like(logits)
-        d_logits[positions] = d_lab
-        bp.sequence_backward(cache, d_logits)
+    for loss in losses:  # in input order, as a serial loop adds them
+        loss_sum += loss
     return loss_sum / total_labels, bp.grads
 
 

@@ -2,18 +2,21 @@
 the pool keeps the caller's OpenBLAS thread count, NumPy error state and
 exceptions."""
 
+import json
 import os
 import subprocess
 import sys
 import threading
 import time
+import weakref
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
 import eslong
-from conftest import CANONICAL, write_non_finite
-from eslong import encoder, parallel
+from conftest import CANONICAL, tiny_config, write_non_finite
+from eslong import encoder, parallel, training
 from eslong.attention import AttentionSpec
 from eslong.checkpoint import read_checkpoint
 from eslong.cli import main
@@ -22,7 +25,15 @@ from eslong.errors import InputError
 from eslong.parallel import LayerPool
 from eslong.pipeline import ProteinRecord, embed_corpus, write_fasta, write_store
 from eslong.quant import quantize_model
-from eslong.training import attach_lora, lora_target_names, mlm_loss
+from eslong.training import (
+    TrainConfig,
+    attach_lora,
+    derive_seed,
+    get_trainable,
+    lora_target_names,
+    mlm_loss,
+    pretrain,
+)
 
 # From 2 * encoder._MIN_PART_ROWS tokens on the rows split too, and 600
 # global tokens make three 200-row attention blocks.
@@ -132,6 +143,141 @@ def test_mlm_grads_do_not_depend_on_workers(use_pool, lora):
     assert all(same_bytes(grads1[key], grads2[key]) for key in grads1)
 
 
+@pytest.mark.parametrize("int4_lora", [False, True], ids=["full", "int4-lora"])
+def test_pretrain_does_not_depend_on_workers(use_pool, int4_lora):
+    """A batch of 3 over 7 sequences: the last batch is short, the empty
+    sequence has no labels, and a short sequence follows a long one."""
+    model = small_model(int4=int4_lora, lora=int4_lora)
+    rng = np.random.default_rng(10)
+    corpus = ["".join(rng.choice(list(CANONICAL), size=n))
+              for n in (600, 30, 0, 300, 450, 20, 500)]
+    cfg = TrainConfig(epochs=2, learning_rate=1e-3, batch_size=3, seed=6)
+    order = np.random.default_rng(derive_seed(cfg.seed, "shuffle")).permutation(len(corpus))
+    batches = [[len(corpus[i]) for i in order[lo: lo + 3]] for lo in range(0, len(order), 3)]
+    assert any(a > 256 > b for batch in batches for a, b in zip(batch, batch[1:])), batches
+    (one, curve1), (two, curve2) = under_each_pool(use_pool, lambda: pretrain(model, corpus, cfg))
+    assert curve1 == curve2
+    params1, params2 = get_trainable(one), get_trainable(two)
+    assert sorted(params1) == sorted(params2)
+    assert all(same_bytes(params1[key], params2[key]) for key in params1)
+
+
+def test_concurrent_batches_on_more_workers_than_cores(use_pool):
+    """Two callers train on one four-worker pool, with thread switches
+    forced often; every batch keeps the serial loss and gradient bits."""
+    model = small_model()
+    batch = [tokens(n, model.config, seed=11) for n in (300, 40, 260, 120, 20, 500)]
+    labels = [[(i, t) for i, t in enumerate(seq) if i % 6 == 1] for seq in batch]
+    use_pool(1)
+    want_loss, want = mlm_loss(model, batch, labels)
+    use_pool(4)
+    results, errors = [], []
+
+    def client():
+        try:
+            for _ in range(2):
+                results.append(mlm_loss(model, batch, labels))
+        except BaseException as exc:
+            errors.append(exc)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        clients = [threading.Thread(target=client) for _ in range(2)]
+        for t in clients:
+            t.start()
+        for t in clients:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in clients)
+    assert not errors, errors
+    assert len(results) == 4
+    for loss, grads in results:
+        assert loss == want_loss
+        assert all(same_bytes(grads[key], want[key]) for key in want)
+
+
+def test_failing_sequence_stops_the_batch(use_pool, monkeypatch):
+    """The second of four sequences raises in its backward pass: mlm_loss
+    raises that error, no thread waits for its turn afterwards, and OpenBLAS
+    has its thread count back."""
+    pool = use_pool(2)
+    model = small_model()
+    lengths = (300, 120, 260, 40)
+    batch = [tokens(n, model.config, seed=9) for n in lengths]
+    labels = [[(i, t) for i, t in enumerate(seq) if i % 5 == 1] for seq in batch]
+    failure = InputError("sequence 1")
+    real_gelu_grad = training.gelu_grad
+
+    def gelu_grad(u, cdf):
+        if len(u) == lengths[1]:
+            raise failure
+        return real_gelu_grad(u, cdf)
+
+    batches = []
+
+    class Backprop(training._Backprop):
+        def __init__(self, model):
+            super().__init__(model)
+            batches.append(self)
+
+    monkeypatch.setattr(training, "gelu_grad", gelu_grad)
+    monkeypatch.setattr(training, "_Backprop", Backprop)
+    raised = []
+
+    def call():
+        try:
+            mlm_loss(model, batch, labels)
+        except BaseException as exc:
+            raised.append(exc)
+
+    with blas_threads(2):
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        if caller.is_alive():
+            batches[0].abandon(-1)  # frees the waiting threads, so the suite does not hang
+            caller.join(timeout=60)
+            pytest.fail("mlm_loss still waits after a sequence raised")
+        assert [read_blas_threads(setter) for setter in SETTERS] == [2] * len(SETTERS)
+    assert len(raised) == 1 and raised[0] is failure
+    # The worker is free: no part of the batch is left waiting.
+    assert pool._executor.submit(lambda: "free").result(timeout=10) == "free"
+
+
+def test_each_int4_weight_decoded_once_per_batch(use_pool, monkeypatch):
+    """Two sequences of the same length reach each weight's decode at about
+    the same time on two threads; the slowed decode still runs once per
+    weight."""
+    use_pool(2)
+    model = small_model(int4=True)
+    batch = [tokens(300, model.config, seed=s) for s in (1, 2, 3)]
+    labels = [[(i, t) for i, t in enumerate(seq) if i % 7 == 1] for seq in batch]
+    decoded = []
+    real_dense_weight = training._dense_weight
+
+    def dense_weight(model, name, dtype):
+        decoded.append(name)
+        time.sleep(0.01)
+        return real_dense_weight(model, name, dtype)
+
+    monkeypatch.setattr(training, "_dense_weight", dense_weight)
+    mlm_loss(model, batch, labels)
+    names = [n for n in model.params if n.endswith(("_proj", "ffn_in", "ffn_out", "mlm_head"))]
+    assert sorted(decoded) == sorted(names)
+
+
+def test_backward_releases_the_layer_caches():
+    model = small_model()
+    toks = tokens(40, model.config)
+    hidden, cache = forward(model, toks, want_cache=True)
+    assert len(cache["layers"]) == model.config.num_layers
+    d_logits = np.ones((len(toks), model.config.vocab.size), np.float32)
+    training._Backprop(model).sequence_backward(cache, d_logits, 0)
+    assert cache["layers"] == []
+
+
 def test_embed_store_does_not_depend_on_workers(use_pool, tmp_path):
     model = small_model("local", 16)
     rng = np.random.default_rng(6)
@@ -150,9 +296,10 @@ def test_embed_store_does_not_depend_on_workers(use_pool, tmp_path):
 
 
 def test_which_forwards_run_in_parts(use_pool, monkeypatch):
-    """An uncached forward splits the heads over a two-worker pool, and the
-    rows too from 2 * _MIN_PART_ROWS tokens on. Training's cached forward and
-    a model with a trained LoRA adapter never reach the pool."""
+    """A wide model's forward splits the heads over a two-worker pool, and the
+    rows too from 2 * _MIN_PART_ROWS tokens on, with or without a cache. A
+    model with a trained LoRA adapter and a narrow model never reach the
+    pool."""
     pool = use_pool(2)
     parts = []
     real_run = LayerPool.run
@@ -172,8 +319,14 @@ def test_which_forwards_run_in_parts(use_pool, monkeypatch):
     assert parts == [2, 2, 2] * layers
     parts.clear()
     forward(model, tokens(600, model.config), want_cache=True)
-    # A rank-r LoRA product rounds differently when its rows are split.
-    forward(small_model(lora=True), tokens(600, model.config))
+    assert parts == [2, 2, 2] * layers
+    parts.clear()
+    # A rank-r LoRA product, and any product under _MIN_SPLIT_WIDTH columns,
+    # rounds differently when its rows are split.
+    lora, narrow = small_model(lora=True), build_model(tiny_config(max_positions=600), seed=3)
+    for inline in (lora, narrow):
+        forward(inline, tokens(600, inline.config))
+        forward(inline, tokens(600, inline.config), want_cache=True)
     assert parts == []
 
 
@@ -181,6 +334,19 @@ def read_blas_threads(setter) -> int:
     count = setter(1)
     setter(count)
     return count
+
+
+@contextmanager
+def blas_threads(count):
+    """OpenBLAS at count threads for the block, then back at its count."""
+    before = [read_blas_threads(setter) for setter in SETTERS]
+    for setter in SETTERS:
+        setter(count)
+    try:
+        yield
+    finally:
+        for setter, saved in zip(SETTERS, before):
+            setter(saved)
 
 
 @pytest.mark.skipif(not SETTERS, reason="no OpenBLAS with openblas_set_num_threads_local")
@@ -255,6 +421,33 @@ def test_run_finishes_every_part_then_raises_the_first():
         assert raised.value is first
         assert finished == [1]
     finally:
+        pool.close()
+
+
+def adds_one_to_an_array():
+    """A part function whose closure alone holds its array, and a weak
+    reference to that array."""
+    array = np.zeros(64)
+
+    def fn(part):
+        array[part] += 1
+
+    return fn, weakref.ref(array)
+
+
+def test_run_drops_its_work_when_it_returns():
+    """A take_parts queued behind a busy worker must not keep the finished
+    phase's function, or the arrays it reaches, alive."""
+    pool = LayerPool(2)
+    release = threading.Event()
+    try:
+        pool._executor.submit(release.wait)
+        fn, held = adds_one_to_an_array()
+        pool.run(fn, pool.split(64))
+        del fn
+        assert held() is None
+    finally:
+        release.set()
         pool.close()
 
 
@@ -339,3 +532,32 @@ if pid == 0:
 print(os.waitpid(pid, 0)[1])
 """
     assert run_python(probe) == "0"
+
+
+@pytest.mark.skipif(not SETTERS, reason="no OpenBLAS with openblas_set_num_threads_local")
+def test_pretrain_cli_does_not_depend_on_blas_threads(tmp_path):
+    """On sequences above 450 tokens some products round differently on one
+    OpenBLAS thread and on two; pretrain holds OpenBLAS at one, so the
+    checkpoint and the loss curve are the same under either setting."""
+    rng = np.random.default_rng(5)
+    fasta = tmp_path / "corpus.fasta"
+    write_fasta(fasta, [ProteinRecord(f"P{i}", "".join(rng.choice(list(CANONICAL), size=n)))
+                        for i, n in enumerate((700, 500, 600, 460))])
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "model": {"num_layers": 2, "num_heads": 4, "embed_dim": 32, "ffn_dim": 128,
+                  "max_positions": 720},
+        "train": {"epochs": 1, "batch_size": 2, "learning_rate": 1e-3, "seed": 3}}))
+    results = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"model{threads}.eslg"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(eslong.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-c", "from eslong.cli import run; run()", "pretrain",
+             "--config", str(config), "--fasta", str(fasta), "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        manifest = json.loads((tmp_path / f"model{threads}.eslg.manifest.json").read_text())
+        results.append((out.read_bytes(), manifest["extra"]["loss_curve"]))
+    assert results[0] == results[1]

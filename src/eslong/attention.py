@@ -8,11 +8,12 @@ normalized (the context rows are divided instead), and no tile outlives its
 block. The shift subtracted before exp only keeps exp in range, so a head
 whose scores in a block a Cauchy-Schwarz bound, |q . k| <= |q| * max |k|,
 proves small takes no shift there; every other head subtracts its exact row
-max. Every step is taken per head, so attend may split the heads over a
-LayerPool's threads and compute the same bits. attend keeps each row's
-shift and sum and ctx; attend_backward rebuilds every tile from them and
-takes the softmax gradient's row term as rowsum(d_ctx * ctx). A global
-attend at n keys holds one block's [heads, 256, n] tile, not heads * n^2
+max. Every step is taken per head, so attend computes the same bits however
+its heads are split over a LayerPool's threads or grouped within a part.
+attend keeps each row's shift and sum and ctx; attend_backward rebuilds
+every tile from them and takes the softmax gradient's row term as
+rowsum(d_ctx * ctx). A part holds one tile buffer, for a group of heads
+whose [heads, rows, keys] tile fits _TILE_BUDGET floats, not heads * n^2
 floats. An OpCounter threaded through attend receives the number of visible
 query-key pairs, which is how the linear-versus-quadratic cost claims are
 checked.
@@ -98,6 +99,11 @@ _GLOBAL_ROWS = 256   # most query rows per block in global mode
 # and ctx_sum grows at most e^T-fold over a shifted block's n * max |v|, far
 # from overflow.
 _NO_SHIFT_BOUND = 8.0
+# Most elements of one tile buffer of a part (4 MB of float32): a part walks
+# its heads in groups whose tile fits, or one by one when a head's does not.
+# All 20 heads of a T6 global block at n = 1,022 would take 21 MB, and up to
+# `workers` forwards run at once.
+_TILE_BUDGET = 1 << 20
 
 
 class _Geometry(NamedTuple):
@@ -169,8 +175,9 @@ class SoftmaxStats(NamedTuple):
 
 class _Tiles:
     """The query blocks of _geometry over one input, the scaled queries and
-    padded keys load fills in, head by head, and `buffers` tile buffers (0
-    holds the scores), made by allocate and reused by every block. attend and
+    padded keys load fills in, head by head, and the groups of heads a part
+    walks. allocate makes a part's `buffers` tile buffers (0 holds the
+    scores), which every block of its groups reuses. attend and
     attend_backward both build tiles here, so they compute the same bits."""
 
     def __init__(self, qh, kh, pad, spec: AttentionSpec, buffers: int):
@@ -190,29 +197,33 @@ class _Tiles:
         i, j = np.arange(g.rows)[:, None], np.arange(g.keys) - g.lead
         self.band = (j < i - g.w) | (j > i + g.w)
         self.buffers = buffers
-        self.work = None
+        self.group = max(1, _TILE_BUDGET // (g.rows * g.keys))
 
     def load(self, heads: slice) -> None:
         """The heads' scaled queries into qs and padded keys into kp."""
         np.multiply(self.qh[heads], self.scale, out=self.qs[heads])
         _pad_into(self.kp, self.kh, self.g, heads)
 
-    def allocate(self) -> None:
-        """One allocation for all tile buffers, made after every [heads, n, *]
-        array: freed above what outlives the call, it is the one block malloc
-        keeps for the next call, not a hole that raises peak RSS."""
-        heads, g = self.qs.shape[0], self.g
-        self.work = np.empty((self.buffers, heads * g.rows * g.keys), self.qs.dtype)
+    def groups(self, heads: slice) -> list[slice]:
+        """A part's heads cut into groups of at most self.group, in order."""
+        return [slice(lo, min(heads.stop, lo + self.group))
+                for lo in range(heads.start, heads.stop, self.group)]
 
-    def tile(self, buffer: int, rows: slice, heads: slice):
-        """The heads' share of buffer `buffer` as a [heads, len(rows), keys]
-        array. It is a prefix of that share, so a shorter last block is
+    def allocate(self, heads: slice) -> np.ndarray:
+        """The part's tile buffers, one allocation: `buffers` rows, each
+        the size of its largest group's tile."""
+        g = self.g
+        group = min(self.group, heads.stop - heads.start)
+        return np.empty((self.buffers, group * g.rows * g.keys), self.qs.dtype)
+
+    def tile(self, work, buffer: int, rows: slice, heads: slice):
+        """Buffer `buffer` of a part's work as the heads' [heads, len(rows),
+        keys] tile. It is a prefix of the buffer, so a shorter last block is
         contiguous too and runs the same kernels, which keeps the recomputed
-        tiles bit-identical; the heads of concurrent parts share no memory."""
+        tiles bit-identical."""
         g, size = self.g, rows.stop - rows.start
-        lo = heads.start * g.rows * g.keys
         count = (heads.stop - heads.start) * size * g.keys
-        return self.work[buffer, lo:lo + count].reshape(-1, size, g.keys)
+        return work[buffer, :count].reshape(-1, size, g.keys)
 
     def blocks(self):
         """(query rows, padded key window) slices of each block, in order."""
@@ -220,12 +231,12 @@ class _Tiles:
         for b, r0 in enumerate(range(0, self.n, g.rows)):
             yield slice(r0, min(self.n, r0 + g.rows)), slice(b * g.step, b * g.step + g.keys)
 
-    def masked_scores(self, rows, keys, heads: slice):
-        """The heads' scaled scores of the block in their score buffer, with
+    def masked_scores(self, work, rows, keys, heads: slice):
+        """The heads' scaled scores of the block in buffer 0 of work, with
         keys hidden from a query (outside the sequence, padded, or beyond w)
         at -inf."""
         scores = np.matmul(self.qs[heads, rows], self.kp[heads, keys].swapaxes(-1, -2),
-                           out=self.tile(0, rows, heads))
+                           out=self.tile(work, 0, rows, heads))
         if self.hides:
             hidden, edge = self.band[:rows.stop - rows.start], self.hidden_keys[keys]
             if edge.any():
@@ -250,42 +261,44 @@ def attend(qh, kh, vh, pad, spec: AttentionSpec, counter: OpCounter | None = Non
     sum and ctx, from which attend_backward rebuilds each tile.
 
     pool runs the block loop with the heads split into its parts, inline by
-    default. Every step above is taken per head, so the bits do not depend
-    on how the heads are grouped.
+    default, and each part runs it over its groups of heads in turn. Every
+    step above is taken per head, so the bits do not depend on how the heads
+    are split or grouped.
 
     counter receives the number of visible query-key pairs, summed over heads
     (n^2 per head in global mode); local tiles also evaluate up to
     (rows + window_k) / (window_k + 1) times as many products, discarded.
     """
     heads, n, head_dim = qh.shape
-    # Outputs, V, then tiles: other allocation orders raised embed's peak RSS by up to 15 MB.
+    # Outputs, then V: the other order raised embed's peak RSS by up to 15 MB.
     ctx_sum, row_max = np.empty((heads, n, head_dim + 1), vh.dtype), np.empty((heads, n), qh.dtype)
     vp = _pad_buffer(vh, _geometry(n, spec), ones=True)
     tiles = _Tiles(qh, kh, pad, spec, buffers=1)
     if counter is not None:
         counter.add(heads * _band_pairs(n, tiles.g.w))
-    tiles.allocate()
 
-    def run_heads(h: slice):
-        tiles.load(h)
-        _pad_into(vp, vh, tiles.g, h)
-        # Cauchy-Schwarz bounds every score of row i in head h by bound[h, i].
-        k_max = np.sqrt(np.einsum("hnd,hnd->hn", kh[h], kh[h]).max(axis=-1, keepdims=True))
-        bound = np.sqrt(np.einsum("hnd,hnd->hn", tiles.qs[h], tiles.qs[h])) * k_max
-        for rows, keys in tiles.blocks():
-            scores = tiles.masked_scores(rows, keys, h)
-            small = bound[:, rows].max(axis=-1) <= _NO_SHIFT_BOUND
-            if small.all():
-                shift = 0.0
-            else:
-                shift = row_shift(scores)
-                shift[small] = 0.0
-            shifted_exp(scores, out=scores, row_max=shift)
-            row_max[h, rows, None] = shift
-            np.matmul(scores, vp[h, keys], out=ctx_sum[h, rows])
-        total = ctx_sum[h, :, head_dim:]
-        total[total == 0] = 1.0
-        ctx_sum[h, :, :head_dim] /= total
+    def run_heads(part: slice):
+        work = tiles.allocate(part)
+        for h in tiles.groups(part):
+            tiles.load(h)
+            _pad_into(vp, vh, tiles.g, h)
+            # Cauchy-Schwarz bounds every score of row i in head h by bound[h, i].
+            k_max = np.sqrt(np.einsum("hnd,hnd->hn", kh[h], kh[h]).max(axis=-1, keepdims=True))
+            bound = np.sqrt(np.einsum("hnd,hnd->hn", tiles.qs[h], tiles.qs[h])) * k_max
+            for rows, keys in tiles.blocks():
+                scores = tiles.masked_scores(work, rows, keys, h)
+                small = bound[:, rows].max(axis=-1) <= _NO_SHIFT_BOUND
+                if small.all():
+                    shift = 0.0
+                else:
+                    shift = row_shift(scores)
+                    shift[small] = 0.0
+                shifted_exp(scores, out=scores, row_max=shift)
+                row_max[h, rows, None] = shift
+                np.matmul(scores, vp[h, keys], out=ctx_sum[h, rows])
+            total = ctx_sum[h, :, head_dim:]
+            total[total == 0] = 1.0
+            ctx_sum[h, :, :head_dim] /= total
 
     pool.run(run_heads, pool.split(heads))
     ctx = ctx_sum[..., :head_dim]
@@ -303,10 +316,11 @@ def attend_backward(d_ctx, qh, kh, vh, stats: SoftmaxStats, spec: AttentionSpec,
     d_probs = d_ctx @ V_windowᵀ becomes d_scores = tile * (d_probs - D) in
     place, with D = rowsum(d_ctx * ctx) taken once per head on [n, head_dim];
     d_q = d_scores @ K_window, and d_k, d_v are tileᵀ @ {scaled q, d_ctx}
-    overlap-added into the padded key axis. Two tile buffers serve all blocks.
-    pool runs the block loop with the heads split into its parts, as attend
-    does; every step is taken per head, so the bits do not depend on how the
-    heads are grouped.
+    overlap-added into the padded key axis. Two tile buffers per part serve
+    all its blocks. pool runs the block loop with the heads split into its
+    parts and each part's heads in groups, as attend does; every step is
+    taken per head, so the bits do not depend on how the heads are split or
+    grouped.
 
     The scale is a Python float, as in attend, so the gradients keep the
     inputs' dtype (a NumPy float64 scalar would promote float32 to float64).
@@ -314,23 +328,24 @@ def attend_backward(d_ctx, qh, kh, vh, stats: SoftmaxStats, spec: AttentionSpec,
     tiles = _Tiles(qh, kh, stats.pad, spec, buffers=2)
     g, n, qs, kp, vp = tiles.g, tiles.n, tiles.qs, tiles.kp, _pad_buffer(vh, tiles.g)
     d_qh, d_kp, d_vp = np.empty_like(qh), np.zeros_like(kp), np.zeros_like(vp)
-    tiles.allocate()
 
-    def run_heads(h: slice):
-        tiles.load(h)
-        _pad_into(vp, vh, g, h)
-        d_rows = (d_ctx[h] * stats.ctx[h]).sum(axis=-1, keepdims=True)
-        for rows, keys in tiles.blocks():
-            scores = tiles.masked_scores(rows, keys, h)
-            tile = softmax_rows(scores, out=scores,
-                                stats=(stats.row_max[h, rows, None], stats.row_sum[h, rows, None]))
-            d_vp[h, keys] += tile.swapaxes(-1, -2) @ d_ctx[h, rows]
-            d_scores = np.matmul(d_ctx[h, rows], vp[h, keys].swapaxes(-1, -2),
-                                 out=tiles.tile(1, rows, h))
-            d_scores -= d_rows[:, rows]
-            d_scores *= tile
-            d_qh[h, rows] = (d_scores @ kp[h, keys]) * tiles.scale
-            d_kp[h, keys] += d_scores.swapaxes(-1, -2) @ qs[h, rows]
+    def run_heads(part: slice):
+        work = tiles.allocate(part)
+        for h in tiles.groups(part):
+            tiles.load(h)
+            _pad_into(vp, vh, g, h)
+            d_rows = (d_ctx[h] * stats.ctx[h]).sum(axis=-1, keepdims=True)
+            for rows, keys in tiles.blocks():
+                scores = tiles.masked_scores(work, rows, keys, h)
+                tile = softmax_rows(scores, out=scores, stats=(stats.row_max[h, rows, None],
+                                                               stats.row_sum[h, rows, None]))
+                d_vp[h, keys] += tile.swapaxes(-1, -2) @ d_ctx[h, rows]
+                d_scores = np.matmul(d_ctx[h, rows], vp[h, keys].swapaxes(-1, -2),
+                                     out=tiles.tile(work, 1, rows, h))
+                d_scores -= d_rows[:, rows]
+                d_scores *= tile
+                d_qh[h, rows] = (d_scores @ kp[h, keys]) * tiles.scale
+                d_kp[h, keys] += d_scores.swapaxes(-1, -2) @ qs[h, rows]
 
     pool.run(run_heads, pool.split(qh.shape[0]))
     return d_qh, d_kp[:, g.lead:g.lead + n], d_vp[:, g.lead:g.lead + n]

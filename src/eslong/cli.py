@@ -9,6 +9,7 @@ next to its primary output. Set ESLONG_LOG=DEBUG|INFO|WARNING for verbosity.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import json
 import logging
@@ -54,6 +55,27 @@ def _configure_logging() -> None:
     level = os.environ.get("ESLONG_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s")
+
+
+# glibc's mallopt parameter numbers (malloc.h).
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_freed_heap() -> None:
+    """Fix glibc's heap thresholds at the values its dynamic rule reaches
+    once a 32 MB block is freed: blocks under 32 MB come from the heap, and up
+    to 64 MB of freed memory at its top stays mapped. The dynamic rule
+    follows the largest block freed so far, and a forward's bounded working
+    set keeps that near 4 MB, so each layer's frees would hand back pages the
+    next layer faults in again. Does nothing where mallopt is missing."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
 def _load_config_file(path) -> dict:
@@ -404,6 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _keep_freed_heap()
     _configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -20,7 +20,7 @@ import numpy as np
 from .attention import GLOBAL, LOCAL, AttentionSpec, attend
 from .checkpoint import read_checkpoint, write_checkpoint
 from .errors import ConfigError, ContractError, FormatError, InputError, LengthError
-from .parallel import INLINE, layer_pool
+from .parallel import INLINE, cut, layer_pool
 from .quant import QUANTIZABLE_FAMILIES, QuantizedTensor, decode_dense, qmatmul
 from .tensor_ops import gelu, layer_norm
 
@@ -292,6 +292,20 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
 _ROW_ALIGN = 16
 _MIN_SPLIT_WIDTH = 32
 _MIN_PART_ROWS = 128
+# Phase C runs a part's FFN in blocks of at most _FFN_ROWS rows, cut at
+# multiples of _ROW_ALIGN, so an uncached forward needs [block, ffn_dim]
+# scratch per part, not [n, ffn_dim] arrays. Forwards off the pool keep one
+# block: their narrow products round differently when their rows split.
+_FFN_ROWS = 256
+
+
+def _ffn_blocks(r: slice) -> list[slice]:
+    """A phase C part's rows cut into near-equal blocks of at most _FFN_ROWS.
+    With at most _FFN_ROWS - _ROW_ALIGN rows per block before rounding, the
+    rounding of the inner bounds keeps every block within _FFN_ROWS."""
+    rows = r.stop - r.start
+    blocks = -(-rows // (_FFN_ROWS - _ROW_ALIGN))
+    return [slice(r.start + b.start, r.start + b.stop) for b in cut(rows, blocks, _ROW_ALIGN)]
 
 
 def _uses_pool(model: EncoderModel) -> bool:
@@ -308,13 +322,16 @@ def forward(model: EncoderModel, token_ids, want_cache: bool = False):
     Each layer runs as three phases, each cut into parts that write disjoint
     slices of arrays allocated here: A, the rows of layer norm 1 and the
     Q/K/V projections; B, attend over the heads; C, the rows of the output
-    projection, residual, layer norm 2, FFN with GELU, and residual. When
-    _uses_pool, the phases run on parallel.layer_pool with OpenBLAS held at
-    one thread, and the rows split from 2 * _MIN_PART_ROWS tokens on;
-    otherwise they run inline, with OpenBLAS's own threads. Every part
-    computes what the whole layer would for its rows or heads, bit for bit,
-    so the output does not depend on the number of workers. int4 weights are
-    decoded once per phase, here.
+    projection, residual, layer norm 2, and then, block by block of
+    _ffn_blocks, FFN with GELU and residual. Without a cache the FFN's two
+    [rows, ffn_dim] activations go to scratch of one block per part, and
+    layer norm 1's output is freed before attention. When _uses_pool, the
+    phases run on parallel.layer_pool with OpenBLAS held at one thread, and
+    the rows split from 2 * _MIN_PART_ROWS tokens on; otherwise they run
+    inline, with OpenBLAS's own threads, and each part's FFN in one block.
+    Every part computes what the whole layer would for its rows or heads,
+    bit for bit, so the output does not depend on the number of workers.
+    int4 weights are decoded once per phase, here.
 
     With want_cache=True also returns the intermediate activations the
     training module needs for its hand-derived backward pass: O(n * d) per
@@ -334,9 +351,10 @@ def forward(model: EncoderModel, token_ids, want_cache: bool = False):
     pad = tok == vocab.pad_id
     P = model.params
     # Off the pool every phase runs inline, on OpenBLAS's own threads unless
-    # the caller holds them at one, as mlm_loss does. The choice does not
+    # the caller holds them at one, as mlm_loss and embed_corpus do. The choice does not
     # depend on the number of workers, and neither do the bits.
-    pool = layer_pool() if _uses_pool(model) else INLINE
+    split_rows = _uses_pool(model)
+    pool = layer_pool() if split_rows else INLINE
     row_parts = pool.split(n, _ROW_ALIGN, _MIN_PART_ROWS)
     x = P["token_embedding"][tok] + P["position_embedding"][:n]
     d, f, dtype = cfg.embed_dim, cfg.ffn_dim, x.dtype
@@ -360,15 +378,21 @@ def forward(model: EncoderModel, token_ids, want_cache: bool = False):
                     _project(model, f"{p}.{name}", h1[r], w[name], out[r])
 
             pool.run(phase_a, row_parts)
+            # Freed before attention when nothing keeps them.
+            del w
+            if not want_cache:
+                del h1, ln1
             qh, kh, vh = (_split_heads(t, cfg.num_heads) for t in (q, k, v))
             ctx_h, stats = attend(qh, kh, vh, pad, cfg.attention, pool=pool)
             if want_cache:
                 x_mid, x, cdf = new(d), new(d), new(f)
             else:
                 # Nothing keeps them: the residuals go into x, Phi is not kept.
-                del h1, ln1, q, k, v, qh, kh, vh
+                del q, k, v, qh, kh, vh
                 x_mid, cdf = x, None
-            h2, ln2, u, act = new(d), (new(d), new(1)), new(f), new(f)
+            h2, ln2 = new(d), (new(d), new(1))
+            # Without a cache, u and act go to each part's scratch.
+            u, act = (new(f), new(f)) if want_cache else (None, None)
             # Scratch: the merged heads, and a projection before its residual.
             merged, proj = new(d), new(d)
             w = {name: _dense_weight(model, f"{p}.{name}", dtype)
@@ -381,10 +405,15 @@ def forward(model: EncoderModel, token_ids, want_cache: bool = False):
                 np.add(x_in[r], proj[r], out=x_mid[r])
                 layer_norm(x_mid[r], P[f"{p}.ffn_ln.gain"], P[f"{p}.ffn_ln.bias"],
                            out=(h2[r], ln2[0][r], ln2[1][r]))
-                _project(model, f"{p}.ffn_in", h2[r], w["ffn_in"], u[r])
-                gelu(u[r], out=act[r], cdf_out=None if cdf is None else cdf[r])
-                _project(model, f"{p}.ffn_out", act[r], w["ffn_out"], proj[r])
-                np.add(x_mid[r], proj[r], out=x[r])
+                blocks = _ffn_blocks(r) if split_rows else [r]
+                sizes = [b.stop - b.start for b in blocks]
+                scratch = np.empty((2, max(sizes), f), dtype) if u is None else None
+                for b, size in zip(blocks, sizes):
+                    u_b, act_b = (u[b], act[b]) if scratch is None else scratch[:, :size]
+                    _project(model, f"{p}.ffn_in", h2[b], w["ffn_in"], u_b)
+                    gelu(u_b, out=act_b, cdf_out=None if cdf is None else cdf[b])
+                    _project(model, f"{p}.ffn_out", act_b, w["ffn_out"], proj[b])
+                    np.add(x_mid[b], proj[b], out=x[b])
 
             pool.run(phase_c, row_parts)
             if want_cache:

@@ -1,16 +1,19 @@
-"""The thread pool that runs the parts of an encoder layer, and the
-sequences of a training batch.
+"""The thread pool that runs the parts of an encoder layer, the sequences of
+a training batch, and the records of an embedding corpus.
 
 encoder.forward runs each layer as three phases, and every phase as parts
 that read shared inputs and write disjoint slices of arrays the caller
 allocated: rows for layer norm, projections and GELU, heads for attention.
 LayerPool.run runs the parts of one phase on the caller's thread and its
-worker threads and returns when all are done. NumPy and OpenBLAS release the
-interpreter lock inside their loops, so the parts of a phase overlap.
-training.mlm_loss runs the sequences of a batch as the parts of one run, and
-each sequence's forward runs its phases on the same pool. The caller of a run
-takes parts too and never waits for a queued share, so such nested runs
-cannot deadlock: when every worker is busy, the caller runs all the parts.
+idle worker threads and returns when all are done. NumPy and OpenBLAS
+release the interpreter lock inside their loops, so the parts of a phase
+overlap. training.mlm_loss runs the sequences of a batch, and
+pipeline.embed_corpus the records of a corpus, as the parts of one run, and
+each of their forwards runs its phases on the same pool. The caller of a run
+takes parts too and never waits for a part no thread has taken, so such
+nested runs cannot deadlock: when every worker is busy, the caller runs all
+the parts. A run hands parts only to workers idle when it starts, so a
+nested run queues nothing behind a busy worker.
 
 The parts' matrix products must each run on one core. Two BLAS threads on
 top of the workers oversubscribe the cores, and they also make attention's
@@ -62,6 +65,13 @@ def _blas_thread_setters() -> tuple:
     return tuple(setters)
 
 
+def cut(count: int, parts: int, align: int = 1) -> list[slice]:
+    """range(count) cut into `parts` contiguous slices of near-equal size whose
+    inner bounds are multiples of align."""
+    bounds = [0, *(round(i * count / parts / align) * align for i in range(1, parts)), count]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
 class LayerPool:
     """The caller and workers - 1 threads run the parts of a phase; with one
     worker there are no threads and the parts run inline, in order."""
@@ -73,6 +83,7 @@ class LayerPool:
         self._executor = (ThreadPoolExecutor(self.workers - 1, thread_name_prefix="eslong-layer")
                           if self.workers > 1 else None)
         self._lock = threading.Lock()
+        self._idle = self.workers - 1  # pool threads that run no take_parts
         self._holders = 0
         self._saved: list[int] = []
 
@@ -81,20 +92,19 @@ class LayerPool:
         size. Inner bounds are multiples of align, and there are no more parts
         than count // least; with least >= 2 * align every part then holds at
         least align items."""
-        parts = max(1, min(self.workers, count // least))
-        bounds = [0, *(round(i * count / parts / align) * align for i in range(1, parts)), count]
-        return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        return cut(count, max(1, min(self.workers, count // least)), align)
 
     def run(self, fn, parts) -> None:
-        """fn(part) for every part, on the caller and up to workers - 1 pool
-        threads, each taking the next part not yet taken. A thread that wakes
-        late finds no part left and returns; the caller waits only for the
-        parts taken. All parts finish before the first exception, in part
-        order, is raised, so no part still writes into the caller's arrays
-        once run has returned or raised. A take_parts still queued behind a
-        busy worker then holds neither fn nor the parts nor their errors, and
-        so none of the arrays they reach."""
-        if self._executor is None or len(parts) == 1:
+        """fn(part) for every part, on the caller and the pool threads idle
+        when run starts, at most one fewer than the parts, each taking the
+        next part not yet taken. A thread that wakes late finds no part left
+        and returns; the caller waits only for the parts taken. All parts
+        finish before the first exception, in part order, is raised, so no
+        part still writes into the caller's arrays once run has returned or
+        raised. A take_parts still queued behind a busy worker then holds
+        neither fn nor the parts nor their errors, and so none of the arrays
+        they reach."""
+        if self._executor is None or len(parts) <= 1:
             for part in parts:
                 fn(part)
             return
@@ -119,9 +129,19 @@ class LayerPool:
                     if done == count:
                         finished.set()
 
+        def help_out():
+            try:
+                take_parts()
+            finally:
+                with self._lock:
+                    self._idle += 1
+
+        with self._lock:
+            helpers = min(self._idle, count - 1)
+            self._idle -= helpers
         # take_parts keeps every exception of fn, so the futures hold none.
-        for _ in range(min(self.workers, count) - 1):
-            self._executor.submit(contextvars.copy_context().run, take_parts)
+        for _ in range(helpers):
+            self._executor.submit(contextvars.copy_context().run, help_out)
         take_parts()
         finished.wait()
         first = next((exc for exc in errors if exc is not None), None)

@@ -4,8 +4,10 @@ Long sequences are cut into non-overlapping left-to-right slices that fit the
 model's residue limit; each slice is encoded separately, mean-pooled over its
 residue positions (CLS/EOS excluded), and the per-slice vectors are averaged
 elementwise into one fixed-length vector per protein. Slice vectors accumulate
-in float64 in a fixed left-to-right order, and records are embedded one after
-another in input order, so reruns give byte-identical stores.
+in float64 in a fixed left-to-right order. embed_corpus embeds records side by
+side on parallel.layer_pool and returns them in input order, and no forward's
+bits depend on the worker count, so reruns give byte-identical stores for any
+worker count.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numpy as np
 from .checkpoint import read_exact
 from .encoder import EncoderModel, forward, tokenize
 from .errors import ConfigError, EslongError, FormatError, IngestionError, InputError, text_lines
+from .parallel import layer_pool
 
 STORE_MAGIC = b"ESEM"
 STORE_VERSION = 1
@@ -134,11 +137,19 @@ def embed_protein(
 
 
 def embed_corpus(model: EncoderModel, records, residue_limit: int, pool: str = POOL_MEAN):
-    """Embed every record in input order.
+    """Embed every record; results and failures come back in input order.
+
+    The records are the parts of one layer_pool().run, longest first (a
+    stable sort by sequence length), with OpenBLAS held at one thread
+    throughout: each thread runs embed_protein on a record, and that
+    record's forwards run their phases on the same pool. Up to `workers`
+    forwards are in flight at once. A record's slices run in order on the
+    thread that took it, and no forward's bits depend on the worker count,
+    so neither do the results.
 
     Returns (embeddings, failures) where failures is a list of (protein id,
     error message) for records whose input was rejected with an EslongError;
-    any other exception is a bug and propagates.
+    any other exception is a bug and propagates once every record has run.
     """
     if residue_limit < 1:
         raise ConfigError("residue_limit must be >= 1")
@@ -147,13 +158,22 @@ def embed_corpus(model: EncoderModel, records, residue_limit: int, pool: str = P
             f"model capacity {model.config.max_positions} cannot hold "
             f"residue_limit {residue_limit} plus CLS/EOS"
         )
-    results: list[EmbeddingRecord] = []
-    failures: list[tuple[str, str]] = []
-    for rec in records:
+    records = list(records)
+    outcomes: list[EmbeddingRecord | str | None] = [None] * len(records)
+
+    def embed_record(i: int) -> None:
         try:
-            results.append(embed_protein(model, rec, residue_limit, pool=pool))
+            outcomes[i] = embed_protein(model, records[i], residue_limit, pool=pool)
         except EslongError as exc:  # per-record isolation; summarized by caller
-            failures.append((rec.id, str(exc)))
+            outcomes[i] = str(exc)
+
+    longest_first = sorted(range(len(records)), key=lambda i: len(records[i].sequence),
+                           reverse=True)
+    layers = layer_pool()
+    with layers.one_blas_thread():
+        layers.run(embed_record, longest_first)
+    results = [out for out in outcomes if isinstance(out, EmbeddingRecord)]
+    failures = [(rec.id, out) for rec, out in zip(records, outcomes) if isinstance(out, str)]
     return results, failures
 
 

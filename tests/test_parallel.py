@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import weakref
 from contextlib import contextmanager
 
@@ -16,14 +17,21 @@ import pytest
 
 import eslong
 from conftest import CANONICAL, tiny_config, write_non_finite
-from eslong import encoder, parallel, training
+from eslong import attention, encoder, parallel, pipeline, training
 from eslong.attention import AttentionSpec
 from eslong.checkpoint import read_checkpoint
 from eslong.cli import main
-from eslong.encoder import ModelConfig, build_model, forward, save_model, tokenize
-from eslong.errors import InputError
+from eslong.encoder import (
+    ModelConfig,
+    build_model,
+    forward,
+    preset_config,
+    save_model,
+    tokenize,
+)
+from eslong.errors import IngestionError, InputError
 from eslong.parallel import LayerPool
-from eslong.pipeline import ProteinRecord, embed_corpus, write_fasta, write_store
+from eslong.pipeline import ProteinRecord, embed_corpus, embed_protein, write_fasta, write_store
 from eslong.quant import quantize_model
 from eslong.training import (
     TrainConfig,
@@ -295,6 +303,91 @@ def test_embed_store_does_not_depend_on_workers(use_pool, tmp_path):
     assert same_bytes(one, two)
 
 
+@pytest.mark.parametrize("workers, bound_mb", [(1, 14.6), (2, 19.0)])
+def test_uncached_forward_working_set(use_pool, monkeypatch, workers, bound_mb):
+    """One T6 forward at 1,022 global tokens with no cache: attention's tile
+    buffers, the FFN's activations and layer norm 1's output are bounded, so
+    up to `workers` forwards fit in the memory one took when each allocated
+    a [20, 256, 1022] tile and [n, ffn_dim] activations (a 31.9 MB traced
+    peak). The bounds are about 10% above the peaks measured since, 13.3
+    and 17.4 MB. No tile buffer exceeds attention._TILE_BUDGET."""
+    use_pool(workers)
+    model = build_model(preset_config("T6"), seed=1)
+    toks = tokens(1022, model.config, seed=4)
+    forward(model, toks)  # warm: no first-call allocation counts
+    buffers = []
+    real_allocate = attention._Tiles.allocate
+
+    def allocate(self, heads):
+        work = real_allocate(self, heads)
+        buffers.append(work.shape)
+        return work
+
+    monkeypatch.setattr(attention._Tiles, "allocate", allocate)
+    tracemalloc.start()
+    try:
+        forward(model, toks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mb * 2**20
+    assert len(buffers) == workers * model.config.num_layers
+    assert all(shape == (1, buffers[0][1]) and shape[1] <= attention._TILE_BUDGET
+               for shape in buffers)
+
+
+def random_records(lengths, seed):
+    rng = np.random.default_rng(seed)
+    return [ProteinRecord(f"P{i}", "".join(rng.choice(list(CANONICAL), size=n)))
+            for i, n in enumerate(lengths)]
+
+
+def test_embed_corpus_keeps_input_order_and_isolates_failures(use_pool):
+    """The records run longest first, side by side on two workers; the
+    vectors and the failures come back in input order, each vector the one
+    embed_protein gives its record alone, with the same bytes on one worker
+    and on two. The empty record in the middle fails alone."""
+    model = small_model()
+    records = random_records((40, 600, 300, 0, 5, 900, 250), seed=12)
+
+    def run():
+        return embed_corpus(model, records, residue_limit=700)
+
+    one, two = under_each_pool(use_pool, run)
+    for embeddings, failures in (one, two):
+        assert [r.protein_id for r in embeddings] == [rec.id for rec in records if rec.sequence]
+        assert [pid for pid, _ in failures] == ["P3"]
+        assert "empty sequence" in failures[0][1]
+    for a, b, rec in zip(one[0], two[0], [rec for rec in records if rec.sequence]):
+        alone = embed_protein(model, rec, residue_limit=700)
+        assert same_bytes(a.vector, b.vector) and same_bytes(a.vector, alone.vector)
+        assert a.slice_count == b.slice_count == alone.slice_count
+
+
+def test_embed_manifest_lists_skipped_in_input_order(use_pool, tmp_path, monkeypatch, capsys):
+    """Records rejected on pool threads, in another order than the input's,
+    are listed in input order in the manifest and on stderr."""
+    use_pool(2)
+    real = pipeline.embed_protein
+
+    def embed_or_reject(model, record, residue_limit, pool):
+        if record.id in ("P0", "P2", "P4"):
+            raise IngestionError(f"{record.id} rejected")
+        return real(model, record, residue_limit, pool=pool)
+
+    monkeypatch.setattr(pipeline, "embed_protein", embed_or_reject)
+    model_path, fasta, out = tmp_path / "m.eslg", tmp_path / "in.fasta", tmp_path / "x.esem"
+    save_model(small_model(), model_path)
+    write_fasta(fasta, random_records((30, 500, 600, 20, 300), seed=13))
+    assert main(["embed", "--model", str(model_path), "--fasta", str(fasta),
+                 "--out", str(out)]) == 1
+    manifest = json.loads((tmp_path / "x.esem.manifest.json").read_text())
+    assert manifest["extra"]["skipped"] == ["P0", "P2", "P4"]
+    assert list(manifest["extra"]["slice_counts"]) == ["P1", "P3"]
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[0] for line in err[:3]] == ["skipped P0", "skipped P2", "skipped P4"]
+
+
 def test_which_forwards_run_in_parts(use_pool, monkeypatch):
     """A wide model's forward splits the heads over a two-worker pool, and the
     rows too from 2 * _MIN_PART_ROWS tokens on, with or without a cache. A
@@ -424,6 +517,48 @@ def test_run_finishes_every_part_then_raises_the_first():
         pool.close()
 
 
+def test_run_without_parts_returns():
+    pool = LayerPool(2)
+    called = []
+    runner = threading.Thread(target=pool.run, args=(called.append, []), daemon=True)
+    try:
+        runner.start()
+        runner.join(timeout=30)
+        assert not runner.is_alive()
+        assert called == []
+    finally:
+        pool.close()
+
+
+def test_nested_runs_queue_nothing_behind_busy_workers():
+    """While the parts of an outer run keep every worker busy, the runs nested
+    in them hand no part to a worker, so nothing waits in the executor's
+    queue; a corpus of records would otherwise queue one item per phase."""
+    pool = LayerPool(2)
+    submitted, real_submit = [], pool._executor.submit
+
+    def submit(*args):
+        submitted.append(args)
+        return real_submit(*args)
+
+    pool._executor.submit = submit
+    both_busy, both_done = threading.Barrier(2, timeout=30), threading.Barrier(2, timeout=30)
+    inner = []
+
+    def outer(part):
+        both_busy.wait()
+        for _ in range(20):
+            pool.run(inner.append, [part, part])
+        both_done.wait()
+
+    try:
+        pool.run(outer, [0, 1])
+    finally:
+        pool.close()
+    assert len(submitted) == 1
+    assert sorted(inner) == [0] * 40 + [1] * 40
+
+
 def adds_one_to_an_array():
     """A part function whose closure alone holds its array, and a weak
     reference to that array."""
@@ -551,13 +686,35 @@ def test_pretrain_cli_does_not_depend_on_blas_threads(tmp_path):
     results = []
     for threads in ("1", "2"):
         out = tmp_path / f"model{threads}.eslg"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.path.dirname(os.path.dirname(eslong.__file__)))
-        done = subprocess.run(
-            [sys.executable, "-c", "from eslong.cli import run; run()", "pretrain",
-             "--config", str(config), "--fasta", str(fasta), "--out", str(out)],
-            capture_output=True, text=True, env=env, timeout=120)
-        assert done.returncode == 0, done.stderr
+        run_cli_on_blas_threads(threads, "pretrain", "--config", str(config),
+                                "--fasta", str(fasta), "--out", str(out))
         manifest = json.loads((tmp_path / f"model{threads}.eslg.manifest.json").read_text())
         results.append((out.read_bytes(), manifest["extra"]["loss_curve"]))
     assert results[0] == results[1]
+
+
+@pytest.mark.skipif(not SETTERS, reason="no OpenBLAS with openblas_set_num_threads_local")
+def test_adapter_embed_cli_does_not_depend_on_blas_threads(tmp_path):
+    """A model with a trained LoRA adapter runs every forward whole on one
+    thread, and embed_corpus holds OpenBLAS at one thread around it, so the
+    store has the same bytes under either setting."""
+    model = tmp_path / "lora.eslg"
+    save_model(small_model(lora=True), model)
+    fasta = tmp_path / "in.fasta"
+    write_fasta(fasta, random_records((480, 1000, 700, 600), seed=5))
+    stores = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"store{threads}.esem"
+        run_cli_on_blas_threads(threads, "embed", "--model", str(model), "--fasta", str(fasta),
+                                "--out", str(out))
+        stores.append(out.read_bytes())
+    assert stores[0] == stores[1]
+
+
+def run_cli_on_blas_threads(threads: str, *argv: str) -> None:
+    """The CLI in a subprocess under OPENBLAS_NUM_THREADS=threads; it must exit 0."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               PYTHONPATH=os.path.dirname(os.path.dirname(eslong.__file__)))
+    done = subprocess.run([sys.executable, "-c", "from eslong.cli import run; run()", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -4,9 +4,9 @@ Pre-LN blocks, learned absolute position table, bias-free linear projections,
 and a final layer norm applied before both the MLM head and embedding
 extraction. The position table is a materialized per-position matrix so its
 row count (the context capacity) can be extended by cyclic copying. Every
-layer runs attention.attend, one loop over query blocks in both modes. The
-forward of a wide model without a trained adapter runs each layer's heads,
-and a long input's rows, on parallel.layer_pool.
+layer runs attention.attend, one loop over query blocks in both modes. Every
+forward runs each layer's heads, and a long input's rows, on
+parallel.layer_pool.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ import numpy as np
 from .attention import GLOBAL, LOCAL, AttentionSpec, attend
 from .checkpoint import read_checkpoint, write_checkpoint
 from .errors import ConfigError, ContractError, FormatError, InputError, LengthError
-from .parallel import INLINE, cut, layer_pool
-from .quant import QUANTIZABLE_FAMILIES, QuantizedTensor, decode_dense, qmatmul
+from .parallel import cut, layer_pool
+from .quant import QUANTIZABLE_FAMILIES, QuantizedTensor, decode_dense
 from .tensor_ops import gelu, layer_norm
 
 CANONICAL_RESIDUES = "ACDEFGHIKLMNPQRSTVWY"
@@ -246,27 +246,18 @@ def detokenize(token_ids, vocab: TokenVocab = DEFAULT_VOCAB) -> str:
     return "".join(vocab.tokens[i] for i in token_ids if len(vocab.tokens[i]) == 1)
 
 
-def _project(model: EncoderModel, name: str, x: np.ndarray, weight=None, out=None):
-    """x @ W for the weight `name`, plus its LoRA delta when the adapter's B is
-    nonzero. weight, when given, is W as a dense array (forward decodes int4
-    weights once per phase), and out receives the product."""
-    w = model.params[name] if weight is None else weight
-    if isinstance(w, QuantizedTensor):
-        out = qmatmul(x, w)
-    else:
-        out = np.matmul(x, w, out=out)
-    adapter = model.adapters.get(name)
-    if adapter is not None and np.any(adapter.B):
-        out += (adapter.alpha / adapter.rank) * ((x @ adapter.A.T) @ adapter.B.T)
-    return out
-
-
 def _dense_weight(model: EncoderModel, name: str, dtype) -> np.ndarray:
-    """model.params[name] as a dense array; an int4 weight is decoded to
-    dtype, as qmatmul decodes it for activations of that dtype."""
+    """The weight `name` as one dense array: an int4 weight decoded to dtype,
+    as qmatmul decodes it for activations of that dtype, plus a trained LoRA
+    adapter's delta (alpha / rank) A^T B^T at the weight's dtype, the fold
+    training.merge_lora makes too. An adapter whose B is all zero is skipped,
+    and a dense weight then comes back as the same object."""
     w = model.params[name]
     if isinstance(w, QuantizedTensor):
-        return decode_dense(w).astype(dtype, copy=False)
+        w = decode_dense(w).astype(dtype, copy=False)
+    adapter = model.adapters.get(name)
+    if adapter is not None and np.any(adapter.B):
+        w = (w + (adapter.alpha / adapter.rank) * (adapter.A.T @ adapter.B.T)).astype(w.dtype)
     return w
 
 
@@ -284,8 +275,8 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
 # at least _ROW_ALIGN: OpenBLAS then gives each row of a part's product the
 # bits of the whole product's row, which an unaligned or 1-2 row part does not.
 # That holds for products at least _MIN_SPLIT_WIDTH columns wide; narrower
-# ones, such as a LoRA adapter's rank-r product, round some rows differently
-# when they are split. A part also holds at least _MIN_PART_ROWS: a
+# ones round some rows differently when they are split, so a model narrower
+# than that keeps its rows whole. A part also holds at least _MIN_PART_ROWS: a
 # product's cost does not fall with its rows until packing the weight no
 # longer dominates it, and two halves of a 130-row product took as long as
 # the whole.
@@ -294,8 +285,7 @@ _MIN_SPLIT_WIDTH = 32
 _MIN_PART_ROWS = 128
 # Phase C runs a part's FFN in blocks of at most _FFN_ROWS rows, cut at
 # multiples of _ROW_ALIGN, so an uncached forward needs [block, ffn_dim]
-# scratch per part, not [n, ffn_dim] arrays. Forwards off the pool keep one
-# block: their narrow products round differently when their rows split.
+# scratch per part, not [n, ffn_dim] arrays. The blocks depend on n alone.
 _FFN_ROWS = 256
 
 
@@ -308,14 +298,6 @@ def _ffn_blocks(r: slice) -> list[slice]:
     return [slice(r.start + b.start, r.start + b.stop) for b in cut(rows, blocks, _ROW_ALIGN)]
 
 
-def _uses_pool(model: EncoderModel) -> bool:
-    """Whether forward runs on the layer pool: only when every product of a
-    part is at least _MIN_SPLIT_WIDTH wide."""
-    cfg = model.config
-    return (min(cfg.embed_dim, cfg.ffn_dim) >= _MIN_SPLIT_WIDTH
-            and not any(np.any(adapter.B) for adapter in model.adapters.values()))
-
-
 def forward(model: EncoderModel, token_ids, want_cache: bool = False):
     """Last-layer hidden states after the final layer norm, one row per token.
 
@@ -325,13 +307,13 @@ def forward(model: EncoderModel, token_ids, want_cache: bool = False):
     projection, residual, layer norm 2, and then, block by block of
     _ffn_blocks, FFN with GELU and residual. Without a cache the FFN's two
     [rows, ffn_dim] activations go to scratch of one block per part, and
-    layer norm 1's output is freed before attention. When _uses_pool, the
-    phases run on parallel.layer_pool with OpenBLAS held at one thread, and
-    the rows split from 2 * _MIN_PART_ROWS tokens on; otherwise they run
-    inline, with OpenBLAS's own threads, and each part's FFN in one block.
-    Every part computes what the whole layer would for its rows or heads,
+    layer norm 1's output is freed before attention. The phases run on
+    parallel.layer_pool with OpenBLAS held at one thread, and the rows of a
+    model at least _MIN_SPLIT_WIDTH wide split from 2 * _MIN_PART_ROWS tokens
+    on. Every part computes what the whole layer would for its rows or heads,
     bit for bit, so the output does not depend on the number of workers.
-    int4 weights are decoded once per phase, here.
+    Each weight is made dense once per phase, here: int4 decoded and a
+    trained LoRA adapter folded in, so every projection is one product.
 
     With want_cache=True also returns the intermediate activations the
     training module needs for its hand-derived backward pass: O(n * d) per
@@ -350,14 +332,11 @@ def forward(model: EncoderModel, token_ids, want_cache: bool = False):
     n = tok.size
     pad = tok == vocab.pad_id
     P = model.params
-    # Off the pool every phase runs inline, on OpenBLAS's own threads unless
-    # the caller holds them at one, as mlm_loss and embed_corpus do. The choice does not
-    # depend on the number of workers, and neither do the bits.
-    split_rows = _uses_pool(model)
-    pool = layer_pool() if split_rows else INLINE
-    row_parts = pool.split(n, _ROW_ALIGN, _MIN_PART_ROWS)
+    pool = layer_pool()
     x = P["token_embedding"][tok] + P["position_embedding"][:n]
     d, f, dtype = cfg.embed_dim, cfg.ffn_dim, x.dtype
+    row_parts = (pool.split(n, _ROW_ALIGN, _MIN_PART_ROWS) if min(d, f) >= _MIN_SPLIT_WIDTH
+                 else [slice(0, n)])
 
     def new(cols):
         return np.empty((n, cols), dtype)
@@ -375,7 +354,7 @@ def forward(model: EncoderModel, token_ids, want_cache: bool = False):
                 layer_norm(x_in[r], P[f"{p}.attn_ln.gain"], P[f"{p}.attn_ln.bias"],
                            out=(h1[r], ln1[0][r], ln1[1][r]))
                 for name, out in zip(w, (q, k, v)):
-                    _project(model, f"{p}.{name}", h1[r], w[name], out[r])
+                    np.matmul(h1[r], w[name], out=out[r])
 
             pool.run(phase_a, row_parts)
             # Freed before attention when nothing keeps them.
@@ -401,18 +380,18 @@ def forward(model: EncoderModel, token_ids, want_cache: bool = False):
             def phase_c(r):
                 rows = r.stop - r.start
                 merged[r].reshape(rows, cfg.num_heads, -1)[...] = ctx_h[:, r].transpose(1, 0, 2)
-                _project(model, f"{p}.o_proj", merged[r], w["o_proj"], proj[r])
+                np.matmul(merged[r], w["o_proj"], out=proj[r])
                 np.add(x_in[r], proj[r], out=x_mid[r])
                 layer_norm(x_mid[r], P[f"{p}.ffn_ln.gain"], P[f"{p}.ffn_ln.bias"],
                            out=(h2[r], ln2[0][r], ln2[1][r]))
-                blocks = _ffn_blocks(r) if split_rows else [r]
+                blocks = _ffn_blocks(r)
                 sizes = [b.stop - b.start for b in blocks]
                 scratch = np.empty((2, max(sizes), f), dtype) if u is None else None
                 for b, size in zip(blocks, sizes):
                     u_b, act_b = (u[b], act[b]) if scratch is None else scratch[:, :size]
-                    _project(model, f"{p}.ffn_in", h2[b], w["ffn_in"], u_b)
+                    np.matmul(h2[b], w["ffn_in"], out=u_b)
                     gelu(u_b, out=act_b, cdf_out=None if cdf is None else cdf[b])
-                    _project(model, f"{p}.ffn_out", act_b, w["ffn_out"], proj[b])
+                    np.matmul(act_b, w["ffn_out"], out=proj[b])
                     np.add(x_mid[b], proj[b], out=x[b])
 
             pool.run(phase_c, row_parts)
@@ -434,7 +413,7 @@ def forward(model: EncoderModel, token_ids, want_cache: bool = False):
 
 
 def mlm_logits(model: EncoderModel, hidden: np.ndarray) -> np.ndarray:
-    return _project(model, "mlm_head", hidden)
+    return hidden @ _dense_weight(model, "mlm_head", hidden.dtype)
 
 
 def extend_context(

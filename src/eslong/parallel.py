@@ -175,8 +175,8 @@ class LayerPool:
             self._executor.shutdown()
 
 
-# For forwards that stay off the pool: no threads, and OpenBLAS keeps its
-# count, or the one a training batch holds.
+# The default pool of attention.attend and attend_backward, for callers
+# outside the encoder: no threads, and OpenBLAS keeps its count.
 INLINE = LayerPool(1)
 
 _pool: LayerPool | None = None

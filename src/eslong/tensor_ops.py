@@ -93,28 +93,27 @@ def shifted_exp(a: np.ndarray, out=None, row_max=None):
     return out, row_max
 
 
-def softmax_rows(a: np.ndarray, out=None, stats=None, return_stats: bool = False):
+def softmax_rows(a: np.ndarray, out=None, stats=None):
     """Softmax over the last axis: shifted_exp, then division by the row sum.
 
     A -inf entry is invisible, and a row with nothing visible comes out all
     zeros. All work happens in one output buffer of a's shape: out when given,
     which may be a itself, else a new array.
 
-    return_stats=True returns (probabilities, (row_max, row_sum)): the max
-    subtracted from each row and the sum of exponentials it was divided by,
-    with the last axis kept at length 1. Passing that pair back as stats skips
-    the reductions and runs the same exp(a - row_max) / row_sum, so the same a
-    gives bit-identical probabilities.
+    stats, a pair (row_max, row_sum) with the last axis kept at length 1, is
+    the shift and the sum of exponentials to divide by. Passing it skips the
+    reductions and runs the same exp(a - row_max) / row_sum, so the shift and
+    sum softmax_rows would take give bit-identical probabilities.
     """
     if stats is None:
-        out, m = shifted_exp(a, out)
+        out, _ = shifted_exp(a, out)
         total = out.sum(axis=-1, keepdims=True)
         total[total == 0] = 1.0
     else:
         m, total = stats
         out, _ = shifted_exp(a, out, m)
     out /= total
-    return (out, (m, total)) if return_stats else out
+    return out
 
 
 def layer_norm(

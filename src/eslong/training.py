@@ -28,7 +28,6 @@ from .encoder import (
     _dense_weight,
     _merge_heads,
     _split_heads,
-    _uses_pool,
     finite_number,
     forward,
     mlm_logits,
@@ -36,7 +35,7 @@ from .encoder import (
     tokenize,
 )
 from .errors import ConfigError, ContractError, LengthError
-from .parallel import INLINE, layer_pool
+from .parallel import layer_pool
 from .quant import QUANTIZABLE_FAMILIES, QuantizedTensor, param_family
 from .tensor_ops import gelu_grad
 
@@ -196,7 +195,7 @@ class _Backprop:
         self.base_trainable = not model.adapters
         self.grads = {k: np.zeros_like(v) for k, v in get_trainable(model).items()}
         # The pool the forward uses; the backward runs its parts on it too.
-        self.pool = layer_pool() if _uses_pool(model) else INLINE
+        self.pool = layer_pool()
         self._dense = {}
         self._dense_lock = threading.Lock()
         self._added = dict.fromkeys(self.grads, 0)  # sequences that have added, per key
@@ -204,7 +203,7 @@ class _Backprop:
         self._failed = math.inf  # the first sequence that raised
 
     def dense(self, name: str) -> np.ndarray:
-        # Under the lock, every thread waits for one decode of an int4 weight.
+        # Under the lock, every thread waits for one decode or adapter fold.
         with self._dense_lock:
             if name not in self._dense:
                 self._dense[name] = _dense_weight(self.model, name, self.model.dtype)
@@ -238,8 +237,9 @@ class _Backprop:
                       seq: int) -> np.ndarray:
         """Backward of out = x_in @ W_eff with W_eff = W + (alpha/r) A^T B^T.
 
-        d_out @ W^T and, when W or its adapter trains, x_in^T @ d_out run as
-        two parts on the pool, each product whole on one thread."""
+        d_out @ W_eff^T, with dense(name) the W_eff the forward used, and,
+        when W or its adapter trains, x_in^T @ d_out run as two parts on the
+        pool, each product whole on one thread."""
         adapter = self.model.adapters.get(name)
         products = [None, None]
 
@@ -254,7 +254,6 @@ class _Backprop:
             s = adapter.alpha / adapter.rank
             self._acc(f"adapters.{name}.A", s * (g @ adapter.B).T, seq)
             self._acc(f"adapters.{name}.B", s * (g.T @ adapter.A.T), seq)
-            d_x = d_x + s * ((d_out @ adapter.B) @ adapter.A)
         return d_x
 
     def sequence_backward(self, cache: dict, d_logits: np.ndarray, seq: int) -> None:
@@ -504,17 +503,16 @@ def attach_lora(model: EncoderModel, targets, rank: int, alpha: float, seed: int
 
 
 def merge_lora(model: EncoderModel) -> EncoderModel:
-    """Fold adapters into their base weights and drop them.
+    """Fold adapters into their base weights, as forward folds them, and drop
+    them.
 
     An all-zero B leaves the stored weight object untouched, so merging an
     untrained adapter returns bit-identical tensors.
     """
     params = dict(model.params)
-    for target, ad in model.adapters.items():
+    for target in model.adapters:
         w = params[target]
         if isinstance(w, QuantizedTensor):
             raise ConfigError("cannot merge adapters into a quantized base weight")
-        if np.any(ad.B):
-            delta = (ad.alpha / ad.rank) * (ad.A.T @ ad.B.T)
-            params[target] = (w + delta).astype(w.dtype)
+        params[target] = _dense_weight(model, target, w.dtype)
     return EncoderModel(config=model.config, params=params, adapters={})

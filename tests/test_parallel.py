@@ -54,6 +54,11 @@ def small_config(mode="global", window_k=None):
                        attention=AttentionSpec(mode, 4, 8, window_k))
 
 
+def narrow_model(mode="global", window_k=None):
+    """A model under encoder._MIN_SPLIT_WIDTH columns wide: its rows stay whole."""
+    return build_model(tiny_config(mode, window_k, max_positions=720), seed=3)
+
+
 def small_model(mode="global", window_k=None, int4=False, lora=False):
     model = build_model(small_config(mode, window_k), seed=3)
     if int4:
@@ -117,10 +122,10 @@ def same_bytes(a, b):
 
 
 @pytest.mark.parametrize("mode,window_k", [("global", None), ("local", 16)])
-@pytest.mark.parametrize("int4,lora", [(False, False), (True, False), (False, True)],
-                         ids=["fp32", "int4", "lora"])
-def test_forward_bytes_do_not_depend_on_workers(use_pool, mode, window_k, int4, lora):
-    model = small_model(mode, window_k, int4, lora)
+@pytest.mark.parametrize("kind", ["fp32", "int4", "lora", "narrow"])
+def test_forward_bytes_do_not_depend_on_workers(use_pool, mode, window_k, kind):
+    model = (narrow_model(mode, window_k) if kind == "narrow"
+             else small_model(mode, window_k, int4=kind == "int4", lora=kind == "lora"))
     for n in LENGTHS:
         for pads in (False, True):
             toks = tokens(n, model.config, pads=pads)
@@ -391,8 +396,8 @@ def test_embed_manifest_lists_skipped_in_input_order(use_pool, tmp_path, monkeyp
 def test_which_forwards_run_in_parts(use_pool, monkeypatch):
     """A wide model's forward splits the heads over a two-worker pool, and the
     rows too from 2 * _MIN_PART_ROWS tokens on, with or without a cache. A
-    model with a trained LoRA adapter and a narrow model never reach the
-    pool."""
+    model with a trained LoRA adapter splits as the plain one does; a narrow
+    model splits only its heads."""
     pool = use_pool(2)
     parts = []
     real_run = LayerPool.run
@@ -414,13 +419,17 @@ def test_which_forwards_run_in_parts(use_pool, monkeypatch):
     forward(model, tokens(600, model.config), want_cache=True)
     assert parts == [2, 2, 2] * layers
     parts.clear()
-    # A rank-r LoRA product, and any product under _MIN_SPLIT_WIDTH columns,
-    # rounds differently when its rows are split.
-    lora, narrow = small_model(lora=True), build_model(tiny_config(max_positions=600), seed=3)
-    for inline in (lora, narrow):
-        forward(inline, tokens(600, inline.config))
-        forward(inline, tokens(600, inline.config), want_cache=True)
-    assert parts == []
+    # The adapters are folded into their weights, so every product is wide.
+    lora = small_model(lora=True)
+    for want_cache in (False, True):
+        forward(lora, tokens(600, lora.config), want_cache=want_cache)
+        assert parts == [2, 2, 2] * layers
+        parts.clear()
+    # Any product under _MIN_SPLIT_WIDTH columns rounds differently when its
+    # rows are split.
+    narrow = narrow_model()
+    forward(narrow, tokens(600, narrow.config))
+    assert parts == [1, 2, 1] * narrow.config.num_layers
 
 
 def read_blas_threads(setter) -> int:
@@ -443,18 +452,21 @@ def blas_threads(count):
 
 
 @pytest.mark.skipif(not SETTERS, reason="no OpenBLAS with openblas_set_num_threads_local")
-def test_forward_keeps_callers_blas_thread_count(use_pool):
+@pytest.mark.parametrize("make_model", [small_model, lambda: small_model(lora=True), narrow_model],
+                         ids=["plain", "lora", "narrow"])
+def test_forward_keeps_callers_blas_thread_count(use_pool, make_model):
+    """forward gives the caller back its OpenBLAS thread count, and its bits
+    do not depend on that count: above about 450 tokens attention's products
+    round differently on two threads."""
     use_pool(2)
-    model = small_model()
-    before = [read_blas_threads(setter) for setter in SETTERS]
-    try:
-        for setter in SETTERS:
-            setter(2)
-        forward(model, tokens(600, model.config))
+    model = make_model()
+    toks = tokens(600, model.config)
+    with blas_threads(1):
+        want = forward(model, toks)
+    with blas_threads(2):
+        got = forward(model, toks)
         assert [read_blas_threads(setter) for setter in SETTERS] == [2] * len(SETTERS)
-    finally:
-        for setter, count in zip(SETTERS, before):
-            setter(count)
+    assert same_bytes(got, want)
 
 
 def test_concurrent_long_forwards(use_pool):
@@ -695,9 +707,9 @@ def test_pretrain_cli_does_not_depend_on_blas_threads(tmp_path):
 
 @pytest.mark.skipif(not SETTERS, reason="no OpenBLAS with openblas_set_num_threads_local")
 def test_adapter_embed_cli_does_not_depend_on_blas_threads(tmp_path):
-    """A model with a trained LoRA adapter runs every forward whole on one
-    thread, and embed_corpus holds OpenBLAS at one thread around it, so the
-    store has the same bytes under either setting."""
+    """A model with a trained LoRA adapter runs every forward on the pool,
+    and embed_corpus holds OpenBLAS at one thread around it, so the store has
+    the same bytes under either setting."""
     model = tmp_path / "lora.eslg"
     save_model(small_model(lora=True), model)
     fasta = tmp_path / "in.fasta"

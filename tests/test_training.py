@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 from conftest import random_corpus, tiny_config
-from eslong.encoder import DEFAULT_VOCAB, build_model, forward, preset_config, tokenize
+from eslong.encoder import (
+    DEFAULT_VOCAB,
+    build_model,
+    forward,
+    mlm_logits,
+    preset_config,
+    tokenize,
+)
 from eslong.errors import ConfigError, ContractError, LengthError
 from eslong.quant import QuantizedTensor, quantize_model
 from eslong.training import (
@@ -328,6 +335,21 @@ class TestLora:
         merged = merge_lora(trained)
         toks = tokenize("ACDEFGHIKL", toy_model.config)
         np.testing.assert_allclose(forward(merged, toks), forward(trained, toks), atol=1e-5)
+
+    def test_adapter_forward_is_its_merge_bit_for_bit(self, toy_model):
+        """forward and mlm_logits fold each trained adapter into its weight as
+        merge_lora does, so the adapter model and its merge share every bit."""
+        targets = lora_target_names(toy_model.config, ("attention", "ffn", "head"))
+        adapted = attach_lora(toy_model, targets, rank=4, alpha=16.0, seed=1)
+        rng = np.random.default_rng(16)
+        for adapter in adapted.adapters.values():
+            adapter.B = rng.normal(0.0, 0.05, adapter.B.shape).astype(np.float32)
+        merged = merge_lora(adapted)
+        toks = tokenize("".join(rng.choice(list("ACDEFGHIKLMNPQRSTVWY"), size=60)),
+                        toy_model.config)
+        hidden, want = forward(adapted, toks), forward(merged, toks)
+        assert hidden.tobytes() == want.tobytes()
+        assert mlm_logits(adapted, hidden).tobytes() == mlm_logits(merged, want).tobytes()
 
     def test_unknown_target_rejected(self, toy_model):
         with pytest.raises(ConfigError):

@@ -20,7 +20,7 @@ from typing import Any, BinaryIO
 
 import numpy as np
 
-from .errors import FormatError, InputError
+from .errors import ConfigError, FormatError, InputError
 from .quant import QuantizedTensor
 
 MAGIC = b"ESLG"
@@ -141,3 +141,21 @@ def read_checkpoint(path) -> tuple[dict[str, Any], dict]:
     if config is None:
         raise FormatError("checkpoint has no config entry")
     return tensors, config
+
+
+def array_entry(tensors: dict, name: str, shape: tuple) -> np.ndarray:
+    """tensors[name], once it is known to be an array of the given shape."""
+    if name not in tensors:
+        raise ConfigError(f"checkpoint is missing tensor {name!r}")
+    found = getattr(tensors[name], "shape", None)
+    if not isinstance(tensors[name], np.ndarray) or found != shape:
+        raise FormatError(f"checkpoint tensor {name!r} has shape {found}, expected {shape}")
+    return tensors[name]
+
+
+def reject_unused(tensors: dict, used) -> None:
+    """A FormatError naming every checkpoint entry outside used, so a file that
+    holds more than its reader consumes is never taken for a smaller model."""
+    unused = sorted(set(tensors) - set(used))
+    if unused:
+        raise FormatError(f"checkpoint has entries its reader does not use: {unused}")

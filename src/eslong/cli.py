@@ -27,13 +27,12 @@ from .encoder import (
     config_from_json,
     config_to_json,
     extend_context,
-    json_fields,
     load_model,
     model_tag,
     preset_config,
     save_model,
 )
-from .errors import ConfigError, EslongError
+from .errors import ConfigError, EslongError, json_fields
 from .evaluation import fmax, result_to_json, stratified_eval, write_curve_tsv, write_report
 from .head import HeadConfig, load_head, predict, save_head, train_head
 from .manifest import write_manifest
@@ -210,6 +209,13 @@ def cmd_embed(args) -> int:
     limit = args.residue_limit
     if limit is None:
         limit = model.config.max_positions - 2
+    attention = model.config.attention
+    if args.pool == "cls" and attention.mode == LOCAL:
+        reach = model.config.num_layers * attention.window_k // 2
+        if reach < limit:
+            log.warning("--pool cls on local attention: after %d layers at window %d, CLS "
+                        "depends on at most the first %d residues of each slice of up to %d",
+                        model.config.num_layers, attention.window_k, reach, limit)
     embeddings, failures = embed_corpus(model, records, limit, pool=args.pool)
     write_store(args.out, embeddings, embed_dim=model.config.embed_dim)
     if args.tsv:
@@ -304,6 +310,7 @@ def cmd_predict(args) -> int:
 def cmd_eval(args) -> int:
     started = time.monotonic()
     pred = load_annotations(args.pred)
+    pred_table = pred.from_binary
     truth = load_annotations(args.truth)
     graph = load_ontology(args.ontology, args.namespace)
     truth = close_truth(truth, graph)
@@ -333,6 +340,7 @@ def cmd_eval(args) -> int:
             inputs=inputs,
             seed=None,
             wall_ms=int((time.monotonic() - started) * 1000),
+            extra={"pred_table": pred_table},
         )
     else:
         json.dump(result_to_json(result), sys.stdout, indent=2, sort_keys=True)

@@ -11,15 +11,23 @@ parallel.layer_pool.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
 
 from .attention import GLOBAL, LOCAL, AttentionSpec, attend
-from .checkpoint import read_checkpoint, write_checkpoint
-from .errors import ConfigError, ContractError, FormatError, InputError, LengthError
+from .checkpoint import array_entry, read_checkpoint, reject_unused, write_checkpoint
+from .errors import (
+    ConfigError,
+    ContractError,
+    FormatError,
+    InputError,
+    LengthError,
+    finite_number,
+    json_fields,
+    positive_int,
+)
 from .parallel import cut, layer_pool
 from .quant import QUANTIZABLE_FAMILIES, QuantizedTensor, decode_dense
 from .tensor_ops import gelu, layer_norm
@@ -483,50 +491,6 @@ def config_to_json(config: ModelConfig) -> dict:
 
 
 _CONFIG_DIMS = ("num_layers", "num_heads", "embed_dim", "max_positions", "ffn_dim")
-
-
-def json_fields(data, what: str, required: tuple, optional: tuple = ()) -> dict:
-    """data, once it is known to be a JSON object holding every required key and
-    nothing beyond the required and optional ones; otherwise a ConfigError."""
-    if not isinstance(data, dict):
-        raise ConfigError(f"{what} must be a JSON object, got {type(data).__name__}")
-    missing = set(required) - set(data)
-    if missing:
-        raise ConfigError(f"{what} is missing keys: {sorted(missing)}")
-    unknown = set(data) - set(required) - set(optional)
-    if unknown:
-        raise ConfigError(f"{what} has unknown keys: {sorted(unknown)}")
-    return data
-
-
-def positive_int(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(f"{what} must be a positive integer, got {value!r}")
-    return value
-
-
-def finite_number(value, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ConfigError(f"{what} must be a finite number, got {value!r}")
-    return value
-
-
-def array_entry(tensors: dict, name: str, shape: tuple) -> np.ndarray:
-    """tensors[name], once it is known to be an array of the given shape."""
-    if name not in tensors:
-        raise ConfigError(f"checkpoint is missing tensor {name!r}")
-    found = getattr(tensors[name], "shape", None)
-    if not isinstance(tensors[name], np.ndarray) or found != shape:
-        raise FormatError(f"checkpoint tensor {name!r} has shape {found}, expected {shape}")
-    return tensors[name]
-
-
-def reject_unused(tensors: dict, used) -> None:
-    """A FormatError naming every checkpoint entry outside used, so a file that
-    holds more than its reader consumes is never taken for a smaller model."""
-    unused = sorted(set(tensors) - set(used))
-    if unused:
-        raise FormatError(f"checkpoint has entries its reader does not use: {unused}")
 
 
 def config_from_json(data) -> ModelConfig:

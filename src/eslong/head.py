@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import read_checkpoint, write_checkpoint
-from .encoder import array_entry, finite_number, json_fields, positive_int, reject_unused
-from .errors import ConfigError, DataError, InputError
+from .checkpoint import array_entry, read_checkpoint, reject_unused, write_checkpoint
+from .errors import ConfigError, DataError, InputError, finite_number, json_fields, positive_int
 from .evaluation import fmax
 from .ontology import Annotations, as_annotations
 from .tensor_ops import gelu, gelu_grad

@@ -16,15 +16,44 @@ so a child scored 0.0 adds no parent.
 
 from __future__ import annotations
 
+import hashlib
+import io
+import logging
+import os
+import struct
 from array import array
 from collections.abc import Mapping
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IngestionError, InputError, OntologyError, ShapeError, text_lines
+from .checkpoint import read_exact
+from .errors import (
+    EslongError,
+    FormatError,
+    IngestionError,
+    InputError,
+    OntologyError,
+    ShapeError,
+    is_path,
+    text_lines,
+)
+
+log = logging.getLogger(__name__)
 
 NAMESPACES = ("BPO", "CCO", "MFO")
+
+# The binary score table save_annotations writes beside a TSV, at the TSV's
+# path plus TABLE_SUFFIX. Little-endian: the header (magic, u32 version, the
+# sha256 of the TSV bytes, u64 protein, term and pair counts, u64 byte length
+# of the ids), the UTF-8 ids (proteins then terms, each ended by a newline),
+# then CSR arrays: i64 row pointers [proteins + 1], u32 term indices [pairs]
+# and f64 scores [pairs].
+TABLE_SUFFIX = ".esct"
+TABLE_MAGIC = b"ESCT"
+TABLE_VERSION = 1
+_TABLE_HEADER = struct.Struct("<4sI32sQQQQ")
 
 
 @dataclass(frozen=True)
@@ -122,6 +151,9 @@ class Annotations(Mapping):
     scores: np.ndarray
     protein_index: dict[str, int] = field(init=False, repr=False)
     term_index: dict[str, int] = field(init=False, repr=False)
+    # True when load_annotations took the table from the binary score table
+    # beside its TSV rather than parsing the TSV
+    from_binary: bool = field(default=False, repr=False)
 
     def __post_init__(self):
         if self.scores.dtype != np.float64 or self.scores.shape != (len(self.proteins),
@@ -287,7 +319,24 @@ def close_scores(pred, graph: OntologyGraph) -> Annotations:
 def load_annotations(source) -> Annotations:
     """Parse protein<TAB>term[<TAB>score] lines (path, IO, or str) into a
     table; a missing score means 1.0, and a repeated pair keeps its last
-    score. Blank lines and lines starting with '#' are skipped."""
+    score. Blank lines and lines starting with '#' are skipped.
+
+    A path whose binary score table (path + TABLE_SUFFIX) passes every check,
+    including that it was written for exactly these TSV bytes, is read from
+    that table instead; it holds the table parsing gives. A table that fails a
+    check is ignored with one WARNING.
+    """
+    if not is_path(source):
+        return _parse(source)
+    with open(source, "rb") as fh:
+        tsv = fh.read()
+    table = _read_table(os.fspath(source) + TABLE_SUFFIX, tsv)
+    if table is not None:
+        return table
+    return _parse(io.TextIOWrapper(io.BytesIO(tsv), encoding="utf-8"))
+
+
+def _parse(source) -> Annotations:
     proteins: dict[str, int] = {}
     terms: dict[str, int] = {}
     rows, cols, values = array("q"), array("q"), array("d")
@@ -322,16 +371,111 @@ def load_annotations(source) -> Annotations:
     return _table(proteins, terms, rows, cols, values)
 
 
+def _read_table(path: str, tsv: bytes) -> Annotations | None:
+    """The binary score table at path, if it passes every check against the
+    TSV bytes it mirrors; None when there is no table, or, with one WARNING,
+    when it fails a check."""
+    try:
+        with open(path, "rb") as fh:
+            return _table_from(fh, hashlib.sha256(tsv).digest())
+    except FileNotFoundError:
+        return None
+    except (OSError, EslongError) as exc:
+        log.warning("ignoring score table %s (%s); parsing the TSV instead", path, exc)
+        return None
+
+
+def _table_from(fh, digest: bytes) -> Annotations:
+    what = "score table"
+    magic, version, recorded, n_proteins, n_terms, n_pairs, id_bytes = _TABLE_HEADER.unpack(
+        read_exact(fh, _TABLE_HEADER.size, what))
+    if magic != TABLE_MAGIC or version != TABLE_VERSION:
+        raise FormatError(f"bad magic {magic!r} or unsupported version {version}")
+    if recorded != digest:
+        raise FormatError("it was written for other TSV bytes")
+    try:
+        ids = read_exact(fh, id_bytes, what).decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise FormatError("its ids are not UTF-8") from exc
+    if len(ids) != n_proteins + n_terms + 1 or ids[-1]:
+        raise FormatError(f"it holds {len(ids) - 1} ids, not {n_proteins} + {n_terms}")
+    indptr = np.frombuffer(read_exact(fh, 8 * (n_proteins + 1), what), dtype="<i8")
+    indices = np.frombuffer(read_exact(fh, 4 * n_pairs, what), dtype="<u4")
+    scores = np.frombuffer(read_exact(fh, 8 * n_pairs, what), dtype="<f8")
+    if fh.read(1):
+        raise FormatError("it has bytes after its last score")
+    counts = np.diff(indptr)
+    if indptr[0] != 0 or indptr[-1] != n_pairs or (counts < 0).any():
+        raise FormatError("its row pointers are not monotone from 0 to the pair count")
+    if n_pairs and int(indices.max()) >= n_terms:
+        raise FormatError("a term index is out of range")
+    if not ((scores >= 0.0) & (scores <= 1.0)).all():
+        raise FormatError("a score is not finite or lies outside [0, 1]")
+    dense = np.full((n_proteins, n_terms), np.nan)
+    dense[np.repeat(np.arange(n_proteins), counts), indices] = scores
+    return Annotations(tuple(ids[:n_proteins]), tuple(ids[n_proteins:-1]), dense,
+                       from_binary=True)
+
+
 def save_annotations(path, annotations) -> None:
     """Write the present pairs as protein<TAB>term<TAB>score lines, proteins
-    and terms sorted, scores at 6 significant digits."""
+    and terms sorted, scores at 6 significant digits.
+
+    Then write the binary score table of the same bytes at path +
+    TABLE_SUFFIX, through a temporary file: proteins in written order, terms
+    in first-written order and each score the float of its written text, which
+    is the table parsing the TSV gives. Ids that would not read back as
+    written (a tab or line break in any id, a protein starting with '#') get
+    no table, and any old one is removed.
+    """
     table = as_annotations(annotations)
     order = sorted(range(len(table.terms)), key=table.terms.__getitem__)
     terms = [table.terms[j] for j in order]
-    with open(path, "w", encoding="utf-8") as fh:
+    present = ~np.isnan(table.scores)
+    indptr = np.zeros(int(np.count_nonzero(present.any(axis=1))) + 1, dtype="<i8")
+    indices = np.empty(int(np.count_nonzero(present)), dtype="<u4")
+    scores = np.empty(len(indices), dtype="<f8")
+    column = np.full(len(terms), -1, dtype=np.int64)  # sorted term -> first-written index
+    written_proteins: list[str] = []
+    written_terms: list[str] = []
+    end = 0
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
         for i in sorted(range(len(table.proteins)), key=table.proteins.__getitem__):
             row = table.scores[i, order]
-            values = row.tolist()
+            cols = np.flatnonzero(~np.isnan(row))
+            if not cols.size:
+                continue
+            texts = [f"{v:.6g}" for v in row[cols].tolist()]
             prefix = table.proteins[i] + "\t"
-            fh.write("".join(f"{prefix}{terms[j]}\t{values[j]:.6g}\n"
-                             for j in np.flatnonzero(~np.isnan(row)).tolist()))
+            lines = "".join(f"{prefix}{terms[j]}\t{text}\n"
+                            for j, text in zip(cols.tolist(), texts)).encode("utf-8")
+            fh.write(lines)
+            digest.update(lines)
+            new = cols[column[cols] < 0]
+            column[new] = np.arange(len(written_terms), len(written_terms) + len(new))
+            written_terms += [terms[j] for j in new.tolist()]
+            start, end = end, end + len(cols)
+            indices[start:end] = column[cols]
+            scores[start:end] = list(map(float, texts))
+            written_proteins.append(table.proteins[i])
+            indptr[len(written_proteins)] = end
+    table_path = os.fspath(path) + TABLE_SUFFIX
+    if not _plain_ids(written_proteins, written_terms):
+        with suppress(FileNotFoundError):
+            os.remove(table_path)
+        return
+    ids = "".join(f"{x}\n" for x in (*written_proteins, *written_terms)).encode("utf-8")
+    with open(table_path + ".tmp", "wb") as fh:
+        fh.write(_TABLE_HEADER.pack(TABLE_MAGIC, TABLE_VERSION, digest.digest(),
+                                    len(written_proteins), len(written_terms), len(scores),
+                                    len(ids)))
+        for part in (ids, indptr, indices, scores):
+            fh.write(part)
+    os.replace(table_path + ".tmp", table_path)
+
+
+def _plain_ids(proteins, terms) -> bool:
+    """Whether ids written as TSV columns parse back as themselves."""
+    return not any(p.startswith("#") for p in proteins) and not any(
+        c in x for x in (*proteins, *terms) for c in "\t\n\r")

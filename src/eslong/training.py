@@ -28,13 +28,12 @@ from .encoder import (
     _dense_weight,
     _merge_heads,
     _split_heads,
-    finite_number,
     forward,
     mlm_logits,
     param_names,
     tokenize,
 )
-from .errors import ConfigError, ContractError, LengthError
+from .errors import ConfigError, ContractError, LengthError, finite_number
 from .parallel import layer_pool
 from .quant import QUANTIZABLE_FAMILIES, QuantizedTensor, param_family
 from .tensor_ops import gelu_grad

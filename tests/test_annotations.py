@@ -1,6 +1,8 @@
 """The annotation score table: its Mapping view, and load, save, closures,
 Fmax and the stratified sweep checked against the dict-of-dict oracles."""
 
+import io
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,18 @@ def random_tsv(rng, proteins, names, with_scores) -> str:
     return "\n".join(text[int(i)] for i in rng.permutation(len(text))) + "\n"
 
 
+def assert_binary_table_matches_tsv(path):
+    """load_annotations(path) reads the binary table save_annotations wrote
+    beside the TSV, and it equals the table parsing the TSV gives: the same
+    proteins, the same terms in the same order, and bit-equal scores (NaN in
+    the same cells)."""
+    got = load_annotations(path)
+    parsed = load_annotations(io.StringIO(path.read_text()))  # an empty TSV is no path
+    assert got.from_binary and not parsed.from_binary
+    assert got.proteins == parsed.proteins and got.terms == parsed.terms
+    assert got.scores.tobytes() == parsed.scores.tobytes()
+
+
 def random_grid(rng):
     if rng.random() < 0.7:
         return GRID
@@ -94,6 +108,7 @@ def test_table_matches_dict_oracles(tmp_path):
         save_annotations(tmp_path / "table.tsv", closed)
         oracle.save_annotations(tmp_path / "dict.tsv", closed_d)
         assert (tmp_path / "table.tsv").read_bytes() == (tmp_path / "dict.tsv").read_bytes()
+        assert_binary_table_matches_tsv(tmp_path / "table.tsv")
 
         # a protein whose row holds no pair, given as a dict
         if proteins and rng.random() < 0.3:
@@ -218,5 +233,53 @@ class TestLoadRules:
             load_annotations(str(path))
 
     def test_two_column_term_has_no_newline(self):
-        assert load_annotations("P\ta\r\n") == oracle.load_annotations("P\ta\r\n")
+        assert load_annotations("P\ta\n") == oracle.load_annotations("P\ta\n")
+        assert load_annotations("P\ta\r\n") == {"P": {"a": 1.0}}
         assert load_annotations("P\ta") == {"P": {"a": 1.0}}
+
+    def test_crlf_reads_the_same_from_a_path_and_from_text(self, tmp_path):
+        text = "P1\tGO:1\r\nP1\tGO:2\t0.5\r\nP2\tGO:1\r\n"
+        path = tmp_path / "crlf.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        from_path, from_text = load_annotations(path), load_annotations(text)
+        assert from_path.proteins == from_text.proteins == ("P1", "P2")
+        assert from_path.terms == from_text.terms == ("GO:1", "GO:2")
+        assert from_path.scores.tobytes() == from_text.scores.tobytes()
+
+
+class TestBinaryTable:
+    """The binary score table save_annotations writes beside its TSV."""
+
+    TABLE = {"P2": {"b": 0.123456789, "a": 1.0}, "P1": {"c": 0.0}, "P3": {}}
+
+    def test_holds_the_parsed_tsv(self, tmp_path):
+        path = tmp_path / "pred.tsv"
+        save_annotations(path, self.TABLE)
+        assert (tmp_path / "pred.tsv.esct").exists()
+        assert_binary_table_matches_tsv(path)
+        table = load_annotations(path)
+        assert table.proteins == ("P1", "P2") and table.terms == ("c", "a", "b")
+        assert table["P2"]["b"] == 0.123457
+
+    def test_edited_tsv_is_parsed(self, tmp_path, caplog):
+        path = tmp_path / "pred.tsv"
+        save_annotations(path, self.TABLE)
+        path.write_bytes(path.read_bytes().replace(b"0.123457", b"0.223457"))
+        table = load_annotations(path)
+        assert not table.from_binary and table["P2"]["b"] == 0.223457
+        assert [r.levelname for r in caplog.records] == ["WARNING"]
+        assert "other TSV bytes" in caplog.records[0].getMessage()
+
+    def test_ids_that_do_not_read_back_get_no_table(self, tmp_path):
+        path = tmp_path / "pred.tsv"
+        save_annotations(path, self.TABLE)
+        save_annotations(path, {"#P": {"a": 0.5}, "Q": {"a": 0.5}})
+        assert not (tmp_path / "pred.tsv.esct").exists()
+        assert load_annotations(path) == {"Q": {"a": 0.5}}
+
+    def test_empty_table(self, tmp_path):
+        path = tmp_path / "pred.tsv"
+        save_annotations(path, {"P": {}})
+        assert path.read_bytes() == b""
+        table = load_annotations(path)
+        assert table.from_binary and table.proteins == () and table.terms == ()

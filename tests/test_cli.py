@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import logging
 import math
 import os
 import struct
@@ -14,11 +15,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import eslong
-from conftest import random_corpus, write_non_finite
+from conftest import random_corpus, tiny_config, write_non_finite
 from eslong.checkpoint import MAGIC, VERSION, read_checkpoint
 from eslong.cli import main
 from eslong.encoder import build_model, load_model, preset_config, save_model
 from eslong.head import HeadConfig, fit_standardizer, init_head, save_head
+from eslong.ontology import load_annotations, save_annotations
 from eslong.pipeline import EmbeddingRecord, ProteinRecord, read_store, write_fasta, write_store
 from eslong.quant import QuantizedTensor, quantize_int4, quantize_model
 from eslong.training import attach_lora
@@ -191,6 +193,17 @@ class TestEmbed:
         tmp, fasta, ckpt, _ = model_and_corpus
         assert main(["embed", "--model", str(ckpt), "--fasta", str(fasta),
                      "--out", str(tmp / "x.esem"), "--residue-limit", "100"]) == 2
+
+    def test_cls_pool_on_local_attention_warns(self, workdir, caplog):
+        tmp, fasta, _, _ = workdir
+        ckpt = tmp / "local.eslg"
+        save_model(build_model(tiny_config("local", window_k=4, max_positions=48), seed=0), ckpt)
+        for pool, warnings in (("mean", []), ("cls", ["WARNING"])):
+            caplog.clear()
+            assert main(["embed", "--model", str(ckpt), "--fasta", str(fasta),
+                         "--out", str(tmp / f"{pool}.esem"), "--pool", pool]) == 0
+            assert [r.levelname for r in caplog.records] == warnings
+        assert "at most the first 4 residues" in caplog.records[0].getMessage()
 
     def test_tsv_export(self, model_and_corpus):
         tmp, fasta, ckpt, records = model_and_corpus
@@ -670,3 +683,70 @@ class TestEvalCommand:
                      "--out", str(out), "--curve-tsv", str(curve)]) == 0
         header = curve.read_text().splitlines()[0]
         assert header == "tau\tpr\trc\tf\tm"
+
+
+def table_with_index(data: bytes, index: int) -> bytes:
+    """A binary score table whose first term index is replaced."""
+    _, _, _, proteins, _, _, id_bytes = struct.unpack_from("<4sI32sQQQQ", data)
+    at = 72 + id_bytes + 8 * (proteins + 1)
+    return data[:at] + struct.pack("<I", index) + data[at + 4:]
+
+
+class TestPredTable:
+    """eval reads the binary score table predict writes beside pred.tsv only
+    while it matches the TSV, and says which it read in its manifest."""
+
+    @staticmethod
+    def eval_argv(tmp, pred, out):
+        return ["eval", "--pred", str(pred), "--truth", str(tmp / "truth.tsv"),
+                "--ontology", str(tmp / "onto.tsv"), "--close-scores", "--out", str(out)]
+
+    @staticmethod
+    def pred_table(report) -> bool:
+        manifest = report.with_name(report.name + ".manifest.json")
+        return json.loads(manifest.read_text())["extra"]["pred_table"]
+
+    def test_predict_then_eval_reads_the_table_until_the_tsv_is_edited(self, tmp_path):
+        head, store = saved_head_and_store(tmp_path)
+        (tmp_path / "onto.tsv").write_text("GO:1\tGO:3\nGO:2\tGO:3\n")
+        (tmp_path / "truth.tsv").write_text("P1\tGO:1\n")
+        pred = tmp_path / "pred.tsv"
+        assert main(["predict", "--head", str(head), "--embeddings", str(store),
+                     "--out", str(pred)]) == 0
+        assert main(self.eval_argv(tmp_path, pred, tmp_path / "r.json")) == 0
+        assert self.pred_table(tmp_path / "r.json") is True
+
+        data = bytearray(pred.read_bytes())
+        at = data.index(b"\t0.") + 3  # the first digit of the first score below 1
+        data[at] = ord("9") if data[at] != ord("9") else ord("1")
+        pred.write_bytes(data)
+        copy = tmp_path / "copy.tsv"  # the edited TSV with no table beside it
+        copy.write_bytes(data)
+        assert main(self.eval_argv(tmp_path, pred, tmp_path / "edited.json")) == 0
+        assert main(self.eval_argv(tmp_path, copy, tmp_path / "copy.json")) == 0
+        assert self.pred_table(tmp_path / "edited.json") is False
+        assert (tmp_path / "edited.json").read_bytes() == (tmp_path / "copy.json").read_bytes()
+
+    @pytest.mark.parametrize("edit", [
+        lambda data: data[:-1],
+        lambda data: b"XSCT" + data[4:],
+        lambda data: data + b"\0",
+        lambda data: table_with_index(data, 3),
+    ], ids=["truncated", "wrong-magic", "trailing-bytes", "index-out-of-range"])
+    def test_bad_table_gives_the_tsv_table_and_one_warning(self, tmp_path, caplog, edit):
+        onto, truth, pred = build_eval_fixtures(tmp_path)
+        save_annotations(pred, load_annotations(pred))
+        table = tmp_path / "pred.tsv.esct"
+        table.write_bytes(edit(table.read_bytes()))
+        parsed = load_annotations(pred.read_text())
+        caplog.clear()
+        got = load_annotations(pred)
+        assert not got.from_binary
+        assert got.proteins == parsed.proteins and got.terms == parsed.terms
+        assert got.scores.tobytes() == parsed.scores.tobytes()
+        assert [r.levelname for r in caplog.records] == ["WARNING"]
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            assert main(self.eval_argv(tmp_path, pred, tmp_path / "r.json")) == 0
+        assert [r.levelname for r in caplog.records] == ["WARNING"]
+        assert self.pred_table(tmp_path / "r.json") is False

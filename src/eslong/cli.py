@@ -310,8 +310,9 @@ def cmd_predict(args) -> int:
 def cmd_eval(args) -> int:
     started = time.monotonic()
     pred = load_annotations(args.pred)
-    pred_table = pred.from_binary
     truth = load_annotations(args.truth)
+    pred_table = pred.from_binary
+    digests = {"pred": pred.tsv_sha256, "truth": truth.tsv_sha256}
     graph = load_ontology(args.ontology, args.namespace)
     truth = close_truth(truth, graph)
     if args.close_scores:
@@ -341,6 +342,7 @@ def cmd_eval(args) -> int:
             seed=None,
             wall_ms=int((time.monotonic() - started) * 1000),
             extra={"pred_table": pred_table},
+            digests=digests,
         )
     else:
         json.dump(result_to_json(result), sys.stdout, indent=2, sort_keys=True)
@@ -433,6 +435,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# A path that names no file, a directory where a file is wanted or the other
+# way round, or a file that may not be read or written: invalid input.
+_PATH_ERRORS = (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError)
+
+
 def main(argv=None) -> int:
     _keep_freed_heap()
     _configure_logging()
@@ -443,13 +450,14 @@ def main(argv=None) -> int:
         # float warnings would only print ahead of the one error line.
         with np.errstate(all="ignore"):
             return args.func(args)
-    except EslongError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (EslongError, *_PATH_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -34,14 +34,19 @@ def write_manifest(
     seed: int | None,
     wall_ms: int,
     extra: dict | None = None,
+    digests: dict[str, str] | None = None,
 ) -> Path:
+    """Write the manifest of output_path. Each input is recorded with the
+    sha256 of its bytes: digests gives the hex digest of inputs the command
+    already hashed as it read them, by name, and the rest are hashed here."""
+    digests = digests or {}
     payload = {
         "command": command,
         "tool_version": __version__,
         "seed": seed,
         "config": config,
         "inputs": {
-            name: {"path": str(path), "sha256": sha256_file(path)}
+            name: {"path": str(path), "sha256": digests.get(name) or sha256_file(path)}
             for name, path in inputs.items()
         },
         "wall_ms": wall_ms,

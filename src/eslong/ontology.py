@@ -16,6 +16,7 @@ so a child scored 0.0 adds no parent.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import io
 import logging
@@ -54,6 +55,48 @@ TABLE_SUFFIX = ".esct"
 TABLE_MAGIC = b"ESCT"
 TABLE_VERSION = 1
 _TABLE_HEADER = struct.Struct("<4sI32sQQQQ")
+
+# save_annotations builds the lines of at most this many pairs at once.
+_BLOCK_PAIRS = 1 << 14
+# A line is built in a byte row: the protein and a tab, the term and a tab,
+# the score's text field and a newline. Bytes that are not part of the line
+# hold _HIDDEN, which UTF-8 never uses, and are dropped before writing.
+_HIDDEN = 0xFF
+
+
+def _text_rows(templates) -> np.ndarray:
+    """Text fields as rows of bytes: '#' is hidden, '_' is 0 (a slot that
+    another row's byte fills, as the rows are OR-ed together)."""
+    rows = np.frombuffer("".join(templates).encode("ascii"), dtype=np.uint8)
+    rows = np.where(rows == ord("#"), _HIDDEN, np.where(rows == ord("_"), 0, rows))
+    return rows.astype(np.uint8).reshape(len(templates), -1)
+
+
+# The text field of a score on the integer path (see _format_scores), by its
+# decimal exponent x: the layout, indexed by -x in [0, 16]. Fixed notation
+# writes "0." and -x - 1 zeros before the digits for x in [-4, -1], and no
+# lead for x = 0; exponent notation writes "e-" and two digits after them.
+# The first digit is column 5, then ".", then the other five digits.
+_LAYOUTS = _text_rows(["#####_._____####", "0.###_#_____####", "0.0##_#_____####",
+                       "0.00#_#_____####", "0.000_#_____####"]
+                      + [f"#####_._____e-{x:02d}" for x in range(5, 17)])
+# The first three digits of the mantissa, by their value (rows 100 to 999),
+# then the rows taken when the last three digits are 000 (1,100 to 1,999):
+# the same with trailing zeros hidden, and the "." too when both are zeros.
+_THREE = [f"{i:03d}" for i in range(1000)]
+_HIGH_DIGITS = _text_rows([f"_____{d[0]}_{d[1:]}_______" for d in _THREE]
+                          + [f"_____{d[0]}{'#' if d[1:] == '00' else '_'}"
+                             f"{d[1:].rstrip('0').ljust(2, '#')}_______" for d in _THREE])
+# The last three digits of the mantissa, trailing zeros hidden
+_LOW_DIGITS = _text_rows([f"_________{d.rstrip('0').ljust(3, '#')}____" for d in _THREE])
+_TEXT_WIDTH = _LAYOUTS.shape[1]
+# The powers of ten that are exact doubles, 10**0 to 10**22
+_POW10 = np.array([float(10 ** k) for k in range(23)])
+# The integer path formats scores in [_FAST_MIN, 1], where 10**(5 - x) is
+# exact, and leaves to f-strings the ones whose scaled value lies within
+# _TIE_MARGIN of a half (the product's rounding error is below 1e-9)
+_FAST_MIN = 1e-15
+_TIE_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -154,6 +197,9 @@ class Annotations(Mapping):
     # True when load_annotations took the table from the binary score table
     # beside its TSV rather than parsing the TSV
     from_binary: bool = field(default=False, repr=False)
+    # The hex sha256 of the TSV bytes load_annotations read the table from a
+    # path; None for a table read from text or built in memory
+    tsv_sha256: str | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.scores.dtype != np.float64 or self.scores.shape != (len(self.proteins),
@@ -324,16 +370,18 @@ def load_annotations(source) -> Annotations:
     A path whose binary score table (path + TABLE_SUFFIX) passes every check,
     including that it was written for exactly these TSV bytes, is read from
     that table instead; it holds the table parsing gives. A table that fails a
-    check is ignored with one WARNING.
+    check is ignored with one WARNING. A table read from a path records the
+    sha256 of the TSV bytes read as tsv_sha256.
     """
     if not is_path(source):
         return _parse(source)
     with open(source, "rb") as fh:
         tsv = fh.read()
-    table = _read_table(os.fspath(source) + TABLE_SUFFIX, tsv)
-    if table is not None:
-        return table
-    return _parse(io.TextIOWrapper(io.BytesIO(tsv), encoding="utf-8"))
+    digest = hashlib.sha256(tsv)
+    table = _read_table(os.fspath(source) + TABLE_SUFFIX, digest.digest())
+    if table is None:
+        table = _parse(io.TextIOWrapper(io.BytesIO(tsv), encoding="utf-8"))
+    return dataclasses.replace(table, tsv_sha256=digest.hexdigest())
 
 
 def _parse(source) -> Annotations:
@@ -371,13 +419,13 @@ def _parse(source) -> Annotations:
     return _table(proteins, terms, rows, cols, values)
 
 
-def _read_table(path: str, tsv: bytes) -> Annotations | None:
+def _read_table(path: str, digest: bytes) -> Annotations | None:
     """The binary score table at path, if it passes every check against the
-    TSV bytes it mirrors; None when there is no table, or, with one WARNING,
-    when it fails a check."""
+    sha256 digest of the TSV bytes it mirrors; None when there is no table,
+    or, with one WARNING, when it fails a check."""
     try:
         with open(path, "rb") as fh:
-            return _table_from(fh, hashlib.sha256(tsv).digest())
+            return _table_from(fh, digest)
     except FileNotFoundError:
         return None
     except (OSError, EslongError) as exc:
@@ -419,7 +467,7 @@ def _table_from(fh, digest: bytes) -> Annotations:
 
 def save_annotations(path, annotations) -> None:
     """Write the present pairs as protein<TAB>term<TAB>score lines, proteins
-    and terms sorted, scores at 6 significant digits.
+    and terms sorted, scores at 6 significant digits (`%.6g`).
 
     Then write the binary score table of the same bytes at path +
     TABLE_SUFFIX, through a temporary file: proteins in written order, terms
@@ -427,39 +475,52 @@ def save_annotations(path, annotations) -> None:
     is the table parsing the TSV gives. Ids that would not read back as
     written (a tab or line break in any id, a protein starting with '#') get
     no table, and any old one is removed.
+
+    The lines of a block of whole rows, at most _BLOCK_PAIRS pairs unless one
+    row holds more, are built and written together.
     """
     table = as_annotations(annotations)
-    order = sorted(range(len(table.terms)), key=table.terms.__getitem__)
-    terms = [table.terms[j] for j in order]
+    order = np.array(sorted(range(len(table.terms)), key=table.terms.__getitem__),
+                     dtype=np.intp)
+    rows = np.array(sorted(range(len(table.proteins)), key=table.proteins.__getitem__),
+                    dtype=np.intp)
     present = ~np.isnan(table.scores)
-    indptr = np.zeros(int(np.count_nonzero(present.any(axis=1))) + 1, dtype="<i8")
-    indices = np.empty(int(np.count_nonzero(present)), dtype="<u4")
+    present = present[rows][:, order]
+    counts = np.count_nonzero(present, axis=1)
+    rows, present, counts = rows[counts > 0], present[counts > 0], counts[counts > 0]
+    indptr = np.zeros(len(rows) + 1, dtype="<i8")
+    np.cumsum(counts, out=indptr[1:])
+    # Terms in first-written order: by the first row holding them, then in
+    # sorted order within that row
+    used = np.flatnonzero(present.any(axis=0))
+    first = present[:, used].argmax(axis=0) if used.size else used
+    written = used[np.lexsort((used, first))]
+    column = np.zeros(len(order), dtype="<u4")  # sorted term -> first-written index
+    column[written] = np.arange(len(written))
+    terms = [table.terms[j] for j in order.tolist()]
+    written_proteins = [table.proteins[i] for i in rows.tolist()]
+    written_terms = [terms[j] for j in written.tolist()]
+    protein_cells = _id_cells(written_proteins)
+    term_cells = _id_cells(terms)
+    term_at = protein_cells.shape[1]
+    text_at = term_at + term_cells.shape[1]
+    indices = np.empty(int(indptr[-1]), dtype="<u4")
     scores = np.empty(len(indices), dtype="<f8")
-    column = np.full(len(terms), -1, dtype=np.int64)  # sorted term -> first-written index
-    written_proteins: list[str] = []
-    written_terms: list[str] = []
-    end = 0
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        for i in sorted(range(len(table.proteins)), key=table.proteins.__getitem__):
-            row = table.scores[i, order]
-            cols = np.flatnonzero(~np.isnan(row))
-            if not cols.size:
-                continue
-            texts = [f"{v:.6g}" for v in row[cols].tolist()]
-            prefix = table.proteins[i] + "\t"
-            lines = "".join(f"{prefix}{terms[j]}\t{text}\n"
-                            for j, text in zip(cols.tolist(), texts)).encode("utf-8")
-            fh.write(lines)
-            digest.update(lines)
-            new = cols[column[cols] < 0]
-            column[new] = np.arange(len(written_terms), len(written_terms) + len(new))
-            written_terms += [terms[j] for j in new.tolist()]
-            start, end = end, end + len(cols)
-            indices[start:end] = column[cols]
-            scores[start:end] = list(map(float, texts))
-            written_proteins.append(table.proteins[i])
-            indptr[len(written_proteins)] = end
+        for start, stop in _row_blocks(indptr):
+            r, c = np.nonzero(present[start:stop])
+            r += start
+            pairs = slice(int(indptr[start]), int(indptr[stop]))
+            indices[pairs] = column[c]
+            line = np.empty((len(r), text_at + _TEXT_WIDTH + 1), dtype=np.uint8)
+            line[:, :term_at] = protein_cells.take(r, axis=0)
+            line[:, term_at:text_at] = term_cells.take(c, axis=0)
+            line[:, text_at:-1] = _format_scores(table.scores[rows[r], order[c]], scores[pairs])
+            line[:, -1] = ord("\n")
+            data = line[line != _HIDDEN]
+            fh.write(data)
+            digest.update(data)
     table_path = os.fspath(path) + TABLE_SUFFIX
     if not _plain_ids(written_proteins, written_terms):
         with suppress(FileNotFoundError):
@@ -473,6 +534,71 @@ def save_annotations(path, annotations) -> None:
         for part in (ids, indptr, indices, scores):
             fh.write(part)
     os.replace(table_path + ".tmp", table_path)
+
+
+def _row_blocks(indptr):
+    """(start, stop) ranges of consecutive rows holding at most _BLOCK_PAIRS
+    pairs together, or one row that holds more."""
+    start, rows = 0, len(indptr) - 1
+    while start < rows:
+        fit = int(np.searchsorted(indptr, indptr[start] + _BLOCK_PAIRS, side="right")) - 1
+        stop = max(start + 1, fit)
+        yield start, stop
+        start = stop
+
+
+def _id_cells(ids) -> np.ndarray:
+    """Each id's UTF-8 bytes and a tab as a row of bytes, padded with
+    _HIDDEN to the longest. Lengths are explicit, so an id may end in NUL."""
+    encoded = [x.encode("utf-8") + b"\t" for x in ids]
+    lengths = np.array([len(x) for x in encoded], dtype=np.intp)
+    filled = np.arange(int(lengths.max(initial=0))) < lengths[:, None]
+    cells = np.full(filled.shape, _HIDDEN, dtype=np.uint8)
+    cells[filled] = np.frombuffer(b"".join(encoded), dtype=np.uint8)
+    return cells
+
+
+def _format_scores(values: np.ndarray, parsed: np.ndarray) -> np.ndarray:
+    """The `%.6g` text of each value as a [values, _TEXT_WIDTH] byte row,
+    padded with _HIDDEN; parsed receives the float of each text.
+
+    A value v in [_FAST_MIN, 1] takes the integer path: with its decimal
+    exponent x = floor(log10 v), the mantissa m = rint(v * 10**(5 - x)) holds
+    its six significant digits, and m / 10**(5 - x) is the float of its text
+    bit for bit (m and the power of ten are exact doubles, and the division
+    rounds correctly). The text is the OR of three table rows: the layout by
+    x (Python's rule: fixed notation for x in [-4, 0], exponent notation
+    below), the first three digits and the last three, trailing zeros
+    hidden. The rest are formatted one by one: zeros (so -0 keeps its sign),
+    values outside [_FAST_MIN, 1] or not finite, and values within
+    _TIE_MARGIN of a rounding tie, where the product's rounding could pick
+    the digit.
+    """
+    fast = (values >= _FAST_MIN) & (values <= 1.0)
+    v = values.copy()
+    v[~fast] = 1.0  # formatted below, one by one
+    exp = np.floor(np.log10(v)).astype(np.intp)
+    scaled = v * _POW10[5 - exp]
+    fast &= np.abs(scaled - np.floor(scaled) - 0.5) >= _TIE_MARGIN
+    mantissa = np.rint(scaled)
+    # Rounded up to the next power of ten. This also mends an exponent
+    # log10 put one too low beside a power of ten; one too high rounds to
+    # 10**5 as it should.
+    carry = mantissa == 1e6
+    mantissa[carry] = 1e5
+    exp += carry
+    parsed[:] = mantissa / _POW10[5 - exp]
+    high, low = np.divmod(mantissa.astype(np.intp), 1000)
+    high += 1000 * (low == 0)
+    text = (_LAYOUTS.view(np.uint64).take(-exp, axis=0)
+            | _HIGH_DIGITS.view(np.uint64).take(high, axis=0)
+            | _LOW_DIGITS.view(np.uint64).take(low, axis=0)).view(np.uint8)
+    for i in np.flatnonzero(~fast).tolist():
+        formatted = f"{values[i]:.6g}".encode("ascii")
+        parsed[i] = float(formatted)
+        text[i] = _HIDDEN
+        text[i, :len(formatted)] = np.frombuffer(formatted, dtype=np.uint8)
+    return text
 
 
 def _plain_ids(proteins, terms) -> bool:

@@ -2,9 +2,12 @@
 Fmax and the stratified sweep checked against the dict-of-dict oracles."""
 
 import io
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import annotation_oracles as oracle
 from eslong.errors import EvaluationError, IngestionError, InputError, ShapeError
@@ -283,3 +286,80 @@ class TestBinaryTable:
         assert path.read_bytes() == b""
         table = load_annotations(path)
         assert table.from_binary and table.proteins == () and table.terms == ()
+
+
+def written_scores(path):
+    """The score texts of the TSV at path, and the scores of the binary table
+    beside it, both in written order."""
+    texts = [line.rsplit("\t", 1)[1] for line in path.read_text().splitlines()]
+    data = path.with_name(path.name + ".esct").read_bytes()
+    pairs = struct.unpack_from("<4sI32sQQQQ", data)[5]
+    return texts, np.frombuffer(data, dtype="<f8", count=pairs, offset=len(data) - 8 * pairs)
+
+
+def assert_scores_written_as_text(path, values):
+    """save_annotations writes each value as f"{v:.6g}", and the binary table
+    holds float() of that text, bit for bit (-0.0 included)."""
+    values = [float(v) for v in values]
+    save_annotations(path, {"P": {f"t{k:04d}": v for k, v in enumerate(values)}})
+    texts, scores = written_scores(path)
+    assert texts == [f"{v:.6g}" for v in values]
+    assert scores.tobytes() == np.array([float(t) for t in texts]).tobytes()
+
+
+def tie_neighbours(value):
+    return [np.nextafter(value, 0.0), value, np.nextafter(value, 2.0)]
+
+
+EDGE_SCORES = (
+    [0.0, -0.0, 1.0, 5e-324, 2.2250738585072014e-308, 1e-310, 1e-15, 9.99e-16, 1e-4, 1e-5,
+     0.001953125, np.inf, 1.5, -0.25]
+    + [2.0 ** -j for j in range(1, 64)]
+    + [x for k in range(1, 13) for m in (100000, 123456, 999999)
+       for x in tie_neighbours((m + 0.5) / 10 ** (5 + k))]
+    + tie_neighbours(9.99995e-05) + tie_neighbours(0.9999995)
+    + [x for k in range(17) for x in tie_neighbours(10.0 ** -k)]
+)
+
+
+class TestScoreText:
+    """save_annotations formats scores in bulk exactly as `%.6g` would."""
+
+    def test_edge_values(self, tmp_path):
+        assert_scores_written_as_text(tmp_path / "edge.tsv", EDGE_SCORES)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(values=st.lists(st.one_of(st.floats(0.0, 1.0), st.floats(allow_nan=False),
+                                     st.floats(1e-16, 1e-3)), min_size=1, max_size=40))
+    def test_any_values(self, tmp_path_factory, values):
+        assert_scores_written_as_text(tmp_path_factory.mktemp("text") / "pred.tsv", values)
+
+    @staticmethod
+    def sigmoid_table():
+        """A seeded 300 x 2,000 table of sigmoid scores, about one pair in
+        ten absent, with ids of mixed widths, multi-byte UTF-8 and a NUL."""
+        rng = np.random.default_rng(20)
+        scores = 1.0 / (1.0 + np.exp(-rng.normal(0.0, 6.0, size=(300, 2000))))
+        scores[rng.random(scores.shape) < 0.1] = np.nan
+        scores[7] = np.nan
+        proteins = [f"P{i}" if i % 3 else f"蛋白{i:05d}é" for i in range(299)] + ["Q\x00"]
+        terms = [f"GO:{j}" if j % 5 else f"GO:α{j:07d}" for j in range(1999)] + ["GO:\x00"]
+        return Annotations(tuple(proteins), tuple(terms), scores)
+
+    def test_sigmoid_table_as_the_oracle_writes_it(self, tmp_path):
+        table = self.sigmoid_table()
+        path, expected = tmp_path / "pred.tsv", tmp_path / "oracle.tsv"
+        oracle.save_annotations(expected, {p: dict(table[p]) for p in table})
+        save_annotations(path, table)
+        assert path.read_bytes() == expected.read_bytes()
+        assert_binary_table_matches_tsv(path)
+
+    def test_sigmoid_table_memory(self, tmp_path):
+        table = self.sigmoid_table()
+        tracemalloc.start()
+        try:
+            save_annotations(tmp_path / "pred.tsv", table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, peak

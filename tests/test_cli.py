@@ -1,6 +1,7 @@
 """Command-line surface: flags, exit codes, manifests, idempotence."""
 
 import contextlib
+import hashlib
 import io
 import json
 import logging
@@ -312,6 +313,34 @@ class TestInputProbes:
         assert done.returncode == 2
         lines = done.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+    @pytest.mark.parametrize("case", ["eval-pred-directory", "eval-out-directory",
+                                      "predict-out-under-a-file"])
+    def test_path_of_the_wrong_kind_exits_2(self, tmp_path, capsys, case):
+        onto, truth, pred = build_eval_fixtures(tmp_path)
+        evaluate = ["eval", "--truth", str(truth), "--ontology", str(onto)]
+        head, store = saved_head_and_store(tmp_path)
+        argv = {
+            "eval-pred-directory": evaluate + ["--pred", str(tmp_path)],
+            "eval-out-directory": evaluate + ["--pred", str(pred), "--out", str(tmp_path)],
+            "predict-out-under-a-file": ["predict", "--head", str(head), "--embeddings",
+                                         str(store), "--out", str(pred / "pred.tsv")],
+        }[case]
+        assert_exits_2_with_one_line(argv, capsys)
+
+    def test_runs_as_a_module(self, tmp_path):
+        """python -m eslong.cli is the CLI: argparse rejects a command missing
+        its required options with exit 2, and --help exits 0."""
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(eslong.__file__)))
+        run = [sys.executable, "-m", "eslong.cli"]
+        done = subprocess.run(run + ["eval"], capture_output=True, text=True, env=env,
+                              timeout=120, cwd=tmp_path)
+        assert done.returncode == 2
+        assert done.stderr.startswith("usage: eslong eval"), done.stderr
+        done = subprocess.run(run + ["--help"], capture_output=True, text=True, env=env,
+                              timeout=120, cwd=tmp_path)
+        assert done.returncode == 0
+        assert done.stdout.startswith("usage: eslong"), done.stdout
 
     def test_cli_import_leaves_scipy_unloaded(self):
         """scipy is imported only by the float64 GELU path, so a CLI start does
@@ -673,6 +702,18 @@ class TestEvalCommand:
         assert main(["eval", "--pred", str(pred), "--truth", str(truth),
                      "--ontology", str(onto), "--min-length", "10",
                      "--out", str(tmp_path / "r.json")]) == 2
+
+    def test_manifest_records_the_sha256_of_each_input(self, tmp_path):
+        onto, truth, pred = build_eval_fixtures(tmp_path)
+        save_annotations(pred, load_annotations(pred))  # with a binary table beside it
+        out = tmp_path / "r.json"
+        assert main(["eval", "--pred", str(pred), "--truth", str(truth),
+                     "--ontology", str(onto), "--out", str(out)]) == 0
+        inputs = json.loads((tmp_path / "r.json.manifest.json").read_text())["inputs"]
+        assert inputs == {name: {"path": str(path),
+                                 "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+                          for name, path in (("pred", pred), ("truth", truth),
+                                             ("ontology", onto))}
 
     def test_exclude_roots_and_curve_export(self, tmp_path):
         onto, truth, pred = build_eval_fixtures(tmp_path)

@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__
 from .attention import GLOBAL, LOCAL
 from .encoder import (
+    _CONFIG_DIMS,
     DEFAULT_VOCAB,
     build_model,
     config_from_json,
@@ -32,7 +33,7 @@ from .encoder import (
     preset_config,
     save_model,
 )
-from .errors import ConfigError, EslongError, json_fields
+from .errors import ConfigError, EslongError, json_fields, typed_config
 from .evaluation import fmax, result_to_json, stratified_eval, write_curve_tsv, write_report
 from .head import HeadConfig, load_head, predict, save_head, train_head
 from .manifest import write_manifest
@@ -90,15 +91,12 @@ def _load_config_file(path) -> dict:
     return data
 
 
-_MODEL_DIMS = ("num_layers", "num_heads", "embed_dim", "ffn_dim", "max_positions")
-
-
 def _model_config_from_dict(data: dict):
     """The config file's model section: a preset name or explicit dimensions,
     plus optional max_positions, attention_mode and window_k."""
     model = json_fields(data.get("model", {}), "config 'model'", (),
-                        ("preset", "attention_mode", "window_k") + _MODEL_DIMS)
-    fields = {key: model[key] for key in _MODEL_DIMS if key in model}
+                        ("preset", "attention_mode", "window_k") + _CONFIG_DIMS)
+    fields = {key: model[key] for key in _CONFIG_DIMS if key in model}
     preset = model.get("preset")
     if preset is not None:
         extra = sorted(set(fields) - {"max_positions"})
@@ -116,15 +114,10 @@ def _model_config_from_dict(data: dict):
 
 
 def _train_config_from_dict(data: dict, seed_override: int | None) -> TrainConfig:
-    types = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
-    train = dict(json_fields(data.get("train", {}), "config 'train'", (), tuple(types)))
-    for key, value in train.items():
-        kind = int if types[key] == "int" else (int, float)
-        if isinstance(value, bool) or not isinstance(value, kind):
-            raise ConfigError(f"train config {key!r} must be {types[key]}, got {value!r}")
+    train = typed_config(TrainConfig, data.get("train", {}), "train config")
     if seed_override is not None:
-        train["seed"] = seed_override
-    return TrainConfig(**train)
+        train = dataclasses.replace(train, seed=seed_override)
+    return train
 
 
 def cmd_pretrain(args) -> int:
@@ -138,10 +131,10 @@ def cmd_pretrain(args) -> int:
         model_cfg = _model_config_from_dict(config_data)
         model = build_model(model_cfg, derive_seed(train_cfg.seed, "init"))
     if args.quantize_base:
-        if not args.lora_rank:
+        if args.lora_rank is None:
             raise ConfigError("--quantize-base requires --lora-rank (the base is frozen)")
         model = quantize_model(model, QuantPolicy(block_size=args.block_size))
-    if args.lora_rank:
+    if args.lora_rank is not None:
         targets = lora_target_names(model.config, families=tuple(args.lora_families.split(",")))
         model = attach_lora(model, targets, rank=args.lora_rank, alpha=args.lora_alpha,
                             seed=derive_seed(train_cfg.seed, "lora-init"))

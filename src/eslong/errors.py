@@ -7,6 +7,7 @@ unexpected exceptions are left to propagate as bugs.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import math
 import os
@@ -109,3 +110,16 @@ def finite_number(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
         raise ConfigError(f"{what} must be a finite number, got {value!r}")
     return value
+
+
+def typed_config(cls, data, what: str, complete: bool = False):
+    """cls built from a JSON object whose keys are cls's fields (all of them
+    when complete). An int field takes an int and a float field any number;
+    neither takes a bool. cls's __post_init__ checks the ranges."""
+    kinds = {f.name: f.type for f in dataclasses.fields(cls)}
+    values = json_fields(data, what, tuple(kinds) if complete else (), tuple(kinds))
+    for key, value in values.items():
+        kind = int if kinds[key] == "int" else (int, float)
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ConfigError(f"{what} {key!r} must be {kinds[key]}, got {value!r}")
+    return cls(**values)

@@ -11,18 +11,17 @@ Truth comes in, and predictions go out, as `ontology.Annotations` tables:
 
 from __future__ import annotations
 
-import json
-import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .checkpoint import array_entry, read_checkpoint, reject_unused, write_checkpoint
-from .errors import ConfigError, DataError, InputError, finite_number, json_fields, positive_int
+from .errors import ConfigError, DataError, InputError, json_fields, typed_config
 from .evaluation import fmax
 from .ontology import Annotations, as_annotations
 from .tensor_ops import gelu, gelu_grad
-from .training import TrainConfig, adamw_step, derive_seed, init_adam_state
+from .training import TrainConfig, check_loop, train_epochs
 
 
 @dataclass(frozen=True)
@@ -35,18 +34,15 @@ class HeadConfig:
     batch_size: int = 32
     seed: int = 0
     weight_decay: float = 0.0
+    # AdamW's other settings: fixed, so neither fields nor saved.
+    beta1: ClassVar[float] = TrainConfig.beta1
+    beta2: ClassVar[float] = TrainConfig.beta2
+    eps: ClassVar[float] = TrainConfig.eps
 
     def __post_init__(self):
         if min(self.input_dim, self.num_terms, self.hidden_dim) < 1:
             raise ConfigError("head dimensions must be positive")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if finite_number(self.learning_rate, "learning_rate") <= 0:
-            raise ConfigError("learning_rate must be positive")
-        if finite_number(self.weight_decay, "weight_decay") < 0:
-            raise ConfigError("weight_decay must not be negative")
+        check_loop(self)
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
 
@@ -151,14 +147,20 @@ def _check_annotated(embeddings, truth: Annotations) -> None:
             raise DataError(f"embedding {rec.protein_id!r} has no ground-truth annotation")
 
 
-def _matrices(embeddings, truth: Annotations, term_list, input_dim):
-    x = np.zeros((len(embeddings), input_dim), dtype=np.float32)
+def _stack(embeddings, dim: int) -> np.ndarray:
+    """The [records, dim] float32 rows of embeddings, each checked for its dim."""
+    x = np.empty((len(embeddings), dim), dtype=np.float32)
     for i, rec in enumerate(embeddings):
-        if rec.vector.shape != (input_dim,):
+        if rec.vector.shape != (dim,):
             raise DataError(
-                f"embedding {rec.protein_id!r} has dim {rec.vector.shape}, expected {input_dim}"
+                f"embedding {rec.protein_id!r} has dim {rec.vector.shape}, expected {dim}"
             )
         x[i] = rec.vector
+    return x
+
+
+def _matrices(embeddings, truth: Annotations, term_list, input_dim):
+    x = _stack(embeddings, input_dim)
     _check_annotated(embeddings, truth)
     rows = [truth.protein_index[rec.protein_id] for rec in embeddings]
     cols = [truth.term_index[t] for t in term_list]
@@ -180,52 +182,35 @@ def train_head(train_embeddings, truth, cfg: HeadConfig, val_embeddings, metrics
         raise ConfigError(
             f"truth has {len(term_list)} distinct terms but config expects {cfg.num_terms}"
         )
+    if not train_embeddings:
+        raise DataError("the training store holds no records")
     head = init_head(cfg, term_list)
     x_train, y_train = _matrices(train_embeddings, truth, term_list, cfg.input_dim)
     fit_standardizer(head, x_train)
     x_train = head.standardize(x_train)
     _check_annotated(val_embeddings, truth)
     val_truth = truth.rows(rec.protein_id for rec in val_embeddings)
-    opt_cfg = TrainConfig(
-        epochs=cfg.epochs,
-        learning_rate=cfg.learning_rate,
-        weight_decay=cfg.weight_decay,
-        mask_fraction=0.0,
-        batch_size=cfg.batch_size,
-        seed=cfg.seed,
-    )
-    state = init_adam_state(head.params)
-    shuffle_rng = np.random.default_rng(derive_seed(cfg.seed, "head-shuffle"))
-    best = {"fmax": -1.0, "epoch": 0, "params": None}
-    metrics = []
-    log_fh = open(metrics_log, "w", encoding="utf-8") if metrics_log else None
-    try:
-        for epoch in range(1, cfg.epochs + 1):
-            started = time.monotonic()
-            order = shuffle_rng.permutation(len(x_train))
-            losses = []
-            for lo in range(0, len(order), cfg.batch_size):
-                idx = order[lo: lo + cfg.batch_size]
-                loss, grads = bce_loss_and_grads(head.params, x_train[idx], y_train[idx])
-                head.params, state = adamw_step(head.params, grads, state, opt_cfg)
-                losses.append(loss)
-            val_pred = predict(head, val_embeddings)
-            val_result = fmax(val_pred, val_truth)
-            record = {
-                "epoch": epoch,
-                "train_loss": float(np.mean(losses)) if losses else 0.0,
-                "val_fmax": val_result.fmax,
-                "wall_ms": int((time.monotonic() - started) * 1000),
-            }
-            metrics.append(record)
-            if log_fh:
-                log_fh.write(json.dumps(record) + "\n")
-            if val_result.fmax > best["fmax"]:
-                # adamw_step never writes an array it returned: no copy needed.
-                best = {"fmax": val_result.fmax, "epoch": epoch, "params": head.params}
-    finally:
-        if log_fh:
-            log_fh.close()
+    losses = []
+    best = {"fmax": -1.0, "params": None}
+
+    def batch_grads(params, indices):
+        head.params = params  # so the head holds no earlier set during the step
+        loss, grads = bce_loss_and_grads(params, x_train[indices], y_train[indices])
+        losses.append(loss)
+        return grads
+
+    def end_epoch(params):
+        head.params = params
+        val_fmax = fmax(predict(head, val_embeddings), val_truth).fmax
+        train_loss = float(np.mean(losses))
+        losses.clear()
+        if val_fmax > best["fmax"]:
+            # adamw_step never writes an array it returned: no copy needed.
+            best.update(fmax=val_fmax, params=params)
+        return {"train_loss": train_loss, "val_fmax": val_fmax}
+
+    _, metrics = train_epochs(head.params, len(x_train), cfg, "head-shuffle", batch_grads,
+                              end_epoch, metrics_log)
     if best["params"] is not None:
         head.params = best["params"]
     return head, metrics
@@ -237,14 +222,8 @@ def predict(head: ClassifierHead, embeddings) -> Annotations:
     own product, so a record's scores do not depend on the others. A record
     whose logits overflow to NaN is an InputError, never a NaN score."""
     embeddings = list(embeddings)
-    x = np.empty((len(embeddings), 1, head.config.input_dim), dtype=np.float32)
-    for i, rec in enumerate(embeddings):
-        if rec.vector.shape != (head.config.input_dim,):
-            raise DataError(
-                f"embedding {rec.protein_id!r} has dim {rec.vector.shape}, "
-                f"expected {head.config.input_dim}"
-            )
-        x[i, 0] = rec.vector
+    dim = head.config.input_dim
+    x = _stack(embeddings, dim).reshape(len(embeddings), 1, dim)
     z = head_logits(head.params, head.standardize(x))[:, 0]
     scores = _sigmoid(z.astype(np.float64))
     bad = np.isnan(scores).any(axis=1)
@@ -255,28 +234,12 @@ def predict(head: ClassifierHead, embeddings) -> Annotations:
 
 
 def save_head(head: ClassifierHead, path) -> None:
-    config = {
-        "head": {
-            "input_dim": head.config.input_dim,
-            "num_terms": head.config.num_terms,
-            "hidden_dim": head.config.hidden_dim,
-            "learning_rate": head.config.learning_rate,
-            "epochs": head.config.epochs,
-            "batch_size": head.config.batch_size,
-            "seed": head.config.seed,
-            "weight_decay": head.config.weight_decay,
-        },
-        "term_list": list(head.term_list),
-    }
+    config = {"head": asdict(head.config), "term_list": list(head.term_list)}
     tensors = dict(head.params)
     if head.feat_center is not None:
         tensors["feat_center"] = head.feat_center
         tensors["feat_scale"] = head.feat_scale
     write_checkpoint(path, tensors, config)
-
-
-_HEAD_INTS = ("input_dim", "num_terms", "hidden_dim", "epochs", "batch_size")
-_HEAD_NUMBERS = ("learning_rate", "weight_decay")
 
 
 def load_head(path) -> ClassifierHead:
@@ -285,14 +248,7 @@ def load_head(path) -> ClassifierHead:
     a ConfigError or FormatError."""
     tensors, config = read_checkpoint(path)
     config = json_fields(config, "head checkpoint config", ("head", "term_list"))
-    fields = json_fields(config["head"], "head config", _HEAD_INTS + _HEAD_NUMBERS + ("seed",))
-    values = {key: positive_int(fields[key], f"head config {key!r}") for key in _HEAD_INTS}
-    values.update({key: finite_number(fields[key], f"head config {key!r}")
-                   for key in _HEAD_NUMBERS})
-    seed = fields["seed"]
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError(f"head config 'seed' must be an integer, got {seed!r}")
-    cfg = HeadConfig(**values, seed=seed)
+    cfg = typed_config(HeadConfig, config["head"], "head config", complete=True)
     terms = config["term_list"]
     if (not isinstance(terms, list) or not all(isinstance(t, str) for t in terms)
             or len(set(terms)) != len(terms) or len(terms) != cfg.num_terms):

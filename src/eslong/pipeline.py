@@ -106,6 +106,18 @@ def segment(sequence: str, residue_limit: int) -> list[str]:
     return [sequence[lo: lo + residue_limit] for lo in range(0, len(sequence), residue_limit)]
 
 
+def _check_embed_args(model: EncoderModel, residue_limit: int, pool: str) -> None:
+    if residue_limit < 1:
+        raise ConfigError("residue_limit must be >= 1")
+    if model.config.max_positions < residue_limit + 2:
+        raise ConfigError(
+            f"model capacity {model.config.max_positions} cannot hold "
+            f"residue_limit {residue_limit} plus CLS/EOS"
+        )
+    if pool not in (POOL_MEAN, POOL_CLS):
+        raise ConfigError(f"unknown pooling mode {pool!r}")
+
+
 def embed_protein(
     model: EncoderModel,
     record: ProteinRecord,
@@ -114,15 +126,9 @@ def embed_protein(
 ) -> EmbeddingRecord:
     """One fixed-length vector per protein: encode each slice, pool residue
     rows (or take CLS with pool="cls"), then average slice vectors."""
-    if model.config.max_positions < residue_limit + 2:
-        raise ConfigError(
-            f"model capacity {model.config.max_positions} cannot hold "
-            f"residue_limit {residue_limit} plus CLS/EOS"
-        )
+    _check_embed_args(model, residue_limit, pool)
     if not record.sequence:
         raise IngestionError(f"record {record.id!r} has an empty sequence")
-    if pool not in (POOL_MEAN, POOL_CLS):
-        raise ConfigError(f"unknown pooling mode {pool!r}")
     slices = segment(record.sequence, residue_limit)
     total = np.zeros(model.config.embed_dim, dtype=np.float64)
     for piece in slices:
@@ -149,15 +155,10 @@ def embed_corpus(model: EncoderModel, records, residue_limit: int, pool: str = P
 
     Returns (embeddings, failures) where failures is a list of (protein id,
     error message) for records whose input was rejected with an EslongError;
-    any other exception is a bug and propagates once every record has run.
+    any other exception is a bug and propagates once every record has run. A
+    bad residue_limit or pool is a ConfigError before any record runs.
     """
-    if residue_limit < 1:
-        raise ConfigError("residue_limit must be >= 1")
-    if model.config.max_positions < residue_limit + 2:
-        raise ConfigError(
-            f"model capacity {model.config.max_positions} cannot hold "
-            f"residue_limit {residue_limit} plus CLS/EOS"
-        )
+    _check_embed_args(model, residue_limit, pool)
     records = list(records)
     outcomes: list[EmbeddingRecord | str | None] = [None] * len(records)
 

@@ -16,7 +16,7 @@ import json
 import math
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -64,6 +64,23 @@ class LoraAdapter:
                            self.A.astype(dtype), self.B.astype(dtype))
 
 
+def check_loop(cfg) -> None:
+    """The range checks of what train_epochs and adamw_step read from cfg."""
+    if cfg.epochs < 1:
+        raise ConfigError("epochs must be >= 1")
+    if cfg.batch_size < 1:
+        raise ConfigError("batch_size must be >= 1")
+    if finite_number(cfg.learning_rate, "learning_rate") <= 0:
+        raise ConfigError("learning_rate must be positive")
+    for name in ("beta1", "beta2"):
+        if not 0.0 <= finite_number(getattr(cfg, name), name) < 1.0:
+            raise ConfigError(f"{name} must lie in [0, 1)")
+    if finite_number(cfg.eps, "eps") <= 0:
+        raise ConfigError("eps must be positive")
+    if finite_number(cfg.weight_decay, "weight_decay") < 0:
+        raise ConfigError("weight_decay must not be negative")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 5
@@ -77,21 +94,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
+        check_loop(self)
         if not 0.0 <= finite_number(self.mask_fraction, "mask_fraction") < 1.0:
             raise ConfigError("mask_fraction must lie in [0, 1)")
-        if finite_number(self.learning_rate, "learning_rate") <= 0:
-            raise ConfigError("learning_rate must be positive")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= finite_number(getattr(self, name), name) < 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1)")
-        if finite_number(self.eps, "eps") <= 0:
-            raise ConfigError("eps must be positive")
-        if finite_number(self.weight_decay, "weight_decay") < 0:
-            raise ConfigError("weight_decay must not be negative")
 
 
 def mask_batch(batch, cfg: TrainConfig, rng, vocab=DEFAULT_VOCAB):
@@ -357,8 +362,11 @@ def init_adam_state(params: dict[str, np.ndarray]) -> dict:
 _ADAM_CHUNK = 1 << 15
 
 
-def adamw_step(params, grads, state, cfg: TrainConfig):
+def adamw_step(params, grads, state, cfg):
     """Decoupled-decay Adam update with bias correction; returns (new params, state).
+
+    cfg is a TrainConfig or a HeadConfig: the step reads learning_rate,
+    beta1, beta2, eps and weight_decay.
 
     The moments in state (from init_adam_state) are updated in place, and
     state itself is returned. params and grads are only read, so an array
@@ -408,6 +416,40 @@ def adamw_step(params, grads, state, cfg: TrainConfig):
     return new_params, state
 
 
+def train_epochs(params, count: int, cfg, stream: str, batch_grads, end_epoch, log_path):
+    """The AdamW epoch loop both trainers share; returns (final params, records).
+
+    Each epoch shuffles range(count) with the cfg.seed sub-stream named stream
+    and walks it in batches of cfg.batch_size. batch_grads(params, indices)
+    returns the batch's gradients, or None to skip the batch; each step's
+    gradients are dropped before the next batch runs. After each epoch,
+    end_epoch(params) gives that epoch's record fields. The record is
+    {"epoch", *fields, "wall_ms"}, and the optional log_path receives one JSON
+    line per record. adamw_step never writes an array it returned, so a caller
+    may keep an epoch's params by reference.
+    """
+    state = init_adam_state(params)
+    shuffle_rng = np.random.default_rng(derive_seed(cfg.seed, stream))
+    records = []
+    with open(log_path, "w", encoding="utf-8") if log_path else nullcontext() as log_fh:
+        for epoch in range(1, cfg.epochs + 1):
+            started = time.monotonic()
+            order = shuffle_rng.permutation(count)
+            for lo in range(0, count, cfg.batch_size):
+                grads = batch_grads(params, order[lo: lo + cfg.batch_size])
+                if grads is None:
+                    continue
+                params, state = adamw_step(params, grads, state, cfg)
+                # The next batch runs without these.
+                del grads
+            record = {"epoch": epoch, **end_epoch(params),
+                      "wall_ms": int((time.monotonic() - started) * 1000)}
+            records.append(record)
+            if log_fh:
+                log_fh.write(json.dumps(record) + "\n")
+    return params, records
+
+
 def pretrain(model: EncoderModel, corpus, cfg: TrainConfig, run_log=None):
     """Run the masked-LM loop over a pre-segmented corpus.
 
@@ -429,44 +471,28 @@ def pretrain(model: EncoderModel, corpus, cfg: TrainConfig, run_log=None):
                 "segment the corpus first"
             )
     tokenized = [tokenize(seq, model.config) for seq in corpus]
-    trained = model
-    state = init_adam_state(get_trainable(trained))
     mask_rng = np.random.default_rng(derive_seed(cfg.seed, "masking"))
-    shuffle_rng = np.random.default_rng(derive_seed(cfg.seed, "shuffle"))
-    curve: list[float] = []
-    log_fh = open(run_log, "w", encoding="utf-8") if run_log else None
-    try:
-        for epoch in range(1, cfg.epochs + 1):
-            started = time.monotonic()
-            order = shuffle_rng.permutation(len(tokenized))
-            loss_weighted = 0.0
-            label_count = 0
-            for lo in range(0, len(order), cfg.batch_size):
-                batch = [tokenized[i] for i in order[lo: lo + cfg.batch_size]]
-                masked, labels = mask_batch(batch, cfg, mask_rng, model.config.vocab)
-                n_labels = sum(len(seq_labels) for seq_labels in labels)
-                if n_labels == 0:
-                    continue
-                loss, grads = mlm_loss(trained, masked, labels)
-                new_params, state = adamw_step(get_trainable(trained), grads, state, cfg)
-                trained = with_trainable(trained, new_params)
-                # The next step's forward and backward run without these.
-                del grads, new_params
-                loss_weighted += loss * n_labels
-                label_count += n_labels
-            mean_loss = loss_weighted / max(label_count, 1)
-            curve.append(mean_loss)
-            if log_fh:
-                record = {
-                    "epoch": epoch,
-                    "mean_loss": mean_loss,
-                    "wall_ms": int((time.monotonic() - started) * 1000),
-                }
-                log_fh.write(json.dumps(record) + "\n")
-    finally:
-        if log_fh:
-            log_fh.close()
-    return trained, curve
+    totals = [0.0, 0]  # the epoch's label-weighted loss and label count
+
+    def batch_grads(params, indices):
+        batch = [tokenized[i] for i in indices]
+        masked, labels = mask_batch(batch, cfg, mask_rng, model.config.vocab)
+        n_labels = sum(len(seq_labels) for seq_labels in labels)
+        if n_labels == 0:
+            return None
+        loss, grads = mlm_loss(with_trainable(model, params), masked, labels)
+        totals[0] += loss * n_labels
+        totals[1] += n_labels
+        return grads
+
+    def end_epoch(params):
+        mean_loss = totals[0] / max(totals[1], 1)
+        totals[:] = [0.0, 0]
+        return {"mean_loss": mean_loss}
+
+    params, records = train_epochs(get_trainable(model), len(tokenized), cfg, "shuffle",
+                                   batch_grads, end_epoch, run_log)
+    return with_trainable(model, params), [record["mean_loss"] for record in records]
 
 
 def lora_target_names(config, families=("attention",)) -> list[str]:

@@ -264,14 +264,25 @@ class TestInputProbes:
         {"model": {"preset": "toy"}, "train": {"weight_decay": float("inf")}},
         {"model": {"preset": "toy"}, "train": {"beta1": float("nan")}},
         {"model": {"preset": "toy"}, "train": {"eps": -1}},
+        {"model": {"preset": "toy"}, "train": {"epochs": True}},
+        {"model": {"preset": "toy"}, "train": {"batch_size": "8"}},
+        {"model": {"preset": "toy"}, "train": []},
     ], ids=["unknown-train-key", "json-list", "unknown-model-key", "ill-typed-model-key",
-            "nan-learning-rate", "infinite-weight-decay", "nan-beta1", "negative-eps"])
+            "nan-learning-rate", "infinite-weight-decay", "nan-beta1", "negative-eps",
+            "bool-epochs", "string-batch-size", "train-list"])
     def test_bad_config_exits_2(self, workdir, capsys, config):
         tmp, fasta, _, _ = workdir
         path = tmp / "probe.json"
         path.write_text(json.dumps(config))
         assert_exits_2_with_one_line(["pretrain", "--config", str(path), "--fasta", str(fasta),
                                       "--out", str(tmp / "x.eslg")], capsys)
+
+    def test_lora_rank_zero_exits_2(self, workdir, capsys):
+        tmp, fasta, config, _ = workdir
+        out = tmp / "x.eslg"
+        assert_exits_2_with_one_line(["pretrain", "--config", str(config), "--fasta", str(fasta),
+                                      "--out", str(out), "--lora-rank", "0"], capsys)
+        assert not out.exists()
 
     def test_nan_lora_alpha_exits_2(self, workdir, capsys):
         tmp, fasta, config, _ = workdir
@@ -460,10 +471,13 @@ class TestHeadProbes:
         lambda tensors, config: tensors.update(feat_center=tensors["feat_center"][:-1]),
         lambda tensors, config: tensors["W1"].__setitem__((0, 0), NAN_MARK),
         lambda tensors, config: tensors.update(W3=tensors["W2"]),
+        lambda tensors, config: config["head"].update(epochs=True),
+        lambda tensors, config: config["head"].update(learning_rate="0.001"),
     ], ids=["no-head-key", "unknown-head-key", "string-hidden-dim", "nan-learning-rate",
             "negative-seed", "no-W2", "wrong-shaped-W1", "W2-too-few-terms", "b2-too-few-terms",
             "short-term-list", "duplicate-term", "center-without-scale",
-            "wrong-shaped-center", "nan-W1", "unused-tensor"])
+            "wrong-shaped-center", "nan-W1", "unused-tensor", "bool-epochs",
+            "string-learning-rate"])
     def test_corrupt_head_exits_2(self, tmp_path, capsys, edit):
         head, store = saved_head_and_store(tmp_path, edit)
         out = tmp_path / "pred.tsv"
@@ -488,6 +502,16 @@ class TestHeadProbes:
                      "--lr", "nan"]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "learning_rate" in err[0], err
+
+    def test_empty_training_store_exits_2(self, tmp_path, capsys):
+        _, store = saved_head_and_store(tmp_path)
+        empty = tmp_path / "empty.esem"
+        write_store(empty, [], embed_dim=4)
+        truth = tmp_path / "truth.tsv"
+        truth.write_text("P1\tGO:1\n")
+        assert_exits_2_with_one_line(["train-head", "--embeddings", str(empty),
+                                      "--val-embeddings", str(store), "--truth", str(truth),
+                                      "--out", str(tmp_path / "h.eslg")], capsys)
 
     def test_nan_store_vector_exits_2(self, tmp_path, capsys):
         head, store = saved_head_and_store(tmp_path)
@@ -522,6 +546,70 @@ class TestHeadProbes:
         store.write_bytes(store.read_bytes().replace(b"P1", b"\xff\xfe", 1))
         assert_exits_2_with_one_line(["predict", "--head", str(head), "--embeddings", str(store),
                                       "--out", str(tmp_path / "pred.tsv")], capsys)
+
+
+def head_task(tmp):
+    """Paths of a seeded 24-record training store and an 8-record validation
+    store, in 6 dimensions, and their truth over 4 terms."""
+    rng = np.random.default_rng(4)
+    paths, lines = [], []
+    for name, count in (("T", 24), ("V", 8)):
+        records = [EmbeddingRecord(f"{name}{i}", rng.normal(size=6).astype(np.float32), 1)
+                   for i in range(count)]
+        write_store(tmp / f"{name}.esem", records)
+        paths.append(tmp / f"{name}.esem")
+        for rec in records:
+            lines += [f"{rec.protein_id}\tGO:{k}\n" for k in range(3) if rec.vector[k] > 0]
+            lines.append(f"{rec.protein_id}\tGO:root\n")
+    truth = tmp / "truth.tsv"
+    truth.write_text("".join(lines))
+    return paths[0], paths[1], truth
+
+
+class TestRecordedBits:
+    """The trainers keep their outputs' bits: the checkpoint, the epoch log
+    without wall_ms, and the manifest's config."""
+
+    # sha256 (first 16 hex digits) of each output of these runs, recorded with
+    # the trainers as they were before they shared one epoch loop, on x86-64
+    # with numpy 2.4 and OpenBLAS 0.3.31; another BLAS build may round
+    # differently.
+    RECORDED = {
+        "pretrain": {"checkpoint": "28286262111899dd", "log": "a9e3a3e0f747b99c",
+                     "config": "d858ce44ccb4c43c"},
+        "pretrain-int4-lora": {"checkpoint": "0533ba9ecfc4bfd9", "log": "5a0e6f7c02a09d61",
+                               "config": "d858ce44ccb4c43c"},
+        "train-head": {"checkpoint": "241e6c24c5343f90", "log": "3d4380852fc76e11",
+                       "config": "fe0f0eb63e011b2a"},
+    }
+
+    @pytest.mark.parametrize("case", ["pretrain", "pretrain-int4-lora", "train-head"])
+    def test_outputs_keep_recorded_bits(self, workdir, case):
+        tmp, fasta, config, _ = workdir
+        if case == "train-head":
+            train, val, truth = head_task(tmp)
+            out, log = tmp / "head.eslg", tmp / "head.eslg.metrics.jsonl"
+            argv = ["train-head", "--embeddings", str(train), "--val-embeddings", str(val),
+                    "--truth", str(truth), "--out", str(out), "--hidden", "8",
+                    "--epochs", "5", "--batch", "8", "--lr", "0.03", "--seed", "3"]
+        else:
+            out, log = tmp / "toy.eslg", tmp / "toy.eslg.runlog.jsonl"
+            argv = ["pretrain", "--config", str(config), "--fasta", str(fasta),
+                    "--out", str(out)]
+            if case == "pretrain-int4-lora":
+                argv += ["--quantize-base", "--lora-rank", "2", "--block-size", "32"]
+        assert main(argv) == 0
+        records = [json.loads(line) for line in log.read_text().splitlines()]
+        assert all(list(record)[-1] == "wall_ms" for record in records)
+        manifest = json.loads((tmp / f"{out.name}.manifest.json").read_text())
+        outputs = {
+            "checkpoint": out.read_bytes(),
+            "log": "".join(json.dumps({k: v for k, v in record.items() if k != "wall_ms"}) + "\n"
+                           for record in records).encode(),
+            "config": json.dumps(manifest["config"], sort_keys=True).encode(),
+        }
+        got = {part: hashlib.sha256(data).hexdigest()[:16] for part, data in outputs.items()}
+        assert got == self.RECORDED[case]
 
 
 @st.composite

@@ -185,6 +185,10 @@ class TestEmbedCorpus:
         assert [r.protein_id for r in out] == ["GOOD", "ALSO"]
         assert len(failures) == 1 and failures[0][0] == "BAD"
 
+    def test_unknown_pool_raises_before_any_record(self, toy_model):
+        with pytest.raises(ConfigError, match="pooling mode 'max'"):
+            embed_corpus(toy_model, [ProteinRecord("P1", "ACDEF")], 62, pool="max")
+
     def test_empty_corpus_valid_store(self, toy_model, tmp_path):
         out, failures = embed_corpus(toy_model, [], 62)
         assert out == [] and failures == []

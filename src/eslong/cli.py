@@ -2,8 +2,8 @@
 predict, and eval.
 
 Exit codes: 0 success, 1 partial success (some records skipped, reported on
-stderr), 2 invalid input or configuration. Every command writes a manifest
-next to its primary output. Set ESLONG_LOG=DEBUG|INFO|WARNING for verbosity.
+stderr), 2 invalid input or configuration. main writes each command's manifest
+next to its output file. Set ESLONG_LOG=DEBUG|INFO|WARNING for verbosity.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import logging
 import os
 import sys
 import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -107,9 +108,8 @@ def _model_config_from_dict(data: dict):
         fields = {**config_to_json(preset_config(preset)), **fields}
     else:
         fields = {"max_positions": 1024, **fields, "vocab": list(DEFAULT_VOCAB.tokens)}
-    mode = model.get("attention_mode", GLOBAL)
-    window_k = model.get("window_k") if mode == LOCAL else None
-    fields["attention"] = {"mode": mode, "window_k": window_k}
+    fields["attention"] = {"mode": model.get("attention_mode", GLOBAL),
+                           "window_k": model.get("window_k")}
     return config_from_json(fields)
 
 
@@ -120,13 +120,26 @@ def _train_config_from_dict(data: dict, seed_override: int | None) -> TrainConfi
     return train
 
 
-def cmd_pretrain(args) -> int:
-    started = time.monotonic()
+class Outcome(NamedTuple):
+    """What a command hands back to main: the output its manifest goes next
+    to (None for no manifest), what the manifest records, and the exit code."""
+    out: str | None
+    config: dict
+    inputs: dict
+    seed: int | None = None
+    extra: dict | None = None
+    digests: dict | None = None
+    code: int = 0
+
+
+def cmd_pretrain(args) -> Outcome:
     config_data = _load_config_file(args.config)
     train_cfg = _train_config_from_dict(config_data, args.seed)
     records = parse_fasta(args.fasta)
+    inputs = {"fasta": args.fasta, "config": args.config}
     if args.init_from:
         model = load_model(args.init_from)
+        inputs["init_from"] = args.init_from
     else:
         model_cfg = _model_config_from_dict(config_data)
         model = build_model(model_cfg, derive_seed(train_cfg.seed, "init"))
@@ -144,16 +157,10 @@ def cmd_pretrain(args) -> int:
     run_log = str(args.out) + ".runlog.jsonl"
     trained, curve = pretrain(model, corpus, train_cfg, run_log=run_log)
     save_model(trained, args.out)
-    write_manifest(
-        args.out,
-        command="pretrain",
-        config={"train": dataclasses.asdict(train_cfg), "model": _serializable_model_config(trained)},
-        inputs={"fasta": args.fasta, "config": args.config},
-        seed=train_cfg.seed,
-        wall_ms=int((time.monotonic() - started) * 1000),
-        extra={"epochs": len(curve), "loss_curve": curve},
-    )
-    return 0
+    return Outcome(args.out,
+                   {"train": dataclasses.asdict(train_cfg),
+                    "model": _serializable_model_config(trained)},
+                   inputs, seed=train_cfg.seed, extra={"epochs": len(curve), "loss_curve": curve})
 
 
 def _serializable_model_config(model) -> dict:
@@ -162,41 +169,23 @@ def _serializable_model_config(model) -> dict:
     return cfg
 
 
-def cmd_extend(args) -> int:
-    started = time.monotonic()
+def cmd_extend(args) -> Outcome:
     model = load_model(getattr(args, "in"))
     extended = extend_context(model, args.capacity, strategy=args.strategy,
                               seed=derive_seed(args.seed, "extend-tail"))
     save_model(extended, args.out)
-    write_manifest(
-        args.out,
-        command="extend",
-        config={"capacity": args.capacity, "strategy": args.strategy},
-        inputs={"checkpoint": getattr(args, "in")},
-        seed=args.seed,
-        wall_ms=int((time.monotonic() - started) * 1000),
-    )
-    return 0
+    return Outcome(args.out, {"capacity": args.capacity, "strategy": args.strategy},
+                   {"checkpoint": getattr(args, "in")}, seed=args.seed)
 
 
-def cmd_quantize(args) -> int:
-    started = time.monotonic()
+def cmd_quantize(args) -> Outcome:
     model = load_model(getattr(args, "in"))
     quantized = quantize_model(model, QuantPolicy(block_size=args.block_size))
     save_model(quantized, args.out)
-    write_manifest(
-        args.out,
-        command="quantize",
-        config={"block_size": args.block_size},
-        inputs={"checkpoint": getattr(args, "in")},
-        seed=None,
-        wall_ms=int((time.monotonic() - started) * 1000),
-    )
-    return 0
+    return Outcome(args.out, {"block_size": args.block_size}, {"checkpoint": getattr(args, "in")})
 
 
-def cmd_embed(args) -> int:
-    started = time.monotonic()
+def cmd_embed(args) -> Outcome:
     model = load_model(args.model)
     records = parse_fasta(args.fasta)
     limit = args.residue_limit
@@ -213,29 +202,24 @@ def cmd_embed(args) -> int:
     write_store(args.out, embeddings, embed_dim=model.config.embed_dim)
     if args.tsv:
         write_store_tsv(args.tsv, embeddings)
-    write_manifest(
+    for pid, msg in failures:
+        print(f"skipped {pid}: {msg}", file=sys.stderr)
+    if failures:
+        print(f"embedded {len(embeddings)} records, skipped {len(failures)}", file=sys.stderr)
+    return Outcome(
         args.out,
-        command="embed",
-        config={"residue_limit": limit, "pool": args.pool, "model_tag": model_tag(model)},
-        inputs={"model": args.model, "fasta": args.fasta},
-        seed=None,
-        wall_ms=int((time.monotonic() - started) * 1000),
+        {"residue_limit": limit, "pool": args.pool, "model_tag": model_tag(model)},
+        {"model": args.model, "fasta": args.fasta},
         extra={
             "records": len(embeddings),
             "skipped": [pid for pid, _ in failures],
             "slice_counts": {rec.protein_id: rec.slice_count for rec in embeddings},
         },
+        code=1 if failures else 0,
     )
-    if failures:
-        for pid, msg in failures:
-            print(f"skipped {pid}: {msg}", file=sys.stderr)
-        print(f"embedded {len(embeddings)} records, skipped {len(failures)}", file=sys.stderr)
-        return 1
-    return 0
 
 
-def cmd_train_head(args) -> int:
-    started = time.monotonic()
+def cmd_train_head(args) -> Outcome:
     train_records, train_dim = read_store(args.embeddings)
     val_records, val_dim = read_store(args.val_embeddings)
     if train_dim != val_dim:
@@ -261,20 +245,11 @@ def cmd_train_head(args) -> int:
     head, metrics = train_head(train_records, truth, cfg, val_records, metrics_log=metrics_log)
     save_head(head, args.out)
     best = max(metrics, key=lambda r: r["val_fmax"])
-    write_manifest(
-        args.out,
-        command="train-head",
-        config=dataclasses.asdict(cfg),
-        inputs=inputs,
-        seed=args.seed,
-        wall_ms=int((time.monotonic() - started) * 1000),
-        extra={"best_epoch": best["epoch"], "best_val_fmax": best["val_fmax"]},
-    )
-    return 0
+    return Outcome(args.out, dataclasses.asdict(cfg), inputs, seed=args.seed,
+                   extra={"best_epoch": best["epoch"], "best_val_fmax": best["val_fmax"]})
 
 
-def cmd_predict(args) -> int:
-    started = time.monotonic()
+def cmd_predict(args) -> Outcome:
     head = load_head(args.head)
     records, dim = read_store(args.embeddings)
     if dim != head.config.input_dim:
@@ -288,20 +263,11 @@ def cmd_predict(args) -> int:
         scores = close_scores(scores, graph)
         inputs["ontology"] = args.ontology
     save_annotations(args.out, scores)
-    write_manifest(
-        args.out,
-        command="predict",
-        config={"close_scores": bool(args.close_scores)},
-        inputs=inputs,
-        seed=None,
-        wall_ms=int((time.monotonic() - started) * 1000),
-        extra={"proteins": len(scores)},
-    )
-    return 0
+    return Outcome(args.out, {"close_scores": bool(args.close_scores)}, inputs,
+                   extra={"proteins": len(scores)})
 
 
-def cmd_eval(args) -> int:
-    started = time.monotonic()
+def cmd_eval(args) -> Outcome:
     pred = load_annotations(args.pred)
     truth = load_annotations(args.truth)
     pred_table = pred.from_binary
@@ -323,25 +289,17 @@ def cmd_eval(args) -> int:
         result = fmax(pred, truth, namespace=args.namespace, exclude_terms=exclude)
     if args.out:
         write_report(args.out, result)
-        if args.curve_tsv:
-            write_curve_tsv(args.curve_tsv, result)
-        write_manifest(
-            args.out,
-            command="eval",
-            config={"namespace": args.namespace, "min_length": args.min_length,
-                    "close_scores": bool(args.close_scores),
-                    "exclude_roots": bool(args.exclude_roots)},
-            inputs=inputs,
-            seed=None,
-            wall_ms=int((time.monotonic() - started) * 1000),
-            extra={"pred_table": pred_table},
-            digests=digests,
-        )
     else:
         json.dump(result_to_json(result), sys.stdout, indent=2, sort_keys=True)
         print()
+    if args.curve_tsv:
+        write_curve_tsv(args.curve_tsv, result)
     print(f"fmax={result.fmax:.4f} tau_star={result.tau_star} n={result.n}", file=sys.stderr)
-    return 0
+    return Outcome(args.out,
+                   {"namespace": args.namespace, "min_length": args.min_length,
+                    "close_scores": bool(args.close_scores),
+                    "exclude_roots": bool(args.exclude_roots)},
+                   inputs, extra={"pred_table": pred_table}, digests=digests)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -442,7 +400,13 @@ def main(argv=None) -> int:
         # Every non-finite result ends in an EslongError check, so NumPy's
         # float warnings would only print ahead of the one error line.
         with np.errstate(all="ignore"):
-            return args.func(args)
+            started = time.monotonic()
+            ran = args.func(args)
+            if ran.out is not None:
+                wall_ms = int((time.monotonic() - started) * 1000)
+                write_manifest(ran.out, args.command, ran.config, ran.inputs, ran.seed,
+                               wall_ms, ran.extra, ran.digests)
+            return ran.code
     except (EslongError, *_PATH_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -404,20 +404,15 @@ def forward(model: EncoderModel, token_ids, want_cache: bool = False):
 
             pool.run(phase_c, row_parts)
             if want_cache:
-                layer_caches.append(
-                    dict(x_in=x_in, h1=h1, ln1=ln1, qh=qh, kh=kh, vh=vh,
-                         stats=stats, x_mid=x_mid, h2=h2, ln2=ln2,
-                         u=u, act=act, cdf=cdf)
-                )
+                layer_caches.append(dict(h1=h1, ln1=ln1, qh=qh, kh=kh, vh=vh, stats=stats,
+                                         h2=h2, ln2=ln2, u=u, act=act, cdf=cdf))
             # Freed now, they are not held through the next layer's
             # attention, which sets the peak memory.
             del ctx_h, stats, x_mid, h2, ln2, u, act, cdf, merged, proj, w
     hidden, lnf_cache = layer_norm(x, P["final_ln.gain"], P["final_ln.bias"])
     if not want_cache:
         return hidden
-    cache = dict(tok=tok, pad=pad, x_final=x, lnf=lnf_cache, hidden=hidden,
-                 layers=layer_caches)
-    return hidden, cache
+    return hidden, dict(tok=tok, lnf=lnf_cache, hidden=hidden, layers=layer_caches)
 
 
 def mlm_logits(model: EncoderModel, hidden: np.ndarray) -> np.ndarray:

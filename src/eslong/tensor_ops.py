@@ -206,22 +206,26 @@ def gelu(a: np.ndarray, return_cdf: bool = False, out=None, cdf_out=None):
     return_cdf=True returns (gelu(a), Phi(a)), so a backward pass can hand
     Phi to gelu_grad instead of evaluating erf again. out, when given, is a
     C-contiguous array of a's shape and dtype, other than a, that receives
-    gelu(a); cdf_out likewise receives Phi(a). When Phi is neither returned
-    nor kept, float32 GELU multiplies each pass's Phi by x where it lies.
+    gelu(a); cdf_out likewise receives Phi(a). Float32 GELU runs pass by
+    pass: each pass's Phi goes into its part of the kept CDF, or of out when
+    Phi is not kept, and is multiplied by x there.
     """
     a = np.asarray(a)
-    if return_cdf or cdf_out is not None or a.dtype != np.float32:
+    if a.dtype != np.float32:
         cdf = _normal_cdf(a, out=cdf_out)
         y = np.multiply(a, cdf, out=out)
         return (y, cdf) if return_cdf else y
     src = np.ascontiguousarray(a).reshape(-1)
     if out is None:
         out = np.empty(a.shape, dtype=np.float32)
+    if cdf_out is None and return_cdf:
+        cdf_out = np.empty(a.shape, dtype=np.float32)
     dst = out.reshape(-1)
+    phi = dst if cdf_out is None else cdf_out.reshape(-1)
     for chunk, (x, x2) in _passes(src.size, 2):
-        _cdf_pass(src[chunk], dst[chunk], x, x2)
-        dst[chunk] *= src[chunk]
-    return out
+        _cdf_pass(src[chunk], phi[chunk], x, x2)
+        np.multiply(phi[chunk], src[chunk], out=dst[chunk])
+    return (out, cdf_out) if return_cdf else out
 
 
 def gelu_grad(a: np.ndarray, cdf=None) -> np.ndarray:

@@ -60,6 +60,16 @@ class TestPretrain:
         assert set(manifest["inputs"]) == {"fasta", "config"}
         assert all(len(v["sha256"]) == 64 for v in manifest["inputs"].values())
 
+    def test_manifest_records_the_init_from_checkpoint(self, workdir):
+        tmp, fasta, config, _ = workdir
+        base, out = tmp / "base.eslg", tmp / "adapted.eslg"
+        save_model(build_model(preset_config("toy"), seed=1), base)
+        assert main(["pretrain", "--config", str(config), "--fasta", str(fasta),
+                     "--out", str(out), "--init-from", str(base)]) == 0
+        manifest = json.loads(open(str(out) + ".manifest.json").read())
+        assert manifest["inputs"]["init_from"] == {
+            "path": str(base), "sha256": hashlib.sha256(base.read_bytes()).hexdigest()}
+
     def test_missing_fasta_exits_2(self, workdir):
         tmp, _, config, _ = workdir
         code = main(["pretrain", "--config", str(config),
@@ -267,9 +277,13 @@ class TestInputProbes:
         {"model": {"preset": "toy"}, "train": {"epochs": True}},
         {"model": {"preset": "toy"}, "train": {"batch_size": "8"}},
         {"model": {"preset": "toy"}, "train": []},
+        {"model": {"preset": "toy", "attention_mode": "global", "window_k": 8}},
+        {"model": {"num_layers": 1, "num_heads": 2, "embed_dim": 8, "ffn_dim": 16,
+                   "window_k": 8}},
     ], ids=["unknown-train-key", "json-list", "unknown-model-key", "ill-typed-model-key",
             "nan-learning-rate", "infinite-weight-decay", "nan-beta1", "negative-eps",
-            "bool-epochs", "string-batch-size", "train-list"])
+            "bool-epochs", "string-batch-size", "train-list", "window-k-with-global",
+            "window-k-without-mode"])
     def test_bad_config_exits_2(self, workdir, capsys, config):
         tmp, fasta, _, _ = workdir
         path = tmp / "probe.json"
@@ -612,6 +626,64 @@ class TestRecordedBits:
         assert got == self.RECORDED[case]
 
 
+@pytest.fixture(scope="module")
+def command_chain(tmp_path_factory):
+    """Runs all seven commands once, in chain order. Returns, by command, its
+    --out path, the inputs (name -> path) and the seed its manifest should
+    record."""
+    tmp = tmp_path_factory.mktemp("chain")
+    rng = np.random.default_rng(0)
+    fasta = tmp / "corpus.fasta"
+    write_fasta(fasta, [ProteinRecord(f"P{i}", s)
+                        for i, s in enumerate(random_corpus(rng, 6, 10, 50))])
+    config = tmp / "config.json"
+    config.write_text(json.dumps(TOY_CONFIG))
+    train, val, truth = head_task(tmp)
+    onto = tmp / "onto.tsv"
+    onto.write_text("".join(f"GO:{k}\tGO:root\n" for k in range(3)))
+    p = {name: tmp / name for name in ("toy.eslg", "ext.eslg", "q.eslg", "emb.esem",
+                                       "head.eslg", "pred.tsv", "report.json")}
+    runs = {
+        "pretrain": (["--config", config, "--fasta", fasta, "--out", p["toy.eslg"]],
+                     {"config": config, "fasta": fasta}, 0),
+        "extend": (["--in", p["toy.eslg"], "--out", p["ext.eslg"], "--capacity", "80",
+                    "--seed", "5"], {"checkpoint": p["toy.eslg"]}, 5),
+        "quantize": (["--in", p["ext.eslg"], "--out", p["q.eslg"], "--block-size", "32"],
+                     {"checkpoint": p["ext.eslg"]}, None),
+        "embed": (["--model", p["q.eslg"], "--fasta", fasta, "--out", p["emb.esem"]],
+                  {"model": p["q.eslg"], "fasta": fasta}, None),
+        "train-head": (["--embeddings", train, "--val-embeddings", val, "--truth", truth,
+                        "--ontology", onto, "--out", p["head.eslg"], "--hidden", "8",
+                        "--epochs", "2", "--batch", "8", "--seed", "3"],
+                       {"embeddings": train, "val_embeddings": val, "truth": truth,
+                        "ontology": onto}, 3),
+        "predict": (["--head", p["head.eslg"], "--embeddings", val, "--ontology", onto,
+                     "--close-scores", "--out", p["pred.tsv"]],
+                    {"head": p["head.eslg"], "embeddings": val, "ontology": onto}, None),
+        "eval": (["--pred", p["pred.tsv"], "--truth", truth, "--ontology", onto,
+                  "--out", p["report.json"]],
+                 {"pred": p["pred.tsv"], "truth": truth, "ontology": onto}, None),
+    }
+    chain = {}
+    for command, (argv, inputs, seed) in runs.items():
+        assert main([command, *map(str, argv)]) == 0, command
+        chain[command] = (argv[argv.index("--out") + 1], inputs, seed)
+    return chain
+
+
+@pytest.mark.parametrize("command", ["pretrain", "extend", "quantize", "embed", "train-head",
+                                     "predict", "eval"])
+def test_every_command_writes_its_manifest(command_chain, command):
+    out, inputs, seed = command_chain[command]
+    manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
+    assert manifest["command"] == command
+    assert manifest["inputs"] == {
+        name: {"path": str(path), "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+        for name, path in inputs.items()}
+    assert manifest["seed"] == seed
+    assert isinstance(manifest["wall_ms"], int) and manifest["wall_ms"] >= 0
+
+
 @st.composite
 def corruptions(draw, size: int):
     """("cut", n) keeps the first n < size bytes; ("flip", bits) flips one to
@@ -812,6 +884,16 @@ class TestEvalCommand:
                      "--out", str(out), "--curve-tsv", str(curve)]) == 0
         header = curve.read_text().splitlines()[0]
         assert header == "tau\tpr\trc\tf\tm"
+
+    def test_curve_export_without_out(self, tmp_path, capsys):
+        onto, truth, pred = build_eval_fixtures(tmp_path)
+        curve = tmp_path / "curve.tsv"
+        before = set(tmp_path.iterdir())
+        assert main(["eval", "--pred", str(pred), "--truth", str(truth),
+                     "--ontology", str(onto), "--curve-tsv", str(curve)]) == 0
+        assert json.loads(capsys.readouterr().out)["fmax"] == pytest.approx(1.0)
+        assert curve.read_text().splitlines()[0] == "tau\tpr\trc\tf\tm"
+        assert set(tmp_path.iterdir()) - before == {curve}
 
 
 def table_with_index(data: bytes, index: int) -> bytes:

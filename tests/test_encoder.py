@@ -151,6 +151,15 @@ class TestForward:
         with_pads = forward(model, padded)
         np.testing.assert_allclose(with_pads[: len(toks)], base, atol=1e-6)
 
+    def test_cache_keeps_only_what_backward_reads(self, toy_model):
+        hidden, cache = forward(toy_model, tokenize("ACDEFGH", toy_model.config),
+                                want_cache=True)
+        assert set(cache) == {"tok", "lnf", "hidden", "layers"}
+        assert len(cache["layers"]) == toy_model.config.num_layers
+        for layer in cache["layers"]:
+            assert set(layer) == {"h1", "ln1", "qh", "kh", "vh", "stats", "h2", "ln2",
+                                  "u", "act", "cdf"}
+
 
 class TestExtendContext:
     def test_cyclic_copy_rows(self, toy_model):

@@ -14,9 +14,9 @@ attend keeps each row's shift and sum and ctx; attend_backward rebuilds
 every tile from them and takes the softmax gradient's row term as
 rowsum(d_ctx * ctx). A part holds one tile buffer, for a group of heads
 whose [heads, rows, keys] tile fits _TILE_BUDGET floats, not heads * n^2
-floats. An OpCounter threaded through attend receives the number of visible
-query-key pairs, which is how the linear-versus-quadratic cost claims are
-checked.
+floats. score_op_count reads the number of visible query-key pairs off the
+same geometry that cuts attend's blocks, which is how the
+linear-versus-quadratic cost claims are checked.
 """
 
 from __future__ import annotations
@@ -59,24 +59,6 @@ class AttentionSpec:
                 raise ConfigError("local attention requires an even window_k >= 2")
         elif self.window_k is not None:
             raise ConfigError("window_k is only meaningful for local attention")
-
-
-class OpCounter:
-    """Accumulator for query-key score evaluations.
-
-    Kernels add the number of pairs they actually computed. It takes no lock,
-    so a counter must not be shared across threads.
-    """
-
-    def __init__(self) -> None:
-        self._count = 0
-
-    def add(self, n: int) -> None:
-        self._count += int(n)
-
-    @property
-    def count(self) -> int:
-        return self._count
 
 
 def _check_qkv(q, k, v, pad_mask):
@@ -245,8 +227,7 @@ class _Tiles:
         return scores
 
 
-def attend(qh, kh, vh, pad, spec: AttentionSpec, counter: OpCounter | None = None,
-           pool: LayerPool = INLINE):
+def attend(qh, kh, vh, pad, spec: AttentionSpec, pool: LayerPool = INLINE):
     """Multi-head attention under spec's visibility rule; returns (ctx, stats).
 
     qh/kh/vh are [heads, n, head_dim]; pad marks keys no query may see, and a
@@ -263,19 +244,15 @@ def attend(qh, kh, vh, pad, spec: AttentionSpec, counter: OpCounter | None = Non
     pool runs the block loop with the heads split into its parts, inline by
     default, and each part runs it over its groups of heads in turn. Every
     step above is taken per head, so the bits do not depend on how the heads
-    are split or grouped.
-
-    counter receives the number of visible query-key pairs, summed over heads
-    (n^2 per head in global mode); local tiles also evaluate up to
-    (rows + window_k) / (window_k + 1) times as many products, discarded.
+    are split or grouped. Local tiles evaluate up to
+    (rows + window_k) / (window_k + 1) times as many products as the
+    score_op_count visible pairs per head, and discard the rest.
     """
     heads, n, head_dim = qh.shape
     # Outputs, then V: the other order raised embed's peak RSS by up to 15 MB.
     ctx_sum, row_max = np.empty((heads, n, head_dim + 1), vh.dtype), np.empty((heads, n), qh.dtype)
     vp = _pad_buffer(vh, _geometry(n, spec), ones=True)
     tiles = _Tiles(qh, kh, pad, spec, buffers=1)
-    if counter is not None:
-        counter.add(heads * _band_pairs(n, tiles.g.w))
 
     def run_heads(part: slice):
         work = tiles.allocate(part)
@@ -351,42 +328,38 @@ def attend_backward(d_ctx, qh, kh, vh, stats: SoftmaxStats, spec: AttentionSpec,
     return d_qh, d_kp[:, g.lead:g.lead + n], d_vp[:, g.lead:g.lead + n]
 
 
-def _single_head(q, k, v, pad, spec, counter):
-    out = attend(q[None], k[None], v[None], pad, spec, counter)[0][0]
+def _single_head(q, k, v, pad, spec):
+    out = attend(q[None], k[None], v[None], pad, spec)[0][0]
     out[pad] = 0.0
     return out
 
 
-def global_attention(q, k, v, pad_mask, counter: OpCounter | None = None) -> np.ndarray:
+def global_attention(q, k, v, pad_mask) -> np.ndarray:
     """Full attention: out[i] = sum_j softmax_j(q_i . k_j / sqrt(d)) v_j over unmasked j.
 
     Padded positions neither contribute as keys nor produce output (their rows
     are zeroed). Evaluates all n^2 score pairs.
     """
     q, k, v, pad = _check_qkv(q, k, v, pad_mask)
-    return _single_head(q, k, v, pad, AttentionSpec(GLOBAL, 1, q.shape[1]), counter)
+    return _single_head(q, k, v, pad, AttentionSpec(GLOBAL, 1, q.shape[1]))
 
 
-def local_attention(q, k, v, pad_mask, window_k: int, counter: OpCounter | None = None) -> np.ndarray:
+def local_attention(q, k, v, pad_mask, window_k: int) -> np.ndarray:
     """Windowed attention: position i attends to j with |i - j| <= window_k / 2.
 
-    The counter receives exactly sum_i |visible(i)| pairs (windows clip at the
-    sequence edges; no wraparound).
-    Every window holds its own query, so an unpadded query always sees a key.
+    Windows clip at the sequence edges, with no wraparound. Every window
+    holds its own query, so an unpadded query always sees a key.
     """
     if window_k < 2 or window_k % 2 != 0:
         raise ContractError("window_k must be an even integer >= 2")
     q, k, v, pad = _check_qkv(q, k, v, pad_mask)
-    return _single_head(q, k, v, pad, AttentionSpec(LOCAL, 1, q.shape[1], window_k), counter)
+    return _single_head(q, k, v, pad, AttentionSpec(LOCAL, 1, q.shape[1], window_k))
 
 
 def score_op_count(n: int, spec: AttentionSpec) -> int:
-    """Run attend on a length-n input and report the instrumented number of
-    query-key pairs per head (n^2 for global, the clipped band size for
-    local)."""
+    """Visible query-key pairs per head of attend on a length-n input: n^2
+    for global, the band clipped at the sequence edges for local. attend's
+    blocks are cut by the same _geometry, whose w is the visibility radius."""
     if n < 1:
         raise ContractError("sequence length must be >= 1")
-    x = np.zeros((1, n, spec.head_dim), dtype=np.float32)
-    counter = OpCounter()
-    attend(x, x, x, np.zeros(n, dtype=bool), spec, counter=counter)
-    return counter.count
+    return _band_pairs(n, _geometry(n, spec).w)

@@ -30,6 +30,7 @@ from .encoder import (
     config_to_json,
     extend_context,
     load_model,
+    lora_target_names,
     model_tag,
     preset_config,
     save_model,
@@ -47,7 +48,7 @@ from .ontology import (
 )
 from .pipeline import embed_corpus, parse_fasta, read_store, segment, write_store, write_store_tsv
 from .quant import QuantPolicy, quantize_model
-from .training import TrainConfig, attach_lora, derive_seed, lora_target_names, pretrain
+from .training import TrainConfig, attach_lora, derive_seed, pretrain
 
 log = logging.getLogger("eslong")
 
@@ -276,7 +277,14 @@ def cmd_eval(args) -> Outcome:
     truth = close_truth(truth, graph)
     if args.close_scores:
         pred = close_scores(pred, graph)
-    exclude = {graph.root} if args.exclude_roots else set()
+    exclude = set()
+    if args.exclude_roots:
+        # A CAFA benchmark holds only proteins with a non-root term (Jiang et
+        # al., Genome Biology 2016); a prediction outside the truth stays an error.
+        exclude = {graph.root}
+        dropped = {p for p in truth.proteins if set(truth[p]) <= exclude}
+        truth = truth.rows(p for p in truth.proteins if p not in dropped)
+        pred = pred.rows(p for p in pred.proteins if p not in dropped)
     inputs = {"pred": args.pred, "truth": args.truth, "ontology": args.ontology}
     if args.min_length is not None:
         if not args.fasta:

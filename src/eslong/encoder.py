@@ -29,7 +29,7 @@ from .errors import (
     positive_int,
 )
 from .parallel import cut, layer_pool
-from .quant import QUANTIZABLE_FAMILIES, QuantizedTensor, decode_dense
+from .quant import QUANTIZABLE_FAMILIES, QuantizedTensor, decode_dense, param_family
 from .tensor_ops import gelu, layer_norm
 
 CANONICAL_RESIDUES = "ACDEFGHIKLMNPQRSTVWY"
@@ -59,9 +59,6 @@ class TokenVocab:
         self.eos_id = self._ids[EOS_TOKEN]
         self.mask_id = self._ids[MASK_TOKEN]
         self.unknown_id = self._ids["X"]
-        self.residue_ids = tuple(
-            i for i, tok in enumerate(self.tokens) if len(tok) == 1
-        )
         self.canonical_ids = tuple(self._ids[ch] for ch in CANONICAL_RESIDUES)
 
     @classmethod
@@ -197,13 +194,40 @@ def param_shape(name: str, config: ModelConfig) -> tuple[int, ...]:
     raise ConfigError(f"unknown parameter name {name!r}")
 
 
+def lora_target_names(config: ModelConfig, families=("attention",)) -> list[str]:
+    """The projection weights of the given matmul families, in parameter order."""
+    for family in families:
+        if family not in QUANTIZABLE_FAMILIES:
+            raise ConfigError(f"unknown adapter family {family!r}")
+    return [n for n in param_names(config) if param_family(n) in families]
+
+
+@dataclass
+class LoraAdapter:
+    """Low-rank pair added to a frozen weight W: effective delta = (alpha/rank) B A.
+
+    A has shape [rank, in_dim], B has shape [out_dim, rank]; B starts at zero so
+    a freshly attached adapter changes nothing.
+    """
+
+    target: str
+    rank: int
+    alpha: float
+    A: np.ndarray
+    B: np.ndarray
+
+    def astype(self, dtype) -> "LoraAdapter":
+        return LoraAdapter(self.target, self.rank, self.alpha,
+                           self.A.astype(dtype), self.B.astype(dtype))
+
+
 @dataclass(frozen=True)
 class EncoderModel:
     """Immutable weight set; forward is a pure function of (model, tokens)."""
 
     config: ModelConfig
     params: dict[str, Any]          # name -> ndarray or QuantizedTensor
-    adapters: dict[str, Any] = field(default_factory=dict)  # name -> LoraAdapter
+    adapters: dict[str, LoraAdapter] = field(default_factory=dict)
 
     @property
     def dtype(self):
@@ -542,8 +566,6 @@ def save_model(model: EncoderModel, path) -> None:
 def _load_adapter(target: str, meta, tensors: dict, config: ModelConfig):
     """The LoraAdapter a checkpoint's 'lora' entry describes, checked against
     the model: A must be [rank, in] and B [out, rank] for the target weight."""
-    from .training import LoraAdapter, lora_target_names  # deferred: training imports encoder
-
     if target not in lora_target_names(config, QUANTIZABLE_FAMILIES):
         raise ConfigError(f"LoRA target {target!r} is not a projection weight of this model")
     meta = json_fields(meta, f"LoRA entry {target!r}", ("rank", "alpha"))

@@ -181,8 +181,6 @@ def param_family(name: str) -> str:
         return "ffn"
     if name == "mlm_head":
         return "head"
-    if name.startswith("adapters."):
-        return "adapters"
     raise ConfigError(f"unknown parameter name {name!r}")
 
 

@@ -5,13 +5,14 @@ shifted_exp, with no shift where a norm bound proves the scores small, and
 divides the context rows instead of the probabilities;
 attention.attend_backward replays the whole softmax from the shift and row
 sum attend kept.
-layer_norm is the one layer norm, and it returns the cache the backward pass reads.
+layer_norm is the one layer norm, and it returns the cache its gradient,
+layer_norm_grad, reads.
 
 All kernels follow the dtype of their inputs; the production path runs in
 float32, while oracle/test code may pass float64 arrays through unchanged.
-GELU's normal CDF is the one split by dtype: float32 runs a rational erf in
-numpy passes (max abs error about 2.5e-7 on Phi), every other dtype scipy's
-exact erf.
+GELU's normal CDF is the one split by dtype: gelu computes it, float32 by a
+rational erf in numpy passes (max abs error about 2.5e-7 on Phi), every other
+dtype by scipy's exact erf, and gelu_grad takes it from gelu.
 """
 
 from __future__ import annotations
@@ -144,13 +145,17 @@ def layer_norm(
     return y, (xhat, inv_std)
 
 
-def _passes(size: int, buffers: int):
-    """(chunk slice, scratch buffers cut to its length) for each pass over
-    size elements, with `buffers` float32 scratch buffers of one pass."""
-    scratch = [np.empty(min(_CDF_CHUNK, size), dtype=np.float32) for _ in range(buffers)]
-    for lo in range(0, size, _CDF_CHUNK):
-        hi = min(size, lo + _CDF_CHUNK)
-        yield slice(lo, hi), [buf[: hi - lo] for buf in scratch]
+def layer_norm_grad(d_y, cache, gain):
+    """Gradients (d_x, d_gain, d_bias) of layer_norm over [rows, d] inputs,
+    given d_y and the (xhat, inv_std) cache layer_norm returned."""
+    xhat, inv_std = cache
+    d_gain = (d_y * xhat).sum(axis=0)
+    d_bias = d_y.sum(axis=0)
+    d_xhat = d_y * gain
+    m1 = d_xhat.mean(axis=-1, keepdims=True)
+    m2 = (d_xhat * xhat).mean(axis=-1, keepdims=True)
+    d_x = inv_std * (d_xhat - m1 - xhat * m2)
+    return d_x, d_gain, d_bias
 
 
 def _cdf_pass(src, p, x, x2) -> None:
@@ -176,28 +181,6 @@ def _cdf_pass(src, p, x, x2) -> None:
     np.maximum(p, 0.0, out=p)
 
 
-def _normal_cdf(a: np.ndarray, out=None) -> np.ndarray:
-    """Phi(x), the standard normal CDF: the rational erf on float32, the exact
-    erf on every other dtype. out, when given, is a C-contiguous array of a's
-    shape and dtype that receives it."""
-    a = np.asarray(a)
-    if a.dtype != np.float32:
-        from scipy.special import erf  # deferred: scipy is most of a CLI start's import time
-
-        cdf = 0.5 * (1.0 + erf(a * _INV_SQRT2))
-        if out is None:
-            return cdf
-        np.copyto(out, cdf)
-        return out
-    src = np.ascontiguousarray(a).reshape(-1)
-    if out is None:
-        out = np.empty(a.shape, dtype=np.float32)
-    dst = out.reshape(-1)  # a view: out is C-contiguous
-    for chunk, (x, x2) in _passes(src.size, 2):
-        _cdf_pass(src[chunk], dst[chunk], x, x2)
-    return out
-
-
 def gelu(a: np.ndarray, return_cdf: bool = False, out=None, cdf_out=None):
     """Gaussian-error linear unit x * Phi(x), computed with the erf form (not
     the tanh fit): exact erf off float32, so float64 values match a
@@ -206,13 +189,18 @@ def gelu(a: np.ndarray, return_cdf: bool = False, out=None, cdf_out=None):
     return_cdf=True returns (gelu(a), Phi(a)), so a backward pass can hand
     Phi to gelu_grad instead of evaluating erf again. out, when given, is a
     C-contiguous array of a's shape and dtype, other than a, that receives
-    gelu(a); cdf_out likewise receives Phi(a). Float32 GELU runs pass by
-    pass: each pass's Phi goes into its part of the kept CDF, or of out when
-    Phi is not kept, and is multiplied by x there.
+    gelu(a); cdf_out likewise receives Phi(a). Float32 GELU runs in passes of
+    _CDF_CHUNK elements: each pass's Phi goes into its part of the kept CDF,
+    or of out when Phi is not kept, and is multiplied by x there.
     """
     a = np.asarray(a)
     if a.dtype != np.float32:
-        cdf = _normal_cdf(a, out=cdf_out)
+        from scipy.special import erf  # deferred: scipy is most of a CLI start's import time
+
+        cdf = 0.5 * (1.0 + erf(a * _INV_SQRT2))
+        if cdf_out is not None:
+            np.copyto(cdf_out, cdf)
+            cdf = cdf_out
         y = np.multiply(a, cdf, out=out)
         return (y, cdf) if return_cdf else y
     src = np.ascontiguousarray(a).reshape(-1)
@@ -222,7 +210,10 @@ def gelu(a: np.ndarray, return_cdf: bool = False, out=None, cdf_out=None):
         cdf_out = np.empty(a.shape, dtype=np.float32)
     dst = out.reshape(-1)
     phi = dst if cdf_out is None else cdf_out.reshape(-1)
-    for chunk, (x, x2) in _passes(src.size, 2):
+    scratch = [np.empty(min(_CDF_CHUNK, src.size), dtype=np.float32) for _ in range(2)]
+    for lo in range(0, src.size, _CDF_CHUNK):
+        chunk = slice(lo, min(src.size, lo + _CDF_CHUNK))
+        x, x2 = (buf[:chunk.stop - lo] for buf in scratch)
         _cdf_pass(src[chunk], phi[chunk], x, x2)
         np.multiply(phi[chunk], src[chunk], out=dst[chunk])
     return (out, cdf_out) if return_cdf else out
@@ -233,7 +224,7 @@ def gelu_grad(a: np.ndarray, cdf=None) -> np.ndarray:
     is Phi(a) as gelu(a, return_cdf=True) returned it."""
     a = np.asarray(a)
     if cdf is None:
-        cdf = _normal_cdf(a)
+        _, cdf = gelu(a, return_cdf=True)
     # cdf + a * (c * exp(-0.5 * a * a)) in one buffer: each product and sum
     # has its operands swapped at most, which changes no bit.
     out = np.multiply(a, -0.5)

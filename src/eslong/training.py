@@ -22,46 +22,30 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .attention import attend_backward
+# LoraAdapter and lora_target_names live in encoder and are exported from here too.
 from .encoder import (
     DEFAULT_VOCAB,
     EncoderModel,
+    LoraAdapter,
     _dense_weight,
     _merge_heads,
     _split_heads,
     forward,
+    lora_target_names,
     mlm_logits,
     param_names,
     tokenize,
 )
-from .errors import ConfigError, ContractError, LengthError, finite_number
+from .errors import ConfigError, ContractError, finite_number
 from .parallel import layer_pool
 from .quant import QUANTIZABLE_FAMILIES, QuantizedTensor, param_family
-from .tensor_ops import gelu_grad
+from .tensor_ops import gelu_grad, layer_norm_grad
 
 
 def derive_seed(seed: int, stream: str) -> int:
     """Stable 63-bit sub-seed for a named random stream."""
     digest = hashlib.sha256(f"{seed}:{stream}".encode()).digest()
     return int.from_bytes(digest[:8], "little") >> 1
-
-
-@dataclass
-class LoraAdapter:
-    """Low-rank pair added to a frozen weight W: effective delta = (alpha/rank) B A.
-
-    A has shape [rank, in_dim], B has shape [out_dim, rank]; B starts at zero so
-    a freshly attached adapter changes nothing.
-    """
-
-    target: str
-    rank: int
-    alpha: float
-    A: np.ndarray
-    B: np.ndarray
-
-    def astype(self, dtype) -> "LoraAdapter":
-        return LoraAdapter(self.target, self.rank, self.alpha,
-                           self.A.astype(dtype), self.B.astype(dtype))
 
 
 def check_loop(cfg) -> None:
@@ -170,17 +154,6 @@ def with_trainable(model: EncoderModel, values: dict[str, np.ndarray]) -> Encode
     return replace(model, params={**model.params, **values})
 
 
-def _ln_backward(d_y, cache, gain):
-    xhat, inv_std = cache
-    d_gain = (d_y * xhat).sum(axis=0)
-    d_bias = d_y.sum(axis=0)
-    d_xhat = d_y * gain
-    m1 = d_xhat.mean(axis=-1, keepdims=True)
-    m2 = (d_xhat * xhat).mean(axis=-1, keepdims=True)
-    d_x = inv_std * (d_xhat - m1 - xhat * m2)
-    return d_x, d_gain, d_bias
-
-
 class _Abandoned(Exception):
     """An earlier sequence of the batch raised, so this one cannot add its
     gradients in turn; mlm_loss re-raises the earlier error."""
@@ -267,7 +240,7 @@ class _Backprop:
         cfg = model.config
         P = model.params
         d_hidden = self.proj_backward("mlm_head", cache["hidden"], d_logits, seq)
-        d_x, d_gf, d_bf = _ln_backward(d_hidden, cache["lnf"], P["final_ln.gain"])
+        d_x, d_gf, d_bf = layer_norm_grad(d_hidden, cache["lnf"], P["final_ln.gain"])
         self._acc("final_ln.gain", d_gf, seq)
         self._acc("final_ln.bias", d_bf, seq)
         for i in reversed(range(cfg.num_layers)):
@@ -277,7 +250,7 @@ class _Backprop:
             d_act = self.proj_backward(f"{p}.ffn_out", lc["act"], d_x, seq)
             d_u = d_act * gelu_grad(lc["u"], lc["cdf"])
             d_h2 = self.proj_backward(f"{p}.ffn_in", lc["h2"], d_u, seq)
-            d_mid_ln, d_g2, d_b2 = _ln_backward(d_h2, lc["ln2"], P[f"{p}.ffn_ln.gain"])
+            d_mid_ln, d_g2, d_b2 = layer_norm_grad(d_h2, lc["ln2"], P[f"{p}.ffn_ln.gain"])
             self._acc(f"{p}.ffn_ln.gain", d_g2, seq)
             self._acc(f"{p}.ffn_ln.bias", d_b2, seq)
             d_x_mid = d_x + d_mid_ln
@@ -289,7 +262,7 @@ class _Backprop:
             d_h1 = self.proj_backward(f"{p}.q_proj", lc["h1"], _merge_heads(d_qh), seq)
             d_h1 += self.proj_backward(f"{p}.k_proj", lc["h1"], _merge_heads(d_kh), seq)
             d_h1 += self.proj_backward(f"{p}.v_proj", lc["h1"], _merge_heads(d_vh), seq)
-            d_in_ln, d_g1, d_b1 = _ln_backward(d_h1, lc["ln1"], P[f"{p}.attn_ln.gain"])
+            d_in_ln, d_g1, d_b1 = layer_norm_grad(d_h1, lc["ln1"], P[f"{p}.attn_ln.gain"])
             self._acc(f"{p}.attn_ln.gain", d_g1, seq)
             self._acc(f"{p}.attn_ln.bias", d_b1, seq)
             d_x = d_x_mid + d_in_ln
@@ -454,22 +427,16 @@ def pretrain(model: EncoderModel, corpus, cfg: TrainConfig, run_log=None):
     """Run the masked-LM loop over a pre-segmented corpus.
 
     Returns (trained model, per-epoch mean losses). Sequences must already fit
-    the model capacity; when adapters are attached only they are updated, and
-    the trained model shares the frozen base with model. Every step builds a
-    new model, so model itself is never written to. The optional run_log path
-    receives one JSON record per epoch.
+    the model capacity: tokenize raises LengthError before any step. When
+    adapters are attached only they are updated, and the trained model shares
+    the frozen base with model. Every step builds a new model, so model itself
+    is never written to. The optional run_log path receives one JSON record
+    per epoch.
     """
     if not corpus:
         raise ContractError("training corpus is empty")
     if cfg.mask_fraction == 0:
         raise ConfigError("pre-training requires a positive mask_fraction")
-    capacity = model.config.max_positions - 2
-    for seq in corpus:
-        if len(seq) > capacity:
-            raise LengthError(
-                f"corpus sequence of {len(seq)} residues exceeds capacity {capacity}; "
-                "segment the corpus first"
-            )
     tokenized = [tokenize(seq, model.config) for seq in corpus]
     mask_rng = np.random.default_rng(derive_seed(cfg.seed, "masking"))
     totals = [0.0, 0]  # the epoch's label-weighted loss and label count
@@ -493,14 +460,6 @@ def pretrain(model: EncoderModel, corpus, cfg: TrainConfig, run_log=None):
     params, records = train_epochs(get_trainable(model), len(tokenized), cfg, "shuffle",
                                    batch_grads, end_epoch, run_log)
     return with_trainable(model, params), [record["mean_loss"] for record in records]
-
-
-def lora_target_names(config, families=("attention",)) -> list[str]:
-    """The projection weights of the given matmul families, in parameter order."""
-    for family in families:
-        if family not in QUANTIZABLE_FAMILIES:
-            raise ConfigError(f"unknown adapter family {family!r}")
-    return [n for n in param_names(config) if param_family(n) in families]
 
 
 def attach_lora(model: EncoderModel, targets, rank: int, alpha: float, seed: int = 0) -> EncoderModel:

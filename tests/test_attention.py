@@ -13,7 +13,6 @@ from eslong.attention import (
     AttentionSpec,
     GLOBAL,
     LOCAL,
-    OpCounter,
     attend,
     attend_backward,
     global_attention,
@@ -80,11 +79,11 @@ def _diagonals(n: int, window_k: int):
             yield col, off, lo, hi
 
 
-def diagonal_attend(qh, kh, vh, pad, spec: AttentionSpec, counter: OpCounter | None = None):
+def diagonal_attend(qh, kh, vh, pad, spec: AttentionSpec):
     """Local-mode attend as a walk over the window_k + 1 diagonals of the band.
 
     The reference the tiled kernel is checked against: same (ctx, probs)
-    layout, and counter receives the in-range band size, summed over heads.
+    layout.
     """
     heads, n, head_dim = qh.shape
     scale = 1.0 / math.sqrt(head_dim)
@@ -93,8 +92,6 @@ def diagonal_attend(qh, kh, vh, pad, spec: AttentionSpec, counter: OpCounter | N
     for col, off, lo, hi in diagonals:
         prod = np.einsum("hnd,hnd->hn", qh[:, lo:hi], kh[:, lo + off:hi + off]) * scale
         band[:, lo:hi, col] = np.where(pad[lo + off:hi + off], -np.inf, prod)
-    if counter is not None:
-        counter.add(heads * sum(hi - lo for _, _, lo, hi in diagonals))
     probs = softmax_rows(band)
     ctx = np.zeros_like(vh)
     for col, off, lo, hi in diagonals:
@@ -345,17 +342,18 @@ class TestTiledBand:
         qh, kh, vh, d_ctx = (rng.normal(size=(2, n, 4)).astype(dtype) for _ in range(4))
         pad = interior_and_trailing_pads(n)
         tol = 64 * np.finfo(dtype).eps
-        counted, expected = OpCounter(), OpCounter()
-        ctx, stats = attend(qh, kh, vh, pad, spec, counted)
-        ref_ctx, ref_probs = diagonal_attend(qh, kh, vh, pad, walk_spec, expected)
-        assert counted.count == expected.count
+        ctx, stats = attend(qh, kh, vh, pad, spec)
+        ref_ctx, ref_probs = diagonal_attend(qh, kh, vh, pad, walk_spec)
+        # The visible pairs, summed over heads, are the band the walk evaluates.
+        count = 2 * score_op_count(n, spec)
+        assert count == 2 * sum(hi - lo for _, _, lo, hi in _diagonals(n, walk_spec.window_k))
         got = (ctx,) + attend_backward(d_ctx, qh, kh, vh, stats, spec)
         ref = (ref_ctx,) + diagonal_attend_backward(d_ctx, qh, kh, vh, ref_probs, walk_spec)
         for name, a, b in zip(("ctx", "d_q", "d_k", "d_v"), got, ref):
             assert a.dtype == dtype, name
             assert a.shape == b.shape, name
             np.testing.assert_allclose(a, b, rtol=tol, atol=tol, err_msg=name)
-        return counted.count
+        return count
 
     # n = 1, 63, 64, 65, 197, 2048: single rows, both sides of block
     # boundaries, a ragged last block and the long model's length.

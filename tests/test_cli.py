@@ -280,16 +280,23 @@ class TestInputProbes:
         {"model": {"preset": "toy", "attention_mode": "global", "window_k": 8}},
         {"model": {"num_layers": 1, "num_heads": 2, "embed_dim": 8, "ffn_dim": 16,
                    "window_k": 8}},
+        {"model": {"preset": "toy", "num_layers": 3}},
+        {"model": {"preset": 6}},
     ], ids=["unknown-train-key", "json-list", "unknown-model-key", "ill-typed-model-key",
             "nan-learning-rate", "infinite-weight-decay", "nan-beta1", "negative-eps",
             "bool-epochs", "string-batch-size", "train-list", "window-k-with-global",
-            "window-k-without-mode"])
+            "window-k-without-mode", "preset-with-dimensions", "non-string-preset"])
     def test_bad_config_exits_2(self, workdir, capsys, config):
         tmp, fasta, _, _ = workdir
         path = tmp / "probe.json"
         path.write_text(json.dumps(config))
         assert_exits_2_with_one_line(["pretrain", "--config", str(path), "--fasta", str(fasta),
                                       "--out", str(tmp / "x.eslg")], capsys)
+
+    def test_missing_config_file_exits_2(self, workdir, capsys):
+        tmp, fasta, _, _ = workdir
+        assert_exits_2_with_one_line(["pretrain", "--config", str(tmp / "none.json"), "--fasta",
+                                      str(fasta), "--out", str(tmp / "x.eslg")], capsys)
 
     def test_lora_rank_zero_exits_2(self, workdir, capsys):
         tmp, fasta, config, _ = workdir
@@ -381,7 +388,8 @@ class TestInputProbes:
         lambda tensors, config: config["model"].pop("ffn_dim"),
         lambda tensors, config: tensors.update(
             {"layers.0.q_proj": tensors["layers.0.q_proj"][:, :-1]}),
-    ], ids=["config-lacks-ffn-dim", "wrong-shaped-weight"])
+        lambda tensors, config: tensors.pop("layers.1.ffn_in"),
+    ], ids=["config-lacks-ffn-dim", "wrong-shaped-weight", "missing-tensor"])
     def test_corrupt_checkpoint_exits_2(self, workdir, capsys, edit):
         tmp, fasta, _, _ = workdir
         assert_exits_2_with_one_line(["embed", "--model", str(saved_toy(tmp, edit)),
@@ -395,8 +403,11 @@ class TestInputProbes:
         lambda tensors, config: tensors.update({"adapters.layers.0.q_proj.A":
                                                 tensors["adapters.layers.0.q_proj.A"][:, :-1]}),
         lambda tensors, config: config.pop("lora"),
+        lambda tensors, config: config["lora"].update(
+            {"layers.0.attn_ln.gain": {"rank": 2, "alpha": 8.0}}),
+        lambda tensors, config: config.update(lora=[config["lora"]]),
     ], ids=["lora-lacks-rank", "lora-string-rank", "lora-lacks-B", "lora-wrong-shaped-A",
-            "adapters-without-lora-entry"])
+            "adapters-without-lora-entry", "lora-on-a-layer-norm", "lora-not-an-object"])
     def test_corrupt_lora_exits_2(self, workdir, capsys, edit):
         tmp, fasta, _, _ = workdir
         path = saved_toy(tmp, edit, lora_targets=["layers.0.q_proj"])
@@ -497,6 +508,26 @@ class TestHeadProbes:
         out = tmp_path / "pred.tsv"
         assert_exits_2_with_one_line(["predict", "--head", str(head), "--embeddings", str(store),
                                       "--out", str(out)], capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["train-head-val-dim", "predict-store-dim",
+                                      "predict-close-scores-without-ontology"])
+    def test_mismatched_inputs_exit_2(self, tmp_path, capsys, case):
+        head, store = saved_head_and_store(tmp_path)
+        wide = tmp_path / "wide.esem"
+        write_store(wide, [EmbeddingRecord("P1", np.ones(5, dtype=np.float32), 1)])
+        truth = tmp_path / "truth.tsv"
+        truth.write_text("P1\tGO:1\n")
+        out = tmp_path / "out"
+        predict = ["predict", "--head", str(head), "--out", str(out)]
+        argv = {
+            "train-head-val-dim": ["train-head", "--embeddings", str(store), "--val-embeddings",
+                                   str(wide), "--truth", str(truth), "--out", str(out)],
+            "predict-store-dim": predict + ["--embeddings", str(wide)],
+            "predict-close-scores-without-ontology": predict + ["--embeddings", str(store),
+                                                                "--close-scores"],
+        }[case]
+        assert_exits_2_with_one_line(argv, capsys)
         assert not out.exists()
 
     def test_negative_train_head_seed_exits_2(self, tmp_path, capsys):
@@ -885,6 +916,31 @@ class TestEvalCommand:
         header = curve.read_text().splitlines()[0]
         assert header == "tau\tpr\trc\tf\tm"
 
+    @staticmethod
+    def root_only_fixtures(tmp, truth_text, pred_text):
+        onto, truth, pred = tmp / "onto.tsv", tmp / "truth.tsv", tmp / "pred.tsv"
+        onto.write_text("".join(f"GO:{k}\tGO:root\n" for k in range(3)))
+        truth.write_text(truth_text)
+        pred.write_text(pred_text)
+        return ["eval", "--pred", str(pred), "--truth", str(truth), "--ontology", str(onto),
+                "--exclude-roots"]
+
+    def test_exclude_roots_leaves_out_root_only_proteins(self, tmp_path, capsys):
+        argv = self.root_only_fixtures(tmp_path, "V1\tGO:0\nV2\tGO:root\n",
+                                       "V1\tGO:0\t0.9\nV2\tGO:1\t0.4\n")
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["n"] == 1 and report["fmax"] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("truth_text,pred_text", [
+        ("V1\tGO:0\nV2\tGO:root\n", "V1\tGO:0\t0.9\nV3\tGO:1\t0.4\n"),
+        ("V2\tGO:root\n", "V2\tGO:1\t0.4\n"),
+    ], ids=["prediction-outside-the-truth", "only-root-only-proteins"])
+    def test_exclude_roots_keeps_the_truth_checks(self, tmp_path, capsys, truth_text,
+                                                  pred_text):
+        assert_exits_2_with_one_line(self.root_only_fixtures(tmp_path, truth_text, pred_text),
+                                     capsys)
+
     def test_curve_export_without_out(self, tmp_path, capsys):
         onto, truth, pred = build_eval_fixtures(tmp_path)
         curve = tmp_path / "curve.tsv"
@@ -901,6 +957,18 @@ def table_with_index(data: bytes, index: int) -> bytes:
     _, _, _, proteins, _, _, id_bytes = struct.unpack_from("<4sI32sQQQQ", data)
     at = 72 + id_bytes + 8 * (proteins + 1)
     return data[:at] + struct.pack("<I", index) + data[at + 4:]
+
+
+def table_with_term_count(data: bytes, count: int) -> bytes:
+    """A binary score table whose header claims count terms."""
+    return data[:48] + struct.pack("<Q", count) + data[56:]
+
+
+def table_with_pointer(data: bytes, row: int, value: int) -> bytes:
+    """A binary score table with one row pointer replaced."""
+    id_bytes = struct.unpack_from("<Q", data, 64)[0]
+    at = 72 + id_bytes + 8 * row
+    return data[:at] + struct.pack("<q", value) + data[at + 8:]
 
 
 class TestPredTable:
@@ -943,7 +1011,12 @@ class TestPredTable:
         lambda data: b"XSCT" + data[4:],
         lambda data: data + b"\0",
         lambda data: table_with_index(data, 3),
-    ], ids=["truncated", "wrong-magic", "trailing-bytes", "index-out-of-range"])
+        lambda data: data[:72] + b"\xff" + data[73:],
+        lambda data: table_with_term_count(data, 4),
+        lambda data: table_with_pointer(data, 1, 5),
+        lambda data: data[:-8] + struct.pack("<d", 1.5),
+    ], ids=["truncated", "wrong-magic", "trailing-bytes", "index-out-of-range",
+            "non-utf8-id", "wrong-id-count", "non-monotone-pointers", "score-above-1"])
     def test_bad_table_gives_the_tsv_table_and_one_warning(self, tmp_path, caplog, edit):
         onto, truth, pred = build_eval_fixtures(tmp_path)
         save_annotations(pred, load_annotations(pred))

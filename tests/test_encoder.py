@@ -14,6 +14,8 @@ from eslong.encoder import (
     extend_context,
     forward,
     load_model,
+    lora_target_names,
+    model_astype,
     model_tag,
     preset_config,
     save_model,
@@ -21,6 +23,7 @@ from eslong.encoder import (
     with_attention,
 )
 from eslong.errors import ConfigError, ContractError, InputError, LengthError
+from eslong.training import attach_lora
 
 
 class TestPresets:
@@ -242,6 +245,21 @@ class TestSaveLoad:
 
     def test_model_tag(self, toy_model):
         assert model_tag(toy_model) == "L2-H4-d32-p64-global"
+
+
+class TestModelAstype:
+    def test_casts_weights_and_adapters(self, toy_model):
+        adapted = attach_lora(toy_model, lora_target_names(toy_model.config), rank=2,
+                              alpha=4.0, seed=1)
+        cast = model_astype(adapted, np.float64)
+        assert all(w.dtype == np.float64 for w in cast.params.values())
+        assert set(cast.adapters) == set(adapted.adapters)
+        for name, ad in cast.adapters.items():
+            old = adapted.adapters[name]
+            assert (ad.target, ad.rank, ad.alpha) == (old.target, old.rank, old.alpha)
+            for new_part, old_part in ((ad.A, old.A), (ad.B, old.B)):
+                assert new_part.dtype == np.float64
+                np.testing.assert_array_equal(new_part, old_part)
 
 
 class TestImmutabilityContract:

@@ -176,6 +176,12 @@ class TestCloseScores:
                     for p in ps:
                         assert closed["P"][p] >= closed["P"][child]
 
+    @pytest.mark.parametrize("score", [1.5, -0.1])
+    def test_score_outside_unit_interval_rejected(self, score):
+        g = load_ontology("a\tb\nb\troot\n", "BPO")
+        with pytest.raises(OntologyError, match=r"outside \[0, 1\]"):
+            close_scores({"P": {"a": 0.5, "b": score}}, g)
+
     def test_idempotent(self):
         g = load_ontology("a\tb\na\tc\nb\troot\nc\troot\n", "BPO")
         pred = {"P": {"a": 0.7, "c": 0.1}}

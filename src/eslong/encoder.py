@@ -336,21 +336,26 @@ def forward(model: EncoderModel, token_ids, want_cache: bool = False):
     Each layer runs as three phases, each cut into parts that write disjoint
     slices of arrays allocated here: A, the rows of layer norm 1 and the
     Q/K/V projections; B, attend over the heads; C, the rows of the output
-    projection, residual, layer norm 2, and then, block by block of
-    _ffn_blocks, FFN with GELU and residual. Without a cache the FFN's two
-    [rows, ffn_dim] activations go to scratch of one block per part, and
-    layer norm 1's output is freed before attention. The phases run on
-    parallel.layer_pool with OpenBLAS held at one thread, and the rows of a
-    model at least _MIN_SPLIT_WIDTH wide split from 2 * _MIN_PART_ROWS tokens
-    on. Every part computes what the whole layer would for its rows or heads,
-    bit for bit, so the output does not depend on the number of workers.
-    Each weight is made dense once per phase, here: int4 decoded and a
-    trained LoRA adapter folded in, so every projection is one product.
+    projection and residual, and then, block by block of _ffn_blocks, layer
+    norm 2, FFN with GELU and residual. The residuals go into x in place, and
+    what no cache keeps is scratch of one part or one block: the layer norms'
+    outputs, the merged heads, the projections, and GELU's output. The
+    phases run on parallel.layer_pool with OpenBLAS held at one thread, and
+    the rows of a model at least _MIN_SPLIT_WIDTH wide split from
+    2 * _MIN_PART_ROWS tokens on. Every part computes what the whole layer
+    would for its rows or heads, bit for bit, so the output does not depend
+    on the number of workers. Each weight is made dense once per phase, here:
+    int4 decoded and a trained LoRA adapter folded in, so every projection is
+    one product.
 
-    With want_cache=True also returns the intermediate activations the
-    training module needs for its hand-derived backward pass: O(n * d) per
-    layer in both attention modes, since attention keeps only its context and
-    per-row softmax statistics, and GELU its CDF.
+    With want_cache=True also returns, per layer, what the training module's
+    hand-derived backward pass cannot rebuild bit for bit from the rest:
+    both layer norms' xhat and inv_std, Q, K and V, attention's context and
+    per-row softmax statistics, and the FFN's input u and its CDF Phi(u),
+    about 6 * embed_dim + 2 * ffn_dim floats per token in both attention
+    modes. The layer norms' outputs and GELU's output Phi(u) * u take one or
+    two elementwise passes to rebuild, with the same float ops, so they are
+    not kept.
     """
     cfg = model.config
     vocab = cfg.vocab
@@ -373,66 +378,51 @@ def forward(model: EncoderModel, token_ids, want_cache: bool = False):
     def new(cols):
         return np.empty((n, cols), dtype)
 
+    def kept(ln, rows):
+        # layer_norm's out: its output to fresh scratch of these rows, xhat
+        # and inv_std into ln's rows when the cache keeps them.
+        return None if ln is None else (None, ln[0][rows], ln[1][rows])
+
     layer_caches = []
     with pool.one_blas_thread():
         for i in range(cfg.num_layers):
             p = f"layers.{i}"
-            x_in = x
-            h1, ln1, q, k, v = new(d), (new(d), new(1)), new(d), new(d), new(d)
+            ln1 = ln2 = u = cdf = None
+            if want_cache:
+                ln1, ln2, u, cdf = (new(d), new(1)), (new(d), new(1)), new(f), new(f)
+            q, k, v = new(d), new(d), new(d)
             w = {name: _dense_weight(model, f"{p}.{name}", dtype)
                  for name in ("q_proj", "k_proj", "v_proj")}
 
             def phase_a(r):
-                layer_norm(x_in[r], P[f"{p}.attn_ln.gain"], P[f"{p}.attn_ln.bias"],
-                           out=(h1[r], ln1[0][r], ln1[1][r]))
+                h1, _ = layer_norm(x[r], P[f"{p}.attn_ln.gain"], P[f"{p}.attn_ln.bias"],
+                                   out=kept(ln1, r))
                 for name, out in zip(w, (q, k, v)):
-                    np.matmul(h1[r], w[name], out=out[r])
+                    np.matmul(h1, w[name], out=out[r])
 
             pool.run(phase_a, row_parts)
-            # Freed before attention when nothing keeps them.
-            del w
-            if not want_cache:
-                del h1, ln1
             qh, kh, vh = (_split_heads(t, cfg.num_heads) for t in (q, k, v))
             ctx_h, stats = attend(qh, kh, vh, pad, cfg.attention, pool=pool)
             if want_cache:
-                x_mid, x, cdf = new(d), new(d), new(f)
-            else:
-                # Nothing keeps them: the residuals go into x, Phi is not kept.
-                del q, k, v, qh, kh, vh
-                x_mid, cdf = x, None
-            h2, ln2 = new(d), (new(d), new(1))
-            # Without a cache, u and act go to each part's scratch.
-            u, act = (new(f), new(f)) if want_cache else (None, None)
-            # Scratch: the merged heads, and a projection before its residual.
-            merged, proj = new(d), new(d)
+                layer_caches.append(dict(ln1=ln1, qh=qh, kh=kh, vh=vh, stats=stats,
+                                         ln2=ln2, u=u, cdf=cdf))
+            # Freed before phase C when nothing keeps them.
+            del q, k, v, qh, kh, vh, stats, ln1
             w = {name: _dense_weight(model, f"{p}.{name}", dtype)
                  for name in ("o_proj", "ffn_in", "ffn_out")}
 
             def phase_c(r):
-                rows = r.stop - r.start
-                merged[r].reshape(rows, cfg.num_heads, -1)[...] = ctx_h[:, r].transpose(1, 0, 2)
-                np.matmul(merged[r], w["o_proj"], out=proj[r])
-                np.add(x_in[r], proj[r], out=x_mid[r])
-                layer_norm(x_mid[r], P[f"{p}.ffn_ln.gain"], P[f"{p}.ffn_ln.bias"],
-                           out=(h2[r], ln2[0][r], ln2[1][r]))
-                blocks = _ffn_blocks(r)
-                sizes = [b.stop - b.start for b in blocks]
-                scratch = np.empty((2, max(sizes), f), dtype) if u is None else None
-                for b, size in zip(blocks, sizes):
-                    u_b, act_b = (u[b], act[b]) if scratch is None else scratch[:, :size]
-                    np.matmul(h2[b], w["ffn_in"], out=u_b)
-                    gelu(u_b, out=act_b, cdf_out=None if cdf is None else cdf[b])
-                    np.matmul(act_b, w["ffn_out"], out=proj[b])
-                    np.add(x_mid[b], proj[b], out=x[b])
+                x[r] += _merge_heads(ctx_h[:, r]) @ w["o_proj"]
+                for b in _ffn_blocks(r):
+                    h2, _ = layer_norm(x[b], P[f"{p}.ffn_ln.gain"], P[f"{p}.ffn_ln.bias"],
+                                       out=kept(ln2, b))
+                    u_b = np.matmul(h2, w["ffn_in"], out=None if u is None else u[b])
+                    x[b] += gelu(u_b, cdf_out=None if cdf is None else cdf[b]) @ w["ffn_out"]
 
             pool.run(phase_c, row_parts)
-            if want_cache:
-                layer_caches.append(dict(h1=h1, ln1=ln1, qh=qh, kh=kh, vh=vh, stats=stats,
-                                         h2=h2, ln2=ln2, u=u, act=act, cdf=cdf))
             # Freed now, they are not held through the next layer's
             # attention, which sets the peak memory.
-            del ctx_h, stats, x_mid, h2, ln2, u, act, cdf, merged, proj, w
+            del ctx_h, ln2, u, cdf, w
     hidden, lnf_cache = layer_norm(x, P["final_ln.gain"], P["final_ln.bias"])
     if not want_cache:
         return hidden

@@ -20,6 +20,7 @@ from .checkpoint import array_entry, read_checkpoint, reject_unused, write_check
 from .errors import ConfigError, DataError, InputError, json_fields, typed_config
 from .evaluation import fmax
 from .ontology import Annotations, as_annotations
+from .parallel import cut, layer_pool
 from .tensor_ops import gelu, gelu_grad
 from .training import TrainConfig, check_loop, train_epochs
 
@@ -216,16 +217,32 @@ def train_head(train_embeddings, truth, cfg: HeadConfig, val_embeddings, metrics
     return head, metrics
 
 
+# Records per part of predict. Each pool thread keeps the peak of its own
+# heap, so a part's [rows, terms] float64 temporaries are kept small: about
+# 2 MB at 1,620 terms, where parts of 150 records raised the peak RSS by 9 MB.
+_PREDICT_ROWS = 32
+
+
 def predict(head: ClassifierHead, embeddings) -> Annotations:
-    """Sigmoid scores of every head term for each record. All records run in
-    one stacked [records, 1, d] pass, whose matmuls take each record as its
-    own product, so a record's scores do not depend on the others. A record
-    whose logits overflow to NaN is an InputError, never a NaN score."""
+    """Sigmoid scores of every head term for each record. The records are cut
+    into parts of at most _PREDICT_ROWS, run on parallel.layer_pool with
+    OpenBLAS held at one thread, and each part runs as one stacked
+    [records, 1, d] pass, whose matmuls take each record as its own product.
+    So a record's scores depend neither on the other records nor on the
+    worker or BLAS thread count. A record whose logits overflow to NaN is an
+    InputError, never a NaN score."""
     embeddings = list(embeddings)
-    dim = head.config.input_dim
-    x = _stack(embeddings, dim).reshape(len(embeddings), 1, dim)
-    z = head_logits(head.params, head.standardize(x))[:, 0]
-    scores = _sigmoid(z.astype(np.float64))
+    n, dim = len(embeddings), head.config.input_dim
+    x = _stack(embeddings, dim).reshape(n, 1, dim)
+    scores = np.empty((n, head.config.num_terms))
+
+    def score(rows):
+        z = head_logits(head.params, head.standardize(x[rows]))[:, 0]
+        scores[rows] = _sigmoid(z.astype(np.float64))
+
+    pool = layer_pool()
+    with pool.one_blas_thread():
+        pool.run(score, cut(n, max(1, -(-n // _PREDICT_ROWS))))
     bad = np.isnan(scores).any(axis=1)
     if bad.any():
         rec = embeddings[int(bad.argmax())]

@@ -1,5 +1,6 @@
 """The thread pool that runs the parts of an encoder layer, the sequences of
-a training batch, and the records of an embedding corpus.
+a training batch, the records of an embedding corpus, and the record blocks
+of a classifier head's predictions.
 
 encoder.forward runs each layer as three phases, and every phase as parts
 that read shared inputs and write disjoint slices of arrays the caller

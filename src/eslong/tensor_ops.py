@@ -6,7 +6,7 @@ divides the context rows instead of the probabilities;
 attention.attend_backward replays the whole softmax from the shift and row
 sum attend kept.
 layer_norm is the one layer norm, and it returns the cache its gradient,
-layer_norm_grad, reads.
+layer_norm_grad, reads, and from which layer_norm_output rebuilds its output.
 
 All kernels follow the dtype of their inputs; the production path runs in
 float32, while oracle/test code may pass float64 arrays through unchanged.
@@ -140,9 +140,15 @@ def layer_norm(
     var = np.square(xhat).mean(axis=-1, keepdims=True)
     inv_std = np.divide(1.0, np.sqrt(var + eps), out=inv_std)
     xhat *= inv_std
-    y = np.multiply(xhat, gain, out=y)
+    return layer_norm_output((xhat, inv_std), gain, bias, out=y), (xhat, inv_std)
+
+
+def layer_norm_output(cache, gain, bias, out=None):
+    """xhat * gain + bias from the (xhat, inv_std) cache layer_norm returned,
+    in the two passes layer_norm takes, so its output comes back bit for bit."""
+    y = np.multiply(cache[0], gain, out=out)
     y += bias
-    return y, (xhat, inv_std)
+    return y
 
 
 def layer_norm_grad(d_y, cache, gain):

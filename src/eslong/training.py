@@ -39,7 +39,7 @@ from .encoder import (
 from .errors import ConfigError, ContractError, finite_number
 from .parallel import layer_pool
 from .quant import QUANTIZABLE_FAMILIES, QuantizedTensor, param_family
-from .tensor_ops import gelu_grad, layer_norm_grad
+from .tensor_ops import gelu_grad, layer_norm_grad, layer_norm_output
 
 
 def derive_seed(seed: int, stream: str) -> int:
@@ -246,10 +246,19 @@ class _Backprop:
         for i in reversed(range(cfg.num_layers)):
             p = f"layers.{i}"
             lc = cache["layers"].pop()
-            # feed-forward half: x = x_mid + ffn_out(gelu(ffn_in(LN2(x_mid))))
-            d_act = self.proj_backward(f"{p}.ffn_out", lc["act"], d_x, seq)
-            d_u = d_act * gelu_grad(lc["u"], lc["cdf"])
-            d_h2 = self.proj_backward(f"{p}.ffn_in", lc["h2"], d_u, seq)
+            # feed-forward half: x = x_mid + ffn_out(gelu(ffn_in(LN2(x_mid)))).
+            # GELU's output Phi(u) * u and LN2's output are rebuilt here with
+            # the forward's float ops, bit for bit, and dropped after use; u
+            # and Phi(u) are dropped once d_u is formed.
+            u, cdf = lc.pop("u"), lc.pop("cdf")
+            d_act = self.proj_backward(f"{p}.ffn_out", cdf * u, d_x, seq)
+            d_u = gelu_grad(u, cdf)
+            del u, cdf
+            d_u *= d_act
+            del d_act
+            h2 = layer_norm_output(lc["ln2"], P[f"{p}.ffn_ln.gain"], P[f"{p}.ffn_ln.bias"])
+            d_h2 = self.proj_backward(f"{p}.ffn_in", h2, d_u, seq)
+            del h2, d_u
             d_mid_ln, d_g2, d_b2 = layer_norm_grad(d_h2, lc["ln2"], P[f"{p}.ffn_ln.gain"])
             self._acc(f"{p}.ffn_ln.gain", d_g2, seq)
             self._acc(f"{p}.ffn_ln.bias", d_b2, seq)
@@ -259,9 +268,11 @@ class _Backprop:
             d_qh, d_kh, d_vh = attend_backward(_split_heads(d_ctx, cfg.num_heads), lc["qh"],
                                                lc["kh"], lc["vh"], lc["stats"], cfg.attention,
                                                self.pool)
-            d_h1 = self.proj_backward(f"{p}.q_proj", lc["h1"], _merge_heads(d_qh), seq)
-            d_h1 += self.proj_backward(f"{p}.k_proj", lc["h1"], _merge_heads(d_kh), seq)
-            d_h1 += self.proj_backward(f"{p}.v_proj", lc["h1"], _merge_heads(d_vh), seq)
+            h1 = layer_norm_output(lc["ln1"], P[f"{p}.attn_ln.gain"], P[f"{p}.attn_ln.bias"])
+            d_h1 = self.proj_backward(f"{p}.q_proj", h1, _merge_heads(d_qh), seq)
+            d_h1 += self.proj_backward(f"{p}.k_proj", h1, _merge_heads(d_kh), seq)
+            d_h1 += self.proj_backward(f"{p}.v_proj", h1, _merge_heads(d_vh), seq)
+            del h1
             d_in_ln, d_g1, d_b1 = layer_norm_grad(d_h1, lc["ln1"], P[f"{p}.attn_ln.gain"])
             self._acc(f"{p}.attn_ln.gain", d_g1, seq)
             self._acc(f"{p}.attn_ln.bias", d_b1, seq)

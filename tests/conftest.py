@@ -1,5 +1,7 @@
 """Shared fixtures and oracles for the test suite."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,16 @@ def random_corpus(rng, count, min_len=8, max_len=40):
     return [
         "".join(rng.choice(list(CANONICAL), size=n)) for n in lengths
     ]
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes tracemalloc sees while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def write_non_finite(path, tensors, config, marks):

@@ -2,13 +2,13 @@
 
 import hashlib
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import traced_peak
 from eslong.attention import (
     AttentionSpec,
     GLOBAL,
@@ -628,16 +628,6 @@ class TestNoShift:
         pad = rng.random(n) < pad_frac
         spec = AttentionSpec(LOCAL if window_k else GLOBAL, 2, 4, window_k)
         self.assert_matches_oracles(qh, kh, vh, d_ctx, pad, spec)
-
-
-def traced_peak(fn, *args) -> int:
-    """Peak bytes tracemalloc sees while fn(*args) runs."""
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def arrays_in(value):

@@ -160,8 +160,7 @@ class TestForward:
         assert set(cache) == {"tok", "lnf", "hidden", "layers"}
         assert len(cache["layers"]) == toy_model.config.num_layers
         for layer in cache["layers"]:
-            assert set(layer) == {"h1", "ln1", "qh", "kh", "vh", "stats", "h2", "ln2",
-                                  "u", "act", "cdf"}
+            assert set(layer) == {"ln1", "qh", "kh", "vh", "stats", "ln2", "u", "cdf"}
 
 
 class TestExtendContext:

@@ -30,8 +30,16 @@ from eslong.encoder import (
     tokenize,
 )
 from eslong.errors import IngestionError, InputError
+from eslong.head import HeadConfig, init_head, save_head
 from eslong.parallel import LayerPool
-from eslong.pipeline import ProteinRecord, embed_corpus, embed_protein, write_fasta, write_store
+from eslong.pipeline import (
+    EmbeddingRecord,
+    ProteinRecord,
+    embed_corpus,
+    embed_protein,
+    write_fasta,
+    write_store,
+)
 from eslong.quant import quantize_model
 from eslong.training import (
     TrainConfig,
@@ -721,6 +729,28 @@ def test_adapter_embed_cli_does_not_depend_on_blas_threads(tmp_path):
                                 "--out", str(out))
         stores.append(out.read_bytes())
     assert stores[0] == stores[1]
+
+
+@pytest.mark.skipif(not SETTERS, reason="no OpenBLAS with openblas_set_num_threads_local")
+def test_predict_cli_does_not_depend_on_blas_threads(tmp_path):
+    """A 512-wide hidden layer over 1,620 terms is a product that OpenBLAS
+    rounds differently on two threads; predict holds OpenBLAS at one, so the
+    scores have the same bytes under either setting."""
+    rng = np.random.default_rng(8)
+    terms = [f"GO:{k}" for k in range(1620)]
+    head = init_head(HeadConfig(4, len(terms), 512), terms)
+    head.params = {name: rng.normal(size=v.shape).astype(np.float32)
+                   for name, v in head.params.items()}
+    save_head(head, tmp_path / "head.eslg")
+    write_store(tmp_path / "test.esem", [EmbeddingRecord(f"P{i}", rng.normal(size=4).astype(
+        np.float32), 1) for i in range(8)])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"pred{threads}.tsv"
+        run_cli_on_blas_threads(threads, "predict", "--head", str(tmp_path / "head.eslg"),
+                                "--embeddings", str(tmp_path / "test.esem"), "--out", str(out))
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def run_cli_on_blas_threads(threads: str, *argv: str) -> None:

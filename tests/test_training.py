@@ -7,9 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_corpus, tiny_config
+from conftest import CANONICAL, random_corpus, tiny_config, traced_peak
+from eslong.attention import AttentionSpec
 from eslong.encoder import (
     DEFAULT_VOCAB,
+    ModelConfig,
     build_model,
     forward,
     mlm_logits,
@@ -25,6 +27,7 @@ from eslong.training import (
     adamw_step,
     attach_lora,
     derive_seed,
+    get_trainable,
     init_adam_state,
     lora_target_names,
     mask_batch,
@@ -130,6 +133,60 @@ class TestMlmLoss:
         toks = tokenize("ACD", toy_model.config)
         with pytest.raises(ContractError):
             mlm_loss(toy_model, [toks], [[]])
+
+
+def t6_width_sequence(mode: str, n: int):
+    """A 2-layer model of T6's width (local window 128) and one masked
+    sequence of n tokens."""
+    spec = AttentionSpec(mode, 20, 16, 128 if mode == "local" else None)
+    model = build_model(ModelConfig(2, 20, 320, 1024, 1280, spec), seed=5)
+    rng = np.random.default_rng(n)
+    toks = tokenize("".join(rng.choice(list(CANONICAL), n - 2)), model.config)
+    masked, labels = mask_batch([toks], TrainConfig(), rng)
+    return model, masked, labels
+
+
+class TestT6Width:
+    """mlm_loss at T6's width and hundreds of tokens, where attention runs
+    several blocks and the forward splits its rows into parts, which the toy
+    models of the other tests never reach."""
+
+    # The loss, and the sha256 of every gradient in key order, at 600 tokens,
+    # recorded while the training cache still kept the layer norms' and
+    # GELU's outputs; x86-64, numpy 2.4, OpenBLAS 0.3.31.
+    RECORDED = {
+        "global": (3.435409947445518,
+                   "89e9bab19ce09ca7f59dd1370ec340cbb63075fab08482c94f15e26f2529abad"),
+        "local": (3.413267838327508,
+                  "8d9d43f6e5601134feb1260dc89337b7c7ccf42552fbe4967a8635339ddd3f99"),
+    }
+
+    @pytest.mark.parametrize("mode", ["global", "local"])
+    def test_loss_and_gradients_keep_recorded_bits(self, mode):
+        model, masked, labels = t6_width_sequence(mode, 600)
+        loss, grads = mlm_loss(model, masked, labels)
+        digest = hashlib.sha256()
+        for key in sorted(grads):
+            digest.update(key.encode())
+            digest.update(grads[key].tobytes())
+        assert (loss, digest.hexdigest()) == self.RECORDED[mode]
+        hidden, _ = forward(model, masked[0], want_cache=True)
+        assert hidden.tobytes() == forward(model, masked[0]).tobytes()
+
+    def test_memory_is_the_kept_cache_and_the_gradients(self):
+        # Kept per layer and token: 6 * d + 2 * f floats. Over that and the
+        # gradient set, the bound leaves six [n, f] arrays for what the
+        # forward and the backward hold at once; keeping the layer norms'
+        # and GELU's outputs too would take 2 * d + f more per layer and token.
+        n = 1022
+        model, masked, labels = t6_width_sequence("local", n)
+        cfg = model.config
+        d, f, item = cfg.embed_dim, cfg.ffn_dim, np.dtype(np.float32).itemsize
+        kept = cfg.num_layers * n * (6 * d + 2 * f) * item
+        grads = sum(a.nbytes for a in get_trainable(model).values())
+        bound = kept + grads + 6 * n * f * item
+        peak = traced_peak(mlm_loss, model, masked, labels)
+        assert peak < bound, (peak / 1e6, bound / 1e6)
 
 
 def adamw_oracle(params, grads, state, cfg):

@@ -3,10 +3,10 @@
 Pre-LN blocks, learned absolute position table, bias-free linear projections,
 and a final layer norm applied before both the MLM head and embedding
 extraction. The position table is a materialized per-position matrix so its
-row count (the context capacity) can be extended by cyclic copying. Every
-layer runs attention.attend, one loop over query blocks in both modes. Every
-forward runs each layer's heads, and a long input's rows, on
-parallel.layer_pool.
+row count (the context capacity) can be extended by cyclic copying. A
+layer's one home is _layer_forward and layer_backward, the only code that
+knows the layer cache's format; each runs attention's heads, and a long
+input's rows, on parallel.layer_pool.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Any
 
 import numpy as np
 
-from .attention import GLOBAL, LOCAL, AttentionSpec, attend
+from .attention import GLOBAL, LOCAL, AttentionSpec, attend, attend_backward
 from .checkpoint import array_entry, read_checkpoint, reject_unused, write_checkpoint
 from .errors import (
     ConfigError,
@@ -30,7 +30,7 @@ from .errors import (
 )
 from .parallel import cut, layer_pool
 from .quant import QUANTIZABLE_FAMILIES, QuantizedTensor, decode_dense, param_family
-from .tensor_ops import gelu, layer_norm
+from .tensor_ops import gelu, gelu_grad, layer_norm, layer_norm_grad, layer_norm_output
 
 CANONICAL_RESIDUES = "ACDEFGHIKLMNPQRSTVWY"
 EXTRA_RESIDUES = "XBZUO"  # X catches anything unknown; B/Z/U/O keep their own tokens
@@ -273,11 +273,6 @@ def tokenize(seq: str, config: ModelConfig) -> list[int]:
     return ids
 
 
-def detokenize(token_ids, vocab: TokenVocab = DEFAULT_VOCAB) -> str:
-    """Residue string for a token-id list; structural tokens are dropped."""
-    return "".join(vocab.tokens[i] for i in token_ids if len(vocab.tokens[i]) == 1)
-
-
 def _dense_weight(model: EncoderModel, name: str, dtype) -> np.ndarray:
     """The weight `name` as one dense array: an int4 weight decoded to dtype,
     as qmatmul decodes it for activations of that dtype, plus a trained LoRA
@@ -330,32 +325,117 @@ def _ffn_blocks(r: slice) -> list[slice]:
     return [slice(r.start + b.start, r.start + b.stop) for b in cut(rows, blocks, _ROW_ALIGN)]
 
 
+def _layer_forward(model: EncoderModel, i: int, x, pad, pool, row_parts, want_cache: bool):
+    """Layer i of forward on the residual stream x, in place; returns the
+    layer's cache, or None without want_cache.
+
+    Phase A runs the rows of layer norm 1 and the Q/K/V projections, B attend
+    over the heads, and C the rows of the output projection and residual and
+    then, block by block of _ffn_blocks, layer norm 2, the FFN with GELU and
+    residual. Parts write disjoint slices of arrays allocated here; what no
+    cache keeps is scratch of one part or block. Each weight is made dense
+    once per phase: int4 decoded and a trained LoRA adapter folded in.
+
+    The cache's format is private to this module. It holds what
+    layer_backward cannot rebuild bit for bit: both layer norms' xhat and
+    inv_std, Q, K, V, attention's context and softmax statistics, and the
+    FFN's input u and Phi(u), about 6 * embed_dim + 2 * ffn_dim floats per
+    token. The layer norms' and GELU's outputs are rebuilt, not kept.
+    """
+    cfg, P, p = model.config, model.params, f"layers.{i}"
+    (n, d), f, dtype = x.shape, cfg.ffn_dim, x.dtype
+
+    def new(cols):
+        return np.empty((n, cols), dtype)
+
+    def kept(ln, rows):
+        # layer_norm's out: its output to fresh scratch of these rows, xhat
+        # and inv_std into ln's rows when the cache keeps them.
+        return None if ln is None else (None, ln[0][rows], ln[1][rows])
+
+    ln1 = ln2 = u = cdf = cache = None
+    if want_cache:
+        ln1, ln2, u, cdf = (new(d), new(1)), (new(d), new(1)), new(f), new(f)
+    q, k, v = new(d), new(d), new(d)
+    w = {name: _dense_weight(model, f"{p}.{name}", dtype)
+         for name in ("q_proj", "k_proj", "v_proj")}
+
+    def phase_a(r):
+        h1, _ = layer_norm(x[r], P[f"{p}.attn_ln.gain"], P[f"{p}.attn_ln.bias"], out=kept(ln1, r))
+        for name, out in zip(w, (q, k, v)):
+            np.matmul(h1, w[name], out=out[r])
+
+    pool.run(phase_a, row_parts)
+    qh, kh, vh = (_split_heads(t, cfg.num_heads) for t in (q, k, v))
+    ctx_h, stats = attend(qh, kh, vh, pad, cfg.attention, pool=pool)
+    if want_cache:
+        cache = dict(ln1=ln1, qh=qh, kh=kh, vh=vh, stats=stats, ln2=ln2, u=u, cdf=cdf)
+    # Freed before phase C when nothing keeps them; the rest goes on return,
+    # before the next layer's attention sets the peak memory.
+    del q, k, v, qh, kh, vh, stats, ln1
+    w = {name: _dense_weight(model, f"{p}.{name}", dtype)
+         for name in ("o_proj", "ffn_in", "ffn_out")}
+
+    def phase_c(r):
+        x[r] += _merge_heads(ctx_h[:, r]) @ w["o_proj"]
+        for b in _ffn_blocks(r):
+            h2, _ = layer_norm(x[b], P[f"{p}.ffn_ln.gain"], P[f"{p}.ffn_ln.bias"],
+                               out=kept(ln2, b))
+            u_b = np.matmul(h2, w["ffn_in"], out=None if u is None else u[b])
+            x[b] += gelu(u_b, cdf_out=None if cdf is None else cdf[b]) @ w["ffn_out"]
+
+    pool.run(phase_c, row_parts)
+    return cache
+
+
+def layer_backward(model: EncoderModel, i: int, cache: dict, d_x, proj, acc, pool):
+    """d_x, the gradient of layer i's output, taken back to its input through
+    the cache _layer_forward kept, which is released as it is read.
+    proj(name, x_in, d_out) takes the gradients of out = x_in @ W and returns
+    d_out @ W^T; acc(key, value) adds a layer norm's gain or bias gradient.
+    GELU's and the layer norms' outputs are rebuilt with the forward's float
+    ops, bit for bit, just before their one use.
+    """
+    cfg, P, p = model.config, model.params, f"layers.{i}"
+    # feed-forward half: x = x_mid + ffn_out(gelu(ffn_in(LN2(x_mid))))
+    u, cdf = cache.pop("u"), cache.pop("cdf")
+    d_act = proj(f"{p}.ffn_out", cdf * u, d_x)
+    d_u = gelu_grad(u, cdf)
+    del u, cdf
+    d_u *= d_act
+    del d_act
+    h2 = layer_norm_output(cache["ln2"], P[f"{p}.ffn_ln.gain"], P[f"{p}.ffn_ln.bias"])
+    d_h2 = proj(f"{p}.ffn_in", h2, d_u)
+    del h2, d_u
+    d_mid_ln, d_g2, d_b2 = layer_norm_grad(d_h2, cache["ln2"], P[f"{p}.ffn_ln.gain"])
+    acc(f"{p}.ffn_ln.gain", d_g2)
+    acc(f"{p}.ffn_ln.bias", d_b2)
+    d_x_mid = d_x + d_mid_ln
+    # attention half: x_mid = x_in + o_proj(heads(LN1(x_in)))
+    d_ctx = proj(f"{p}.o_proj", _merge_heads(cache["stats"].ctx), d_x_mid)
+    d_qh, d_kh, d_vh = attend_backward(_split_heads(d_ctx, cfg.num_heads), cache["qh"],
+                                       cache["kh"], cache["vh"], cache["stats"], cfg.attention,
+                                       pool)
+    h1 = layer_norm_output(cache["ln1"], P[f"{p}.attn_ln.gain"], P[f"{p}.attn_ln.bias"])
+    d_h1 = proj(f"{p}.q_proj", h1, _merge_heads(d_qh))
+    d_h1 += proj(f"{p}.k_proj", h1, _merge_heads(d_kh))
+    d_h1 += proj(f"{p}.v_proj", h1, _merge_heads(d_vh))
+    del h1
+    d_in_ln, d_g1, d_b1 = layer_norm_grad(d_h1, cache["ln1"], P[f"{p}.attn_ln.gain"])
+    acc(f"{p}.attn_ln.gain", d_g1)
+    acc(f"{p}.attn_ln.bias", d_b1)
+    return d_x_mid + d_in_ln
+
+
 def forward(model: EncoderModel, token_ids, want_cache: bool = False):
     """Last-layer hidden states after the final layer norm, one row per token.
 
-    Each layer runs as three phases, each cut into parts that write disjoint
-    slices of arrays allocated here: A, the rows of layer norm 1 and the
-    Q/K/V projections; B, attend over the heads; C, the rows of the output
-    projection and residual, and then, block by block of _ffn_blocks, layer
-    norm 2, FFN with GELU and residual. The residuals go into x in place, and
-    what no cache keeps is scratch of one part or one block: the layer norms'
-    outputs, the merged heads, the projections, and GELU's output. The
-    phases run on parallel.layer_pool with OpenBLAS held at one thread, and
-    the rows of a model at least _MIN_SPLIT_WIDTH wide split from
-    2 * _MIN_PART_ROWS tokens on. Every part computes what the whole layer
-    would for its rows or heads, bit for bit, so the output does not depend
-    on the number of workers. Each weight is made dense once per phase, here:
-    int4 decoded and a trained LoRA adapter folded in, so every projection is
-    one product.
-
-    With want_cache=True also returns, per layer, what the training module's
-    hand-derived backward pass cannot rebuild bit for bit from the rest:
-    both layer norms' xhat and inv_std, Q, K and V, attention's context and
-    per-row softmax statistics, and the FFN's input u and its CDF Phi(u),
-    about 6 * embed_dim + 2 * ffn_dim floats per token in both attention
-    modes. The layer norms' outputs and GELU's output Phi(u) * u take one or
-    two elementwise passes to rebuild, with the same float ops, so they are
-    not kept.
+    Each layer is one _layer_forward, its phases on parallel.layer_pool with
+    OpenBLAS at one thread; a model at least _MIN_SPLIT_WIDTH wide splits its
+    rows from 2 * _MIN_PART_ROWS tokens on. Each part computes its rows' or
+    heads' bits of the whole layer, so no output depends on the worker count.
+    want_cache=True also returns the tokens, the final layer norm's cache, the
+    hidden states and each layer's cache, which layer_backward reads.
     """
     cfg = model.config
     vocab = cfg.vocab
@@ -371,58 +451,11 @@ def forward(model: EncoderModel, token_ids, want_cache: bool = False):
     P = model.params
     pool = layer_pool()
     x = P["token_embedding"][tok] + P["position_embedding"][:n]
-    d, f, dtype = cfg.embed_dim, cfg.ffn_dim, x.dtype
-    row_parts = (pool.split(n, _ROW_ALIGN, _MIN_PART_ROWS) if min(d, f) >= _MIN_SPLIT_WIDTH
-                 else [slice(0, n)])
-
-    def new(cols):
-        return np.empty((n, cols), dtype)
-
-    def kept(ln, rows):
-        # layer_norm's out: its output to fresh scratch of these rows, xhat
-        # and inv_std into ln's rows when the cache keeps them.
-        return None if ln is None else (None, ln[0][rows], ln[1][rows])
-
-    layer_caches = []
+    row_parts = (pool.split(n, _ROW_ALIGN, _MIN_PART_ROWS)
+                 if min(cfg.embed_dim, cfg.ffn_dim) >= _MIN_SPLIT_WIDTH else [slice(0, n)])
     with pool.one_blas_thread():
-        for i in range(cfg.num_layers):
-            p = f"layers.{i}"
-            ln1 = ln2 = u = cdf = None
-            if want_cache:
-                ln1, ln2, u, cdf = (new(d), new(1)), (new(d), new(1)), new(f), new(f)
-            q, k, v = new(d), new(d), new(d)
-            w = {name: _dense_weight(model, f"{p}.{name}", dtype)
-                 for name in ("q_proj", "k_proj", "v_proj")}
-
-            def phase_a(r):
-                h1, _ = layer_norm(x[r], P[f"{p}.attn_ln.gain"], P[f"{p}.attn_ln.bias"],
-                                   out=kept(ln1, r))
-                for name, out in zip(w, (q, k, v)):
-                    np.matmul(h1, w[name], out=out[r])
-
-            pool.run(phase_a, row_parts)
-            qh, kh, vh = (_split_heads(t, cfg.num_heads) for t in (q, k, v))
-            ctx_h, stats = attend(qh, kh, vh, pad, cfg.attention, pool=pool)
-            if want_cache:
-                layer_caches.append(dict(ln1=ln1, qh=qh, kh=kh, vh=vh, stats=stats,
-                                         ln2=ln2, u=u, cdf=cdf))
-            # Freed before phase C when nothing keeps them.
-            del q, k, v, qh, kh, vh, stats, ln1
-            w = {name: _dense_weight(model, f"{p}.{name}", dtype)
-                 for name in ("o_proj", "ffn_in", "ffn_out")}
-
-            def phase_c(r):
-                x[r] += _merge_heads(ctx_h[:, r]) @ w["o_proj"]
-                for b in _ffn_blocks(r):
-                    h2, _ = layer_norm(x[b], P[f"{p}.ffn_ln.gain"], P[f"{p}.ffn_ln.bias"],
-                                       out=kept(ln2, b))
-                    u_b = np.matmul(h2, w["ffn_in"], out=None if u is None else u[b])
-                    x[b] += gelu(u_b, cdf_out=None if cdf is None else cdf[b]) @ w["ffn_out"]
-
-            pool.run(phase_c, row_parts)
-            # Freed now, they are not held through the next layer's
-            # attention, which sets the peak memory.
-            del ctx_h, ln2, u, cdf, w
+        layer_caches = [_layer_forward(model, i, x, pad, pool, row_parts, want_cache)
+                        for i in range(cfg.num_layers)]
     hidden, lnf_cache = layer_norm(x, P["final_ln.gain"], P["final_ln.bias"])
     if not want_cache:
         return hidden

@@ -2,19 +2,19 @@
 a training batch, the records of an embedding corpus, and the record blocks
 of a classifier head's predictions.
 
-encoder.forward runs each layer as three phases, and every phase as parts
-that read shared inputs and write disjoint slices of arrays the caller
+encoder._layer_forward runs each layer as three phases, and every phase as
+parts that read shared inputs and write disjoint slices of arrays it
 allocated: rows for layer norm, projections and GELU, heads for attention.
 LayerPool.run runs the parts of one phase on the caller's thread and its
 idle worker threads and returns when all are done. NumPy and OpenBLAS
 release the interpreter lock inside their loops, so the parts of a phase
 overlap. training.mlm_loss runs the sequences of a batch, and
-pipeline.embed_corpus the records of a corpus, as the parts of one run, and
-each of their forwards runs its phases on the same pool. The caller of a run
-takes parts too and never waits for a part no thread has taken, so such
-nested runs cannot deadlock: when every worker is busy, the caller runs all
-the parts. A run hands parts only to workers idle when it starts, so a
-nested run queues nothing behind a busy worker.
+pipeline.embed_corpus the records of a corpus, as the parts of one run; each
+forward, and each encoder.layer_backward, runs its parts on the same pool.
+The caller of a run takes parts too and never waits for a part no thread has
+taken, so such nested runs cannot deadlock: when every worker is busy, the
+caller runs all the parts. A run hands parts only to workers idle when it
+starts, so a nested run queues nothing behind a busy worker.
 
 The parts' matrix products must each run on one core. Two BLAS threads on
 top of the workers oversubscribe the cores, and they also make attention's

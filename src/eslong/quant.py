@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable
 
 import numpy as np
 
@@ -231,31 +230,3 @@ def memory_footprint(model) -> dict[str, int]:
         totals[fam] = totals.get(fam, 0) + nbytes
     totals["total"] = sum(totals.values())
     return totals
-
-
-def projected_footprint(
-    named_shapes: Iterable[tuple[str, tuple[int, ...]]],
-    policy: QuantPolicy | None = None,
-) -> dict[str, int]:
-    """Footprint computed from (name, shape) pairs alone.
-
-    Lets large presets be costed without materializing their weights; an empty
-    policy (no families) reproduces the real32 footprint exactly.
-    """
-    policy = policy or QuantPolicy(families=frozenset())
-    totals: dict[str, int] = {}
-    for name, shape in named_shapes:
-        fam = param_family(name)
-        numel = int(np.prod(shape))
-        if fam in policy.families:
-            nbytes = int4_payload_bytes(numel, policy.block_size)
-        else:
-            nbytes = real32_payload_bytes(numel)
-        totals[fam] = totals.get(fam, 0) + nbytes
-    totals["total"] = sum(totals.values())
-    return totals
-
-
-def footprint_ratio(quantized: dict[str, int], standard: dict[str, int]) -> float:
-    """Total-bytes ratio between two footprints."""
-    return quantized["total"] / standard["total"]

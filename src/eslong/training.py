@@ -1,12 +1,12 @@
 """Masked-LM pre-training with AdamW and optional LoRA adapters.
 
-The backward pass is hand-derived for the fixed encoder architecture (no
-autodiff), which is what makes the finite-difference gradient suite in the
-tests meaningful. The sequences of a batch run on parallel.layer_pool, with
-OpenBLAS held at one thread for the whole batch, and each adds to a gradient
-only after every earlier sequence has. So gradients, losses and checkpoints
-have the bits of a serial left-to-right loop for any number of workers. All
-randomness derives from one seed through named sub-streams.
+The backward pass is hand-derived (no autodiff), which is what makes the
+finite-difference gradient suite in the tests meaningful; each layer's part
+is encoder.layer_backward, the one reader of the layer cache. The sequences
+of a batch run on parallel.layer_pool, OpenBLAS held at one thread, and each
+adds to a gradient only after every earlier sequence has, so gradients,
+losses and checkpoints have a serial loop's bits for any number of workers.
+All randomness derives from one seed through named sub-streams.
 """
 
 from __future__ import annotations
@@ -18,19 +18,18 @@ import threading
 import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
-from .attention import attend_backward
 # LoraAdapter and lora_target_names live in encoder and are exported from here too.
 from .encoder import (
     DEFAULT_VOCAB,
     EncoderModel,
     LoraAdapter,
     _dense_weight,
-    _merge_heads,
-    _split_heads,
     forward,
+    layer_backward,
     lora_target_names,
     mlm_logits,
     param_names,
@@ -39,7 +38,7 @@ from .encoder import (
 from .errors import ConfigError, ContractError, finite_number
 from .parallel import layer_pool
 from .quant import QUANTIZABLE_FAMILIES, QuantizedTensor, param_family
-from .tensor_ops import gelu_grad, layer_norm_grad, layer_norm_output
+from .tensor_ops import layer_norm_grad
 
 
 def derive_seed(seed: int, stream: str) -> int:
@@ -205,13 +204,13 @@ class _Backprop:
             self._failed = min(self._failed, seq)
             self._turns.notify_all()
 
-    def _acc(self, key: str, value: np.ndarray, seq: int) -> None:
+    def _acc(self, seq: int, key: str, value: np.ndarray) -> None:
         if key in self.grads:
             with self._turn(key, seq) as grad:
                 grad += value
 
-    def proj_backward(self, name: str, x_in: np.ndarray, d_out: np.ndarray,
-                      seq: int) -> np.ndarray:
+    def proj_backward(self, seq: int, name: str, x_in: np.ndarray,
+                      d_out: np.ndarray) -> np.ndarray:
         """Backward of out = x_in @ W_eff with W_eff = W + (alpha/r) A^T B^T.
 
         d_out @ W_eff^T, with dense(name) the W_eff the forward used, and,
@@ -226,57 +225,24 @@ class _Backprop:
         self.pool.run(product, [0, 1] if adapter is not None or name in self.grads else [0])
         d_x, g = products
         if name in self.grads:
-            self._acc(name, g, seq)
+            self._acc(seq, name, g)
         if adapter is not None:
             s = adapter.alpha / adapter.rank
-            self._acc(f"adapters.{name}.A", s * (g @ adapter.B).T, seq)
-            self._acc(f"adapters.{name}.B", s * (g.T @ adapter.A.T), seq)
+            self._acc(seq, f"adapters.{name}.A", s * (g @ adapter.B).T)
+            self._acc(seq, f"adapters.{name}.B", s * (g.T @ adapter.A.T))
         return d_x
 
     def sequence_backward(self, cache: dict, d_logits: np.ndarray, seq: int) -> None:
-        """Adds sequence seq's gradients. Each layer's cache is released once
-        its gradients are taken."""
+        """Adds sequence seq's gradients, one encoder.layer_backward per layer,
+        which releases each layer's cache once its gradients are taken."""
         model = self.model
-        cfg = model.config
-        P = model.params
-        d_hidden = self.proj_backward("mlm_head", cache["hidden"], d_logits, seq)
-        d_x, d_gf, d_bf = layer_norm_grad(d_hidden, cache["lnf"], P["final_ln.gain"])
-        self._acc("final_ln.gain", d_gf, seq)
-        self._acc("final_ln.bias", d_bf, seq)
-        for i in reversed(range(cfg.num_layers)):
-            p = f"layers.{i}"
-            lc = cache["layers"].pop()
-            # feed-forward half: x = x_mid + ffn_out(gelu(ffn_in(LN2(x_mid)))).
-            # GELU's output Phi(u) * u and LN2's output are rebuilt here with
-            # the forward's float ops, bit for bit, and dropped after use; u
-            # and Phi(u) are dropped once d_u is formed.
-            u, cdf = lc.pop("u"), lc.pop("cdf")
-            d_act = self.proj_backward(f"{p}.ffn_out", cdf * u, d_x, seq)
-            d_u = gelu_grad(u, cdf)
-            del u, cdf
-            d_u *= d_act
-            del d_act
-            h2 = layer_norm_output(lc["ln2"], P[f"{p}.ffn_ln.gain"], P[f"{p}.ffn_ln.bias"])
-            d_h2 = self.proj_backward(f"{p}.ffn_in", h2, d_u, seq)
-            del h2, d_u
-            d_mid_ln, d_g2, d_b2 = layer_norm_grad(d_h2, lc["ln2"], P[f"{p}.ffn_ln.gain"])
-            self._acc(f"{p}.ffn_ln.gain", d_g2, seq)
-            self._acc(f"{p}.ffn_ln.bias", d_b2, seq)
-            d_x_mid = d_x + d_mid_ln
-            # attention half: x_mid = x_in + o_proj(heads(LN1(x_in)))
-            d_ctx = self.proj_backward(f"{p}.o_proj", _merge_heads(lc["stats"].ctx), d_x_mid, seq)
-            d_qh, d_kh, d_vh = attend_backward(_split_heads(d_ctx, cfg.num_heads), lc["qh"],
-                                               lc["kh"], lc["vh"], lc["stats"], cfg.attention,
-                                               self.pool)
-            h1 = layer_norm_output(lc["ln1"], P[f"{p}.attn_ln.gain"], P[f"{p}.attn_ln.bias"])
-            d_h1 = self.proj_backward(f"{p}.q_proj", h1, _merge_heads(d_qh), seq)
-            d_h1 += self.proj_backward(f"{p}.k_proj", h1, _merge_heads(d_kh), seq)
-            d_h1 += self.proj_backward(f"{p}.v_proj", h1, _merge_heads(d_vh), seq)
-            del h1
-            d_in_ln, d_g1, d_b1 = layer_norm_grad(d_h1, lc["ln1"], P[f"{p}.attn_ln.gain"])
-            self._acc(f"{p}.attn_ln.gain", d_g1, seq)
-            self._acc(f"{p}.attn_ln.bias", d_b1, seq)
-            d_x = d_x_mid + d_in_ln
+        proj, acc = partial(self.proj_backward, seq), partial(self._acc, seq)
+        d_hidden = proj("mlm_head", cache["hidden"], d_logits)
+        d_x, d_gf, d_bf = layer_norm_grad(d_hidden, cache["lnf"], model.params["final_ln.gain"])
+        acc("final_ln.gain", d_gf)
+        acc("final_ln.bias", d_bf)
+        for i in reversed(range(model.config.num_layers)):
+            d_x = layer_backward(model, i, cache["layers"].pop(), d_x, proj, acc, self.pool)
         if self.base_trainable:
             tok = cache["tok"]
             with self._turn("token_embedding", seq) as grad:

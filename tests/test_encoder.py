@@ -7,14 +7,15 @@ from conftest import tiny_config
 from eslong.encoder import (
     DEFAULT_VOCAB,
     EncoderModel,
+    TokenVocab,
     build_model,
     config_from_json,
     config_to_json,
-    detokenize,
     extend_context,
     forward,
     load_model,
     lora_target_names,
+    mlm_logits,
     model_astype,
     model_tag,
     preset_config,
@@ -23,7 +24,12 @@ from eslong.encoder import (
     with_attention,
 )
 from eslong.errors import ConfigError, ContractError, InputError, LengthError
-from eslong.training import attach_lora
+from eslong.training import _Backprop, attach_lora
+
+
+def detokenize(token_ids, vocab: TokenVocab = DEFAULT_VOCAB) -> str:
+    """Residue string for a token-id list; structural tokens are dropped."""
+    return "".join(vocab.tokens[i] for i in token_ids if len(vocab.tokens[i]) == 1)
 
 
 class TestPresets:
@@ -110,6 +116,22 @@ class TestTokenize:
         assert detokenize(tokenize(seq, cfg)) == seq
 
 
+class ReadRecorder(dict):
+    """A dict that adds each key read or popped to reads."""
+
+    def __init__(self, items, reads: set):
+        super().__init__(items)
+        self.reads = reads
+
+    def __getitem__(self, key):
+        self.reads.add(key)
+        return super().__getitem__(key)
+
+    def pop(self, key, *default):
+        self.reads.add(key)
+        return super().pop(key, *default)
+
+
 class TestForward:
     def test_output_shape(self, toy_model):
         out = forward(toy_model, tokenize("ACDEF", toy_model.config))
@@ -161,6 +183,14 @@ class TestForward:
         assert len(cache["layers"]) == toy_model.config.num_layers
         for layer in cache["layers"]:
             assert set(layer) == {"ln1", "qh", "kh", "vh", "stats", "ln2", "u", "cdf"}
+        # The backward pass reads every key the cache keeps, at every level.
+        kept = [set(cache)] + [set(layer) for layer in cache["layers"]]
+        reads = [set() for _ in kept]
+        layers = [ReadRecorder(layer, r) for layer, r in zip(cache["layers"], reads[1:])]
+        cache = ReadRecorder({**cache, "layers": layers}, reads[0])
+        d_logits = np.ones_like(mlm_logits(toy_model, hidden))
+        _Backprop(toy_model).sequence_backward(cache, d_logits, 0)
+        assert reads == kept
 
 
 class TestExtendContext:

@@ -229,7 +229,7 @@ def test_failing_sequence_stops_the_batch(use_pool, monkeypatch):
     batch = [tokens(n, model.config, seed=9) for n in lengths]
     labels = [[(i, t) for i, t in enumerate(seq) if i % 5 == 1] for seq in batch]
     failure = InputError("sequence 1")
-    real_gelu_grad = training.gelu_grad
+    real_gelu_grad = encoder.gelu_grad
 
     def gelu_grad(u, cdf):
         if len(u) == lengths[1]:
@@ -243,7 +243,7 @@ def test_failing_sequence_stops_the_batch(use_pool, monkeypatch):
             super().__init__(model)
             batches.append(self)
 
-    monkeypatch.setattr(training, "gelu_grad", gelu_grad)
+    monkeypatch.setattr(encoder, "gelu_grad", gelu_grad)
     monkeypatch.setattr(training, "_Backprop", Backprop)
     raised = []
 

@@ -1,5 +1,7 @@
 """Quantization codec, packing, qmatmul, model quantization, and footprints."""
 
+from typing import Iterable
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,12 +14,10 @@ from eslong.quant import (
     QuantizedTensor,
     decode_dense,
     dequantize,
-    footprint_ratio,
     int4_payload_bytes,
     memory_footprint,
     pack_codes,
     param_family,
-    projected_footprint,
     qmatmul,
     quantize_int4,
     quantize_model,
@@ -25,6 +25,34 @@ from eslong.quant import (
     unpack_codes,
 )
 from eslong.tensor_ops import matmul
+
+
+def projected_footprint(
+    named_shapes: Iterable[tuple[str, tuple[int, ...]]],
+    policy: QuantPolicy | None = None,
+) -> dict[str, int]:
+    """Footprint computed from (name, shape) pairs alone.
+
+    Lets large presets be costed without materializing their weights; an empty
+    policy (no families) reproduces the real32 footprint exactly.
+    """
+    policy = policy or QuantPolicy(families=frozenset())
+    totals: dict[str, int] = {}
+    for name, shape in named_shapes:
+        fam = param_family(name)
+        numel = int(np.prod(shape))
+        if fam in policy.families:
+            nbytes = int4_payload_bytes(numel, policy.block_size)
+        else:
+            nbytes = real32_payload_bytes(numel)
+        totals[fam] = totals.get(fam, 0) + nbytes
+    totals["total"] = sum(totals.values())
+    return totals
+
+
+def footprint_ratio(quantized: dict[str, int], standard: dict[str, int]) -> float:
+    """Total-bytes ratio between two footprints."""
+    return quantized["total"] / standard["total"]
 
 
 def codec_error_and_bound(w, block_size):

@@ -189,6 +189,32 @@ class TestT6Width:
         assert peak < bound, (peak / 1e6, bound / 1e6)
 
 
+class TestT6WidthInt4Lora:
+    """The paper's fine-tuned form at T6's width: an int4 base with rank-8
+    adapters on every projection family, B nonzero, local window 128."""
+
+    # The loss, and the sha256 of every adapter gradient in key order, at 600
+    # tokens, recorded while training.py still held the layer's backward;
+    # x86-64, numpy 2.4, OpenBLAS 0.3.31.
+    RECORDED = (3.412215383429276,
+                "308dc59da5f5be3a170c560eac799794b7f3d7f470bc7a13fea4d359c312fa46")
+
+    def test_loss_and_gradients_keep_recorded_bits(self):
+        model, masked, labels = t6_width_sequence("local", 600)
+        targets = lora_target_names(model.config, ("attention", "ffn", "head"))
+        model = attach_lora(quantize_model(model), targets, rank=8, alpha=16.0, seed=7)
+        rng = np.random.default_rng(8)
+        for adapter in model.adapters.values():
+            adapter.B = rng.normal(0.0, 0.02, adapter.B.shape).astype(np.float32)
+        loss, grads = mlm_loss(model, masked, labels)
+        assert sorted(grads) == sorted(f"adapters.{t}.{m}" for t in targets for m in "AB")
+        digest = hashlib.sha256()
+        for key in sorted(grads):
+            digest.update(key.encode())
+            digest.update(grads[key].tobytes())
+        assert (loss, digest.hexdigest()) == self.RECORDED
+
+
 def adamw_oracle(params, grads, state, cfg):
     """The whole-tensor AdamW step adamw_step replaced: new params and new
     moments from fresh arrays, the inputs untouched."""

@@ -3,9 +3,14 @@
 Both modes run one loop over query blocks. Each block takes one matmul against
 the keys it can see: in local mode its own rows plus window_k / 2 keys on each
 side, in global mode all n keys, so local cost is O(n * window_k). The loop
-follows FlashAttention-2: q is scaled once, a tile is exponentiated but never
+follows FlashAttention-2: it reads Q, K and V where they are and allocates
+only its outputs and its tile buffers, a tile is exponentiated but never
 normalized (the context rows are divided instead), and no tile outlives its
-block. The shift subtracted before exp only keeps exp in range, so a head
+block. The operands are an Operands: Q already scaled by 1 / sqrt(head_dim),
+K on the zero-padded key axis the blocks' windows index, and V on that axis
+with a column of ones per head. The encoder's phase A writes them so with its
+projections; attend and attend_backward take plain operands and copy them in
+first. The shift subtracted before exp only keeps exp in range, so a head
 whose scores in a block a Cauchy-Schwarz bound, |q . k| <= |q| * max |k|,
 proves small takes no shift there; every other head subtracts its exact row
 max. Every step is taken per head, so attend computes the same bits however
@@ -18,7 +23,6 @@ floats. score_op_count reads the number of visible query-key pairs off the
 same geometry that cuts attend's blocks, which is how the
 linear-versus-quadratic cost claims are checked.
 """
-
 from __future__ import annotations
 
 import math
@@ -119,26 +123,6 @@ def _geometry(n: int, spec: AttentionSpec) -> _Geometry:
     return _Geometry(rows, n, 0, 0, n - 1, n)
 
 
-def _pad_buffer(x, g: _Geometry, ones: bool = False):
-    """Zeros [heads, g.length, m] for x [heads, n, m] padded, with one more
-    column when ones is set; x itself when padding adds nothing."""
-    heads, n, m = x.shape
-    if g.length == n and not ones:
-        return x
-    return np.zeros((heads, g.length, m + ones), dtype=x.dtype)
-
-
-def _pad_into(out, x, g: _Geometry, heads: slice) -> None:
-    """x's heads at rows g.lead : g.lead + n of out (a _pad_buffer of x), and
-    ones in the extra last column when out has one."""
-    if out is x:
-        return
-    n, m = x.shape[1:]
-    out[heads, g.lead:g.lead + n, :m] = x[heads]
-    if out.shape[2] > m:
-        out[heads, :, m] = 1.0
-
-
 def _band_pairs(n: int, w: int) -> int:
     """Query-key pairs with |i - j| <= w < n inside a length-n sequence."""
     return n + 2 * w * n - w * (w + 1)
@@ -155,22 +139,81 @@ class SoftmaxStats(NamedTuple):
     ctx: np.ndarray
 
 
-class _Tiles:
-    """The query blocks of _geometry over one input, the scaled queries and
-    padded keys load fills in, head by head, and the groups of heads a part
-    walks. allocate makes a part's `buffers` tile buffers (0 holds the
-    scores), which every block of its groups reuses. attend and
-    attend_backward both build tiles here, so they compute the same bits."""
+class Operands(NamedTuple):
+    """Q, K and V in the layouts attend's blocks read, each a per-head view
+    [heads, rows, cols] of one [rows, heads * cols] buffer:
 
-    def __init__(self, qh, kh, pad, spec: AttentionSpec, buffers: int):
-        heads, n, head_dim = qh.shape
+    q  [heads, n, head_dim]: the queries times 1 / sqrt(head_dim);
+    k  [heads, length, head_dim]: the keys at rows lead : lead + n of
+       _geometry's key axis, zeros elsewhere;
+    v  [heads, length, head_dim + 1]: the values on that axis, each head's
+       head_dim columns followed by a column of ones, so that one product
+       per block gives the unnormalized context and its row sums.
+
+    allocate makes the buffers and project writes rows of them, as the
+    encoder's projections do; prepare copies plain operands in.
+    """
+
+    q: np.ndarray
+    k: np.ndarray
+    v: np.ndarray
+
+    @classmethod
+    def allocate(cls, n: int, spec: AttentionSpec, dtype) -> "Operands":
+        g, heads, m = _geometry(n, spec), spec.num_heads, spec.head_dim
+        v = np.zeros((g.length, heads, m + 1), dtype)
+        v[..., m] = 1.0
+        return cls(np.empty((n, heads, m), dtype).transpose(1, 0, 2),
+                   np.zeros((g.length, heads, m), dtype).transpose(1, 0, 2),
+                   v.transpose(1, 0, 2))
+
+    @classmethod
+    def prepare(cls, qh, kh, vh, spec: AttentionSpec) -> "Operands":
+        """Plain [heads, n, head_dim] operands copied into allocate's layouts."""
+        n, m = qh.shape[1:]
+        lead = _geometry(n, spec).lead
+        ops = cls.allocate(n, spec, np.result_type(qh, kh, vh))
+        np.multiply(qh, 1.0 / math.sqrt(m), out=ops.q)
+        ops.k[:, lead:lead + n] = kh
+        ops.v[:, lead:lead + n, :m] = vh
+        return ops
+
+    def project(self, spec: AttentionSpec, rows: slice, h, w_q, w_k, w_v) -> None:
+        """Rows `rows` of the input's Q, K and V as h @ w, h being those rows
+        of the layer-norm output. q is scaled after its product, as a
+        separate multiply, and k is written in place. v's rows come through
+        a [rows, d] product copied in beside the ones: with OpenBLAS 0.3.31,
+        a product through a w_v widened with zero columns rounded some rows
+        differently (every row count at d = 32, under 16 rows at d = 320).
+        Parts write disjoint rows."""
+        heads, m = spec.num_heads, spec.head_dim
+        lead = _geometry(self.q.shape[1], spec).lead
+        keys = slice(lead + rows.start, lead + rows.stop)
+        q = _buffer(self.q)[rows]
+        np.matmul(h, w_q, out=q)
+        np.multiply(q, 1.0 / math.sqrt(m), out=q)
+        np.matmul(h, w_k, out=_buffer(self.k)[keys])
+        self.v[:, keys, :m] = (h @ w_v).reshape(-1, heads, m).transpose(1, 0, 2)
+
+
+def _buffer(x):
+    """The [rows, heads * cols] buffer under one of allocate's views, as a
+    view: the buffer is C-contiguous, so the reshape copies nothing."""
+    return x.transpose(1, 0, 2).reshape(x.shape[1], -1)
+
+
+class _Tiles:
+    """The query blocks of _geometry over one input's Operands, and the
+    groups of heads a part walks. allocate makes a part's `buffers` tile
+    buffers (0 holds the scores), which every block of its groups reuses.
+    attend_prepared and attend_prepared_backward both build tiles here, so
+    they compute the same bits."""
+
+    def __init__(self, ops: Operands, pad, spec: AttentionSpec, buffers: int):
+        n, head_dim = ops.q.shape[1:]
         g = _geometry(n, spec)
-        self.g, self.n = g, n
-        # q is scaled once, on [heads, n, head_dim], not every tile; load
-        # fills qs and kp.
+        self.g, self.n, self.ops = g, n, ops
         self.scale = 1.0 / math.sqrt(head_dim)
-        self.qh, self.kh = qh, kh
-        self.qs, self.kp = np.empty(qh.shape, qh.dtype), _pad_buffer(kh, g)
         # Global mode without pad hides no key, so it builds no mask.
         self.hides = g.length != n or g.w != n - 1 or bool(pad.any())
         self.hidden_keys = np.pad(pad, (g.lead, g.length - g.lead - n), constant_values=True)
@@ -180,11 +223,6 @@ class _Tiles:
         self.band = (j < i - g.w) | (j > i + g.w)
         self.buffers = buffers
         self.group = max(1, _TILE_BUDGET // (g.rows * g.keys))
-
-    def load(self, heads: slice) -> None:
-        """The heads' scaled queries into qs and padded keys into kp."""
-        np.multiply(self.qh[heads], self.scale, out=self.qs[heads])
-        _pad_into(self.kp, self.kh, self.g, heads)
 
     def groups(self, heads: slice) -> list[slice]:
         """A part's heads cut into groups of at most self.group, in order."""
@@ -196,7 +234,7 @@ class _Tiles:
         the size of its largest group's tile."""
         g = self.g
         group = min(self.group, heads.stop - heads.start)
-        return np.empty((self.buffers, group * g.rows * g.keys), self.qs.dtype)
+        return np.empty((self.buffers, group * g.rows * g.keys), self.ops.q.dtype)
 
     def tile(self, work, buffer: int, rows: slice, heads: slice):
         """Buffer `buffer` of a part's work as the heads' [heads, len(rows),
@@ -208,7 +246,7 @@ class _Tiles:
         return work[buffer, :count].reshape(-1, size, g.keys)
 
     def blocks(self):
-        """(query rows, padded key window) slices of each block, in order."""
+        """(query rows, key window) slices of each block, in order."""
         g = self.g
         for b, r0 in enumerate(range(0, self.n, g.rows)):
             yield slice(r0, min(self.n, r0 + g.rows)), slice(b * g.step, b * g.step + g.keys)
@@ -217,7 +255,7 @@ class _Tiles:
         """The heads' scaled scores of the block in buffer 0 of work, with
         keys hidden from a query (outside the sequence, padded, or beyond w)
         at -inf."""
-        scores = np.matmul(self.qs[heads, rows], self.kp[heads, keys].swapaxes(-1, -2),
+        scores = np.matmul(self.ops.q[heads, rows], self.ops.k[heads, keys].swapaxes(-1, -2),
                            out=self.tile(work, 0, rows, heads))
         if self.hides:
             hidden, edge = self.band[:rows.stop - rows.start], self.hidden_keys[keys]
@@ -230,16 +268,32 @@ class _Tiles:
 def attend(qh, kh, vh, pad, spec: AttentionSpec, pool: LayerPool = INLINE):
     """Multi-head attention under spec's visibility rule; returns (ctx, stats).
 
-    qh/kh/vh are [heads, n, head_dim]; pad marks keys no query may see, and a
-    query with no visible key gets zeros. Per block: scaled q @ K_windowᵀ,
-    hidden keys (outside the sequence, padded, or beyond w) at -inf when any
-    can be, shifted_exp in place, then one matmul with V_window and a column
-    of ones for the unnormalized context and the row sums; the context rows,
-    not the tile, are divided by those sums. The shift is the one used: 0 for
-    a head whose |scaled q_i| * max_j |k_j| is at most _NO_SHIFT_BOUND in
-    every row of the block, which skips the row max and the subtraction, and
-    each row's max elsewhere. stats, a SoftmaxStats, keeps the shift, row
-    sum and ctx, from which attend_backward rebuilds each tile.
+    qh/kh/vh are plain [heads, n, head_dim] operands; pad marks keys no
+    query may see, and a query with no visible key gets zeros. They are
+    copied into Operands.prepare's layouts for attend_prepared, the kernel.
+    The encoder skips that copy: its phase A writes the scaled Q, the padded
+    K and V with its ones columns straight into an Operands.allocate, and
+    attend_prepared allocates only ctx with its row sums, the shifts and the
+    tile buffers. One uncached T6 local forward at 2,048 tokens then holds,
+    besides the residual stream, one of each: Q (2.6 MB), K and V on the
+    2,176-row key axis (2.8 and 3.0 MB) and ctx with its row sums (2.8 MB).
+    """
+    return attend_prepared(Operands.prepare(qh, kh, vh, spec), pad, spec, pool)
+
+
+def attend_prepared(ops: Operands, pad, spec: AttentionSpec, pool: LayerPool = INLINE):
+    """attend on Operands, read where they are; allocates only ctx, the
+    statistics and each part's tile buffer.
+
+    Per block: scaled q @ K_windowᵀ, hidden keys (outside the sequence,
+    padded, or beyond w) at -inf when any can be, shifted_exp in place, then
+    one matmul with V_window and its column of ones for the unnormalized
+    context and the row sums; the context rows, not the tile, are divided by
+    those sums. The shift is the one used: 0 for a head whose
+    |scaled q_i| * max_j |k_j| is at most _NO_SHIFT_BOUND in every row of
+    the block, which skips the row max and the subtraction, and each row's
+    max elsewhere. stats, a SoftmaxStats, keeps the shift, row sum and ctx,
+    from which attend_backward rebuilds each tile.
 
     pool runs the block loop with the heads split into its parts, inline by
     default, and each part runs it over its groups of heads in turn. Every
@@ -248,20 +302,19 @@ def attend(qh, kh, vh, pad, spec: AttentionSpec, pool: LayerPool = INLINE):
     (rows + window_k) / (window_k + 1) times as many products as the
     score_op_count visible pairs per head, and discard the rest.
     """
-    heads, n, head_dim = qh.shape
-    # Outputs, then V: the other order raised embed's peak RSS by up to 15 MB.
-    ctx_sum, row_max = np.empty((heads, n, head_dim + 1), vh.dtype), np.empty((heads, n), qh.dtype)
-    vp = _pad_buffer(vh, _geometry(n, spec), ones=True)
-    tiles = _Tiles(qh, kh, pad, spec, buffers=1)
+    heads, n, head_dim = ops.q.shape
+    ctx_sum = np.empty((heads, n, head_dim + 1), ops.v.dtype)
+    row_max = np.empty((heads, n), ops.q.dtype)
+    tiles = _Tiles(ops, pad, spec, buffers=1)
+    lead = tiles.g.lead
 
     def run_heads(part: slice):
         work = tiles.allocate(part)
         for h in tiles.groups(part):
-            tiles.load(h)
-            _pad_into(vp, vh, tiles.g, h)
             # Cauchy-Schwarz bounds every score of row i in head h by bound[h, i].
-            k_max = np.sqrt(np.einsum("hnd,hnd->hn", kh[h], kh[h]).max(axis=-1, keepdims=True))
-            bound = np.sqrt(np.einsum("hnd,hnd->hn", tiles.qs[h], tiles.qs[h])) * k_max
+            kh = ops.k[h, lead:lead + n]
+            k_max = np.sqrt(np.einsum("hnd,hnd->hn", kh, kh).max(axis=-1, keepdims=True))
+            bound = np.sqrt(np.einsum("hnd,hnd->hn", ops.q[h], ops.q[h])) * k_max
             for rows, keys in tiles.blocks():
                 scores = tiles.masked_scores(work, rows, keys, h)
                 small = bound[:, rows].max(axis=-1) <= _NO_SHIFT_BOUND
@@ -272,7 +325,7 @@ def attend(qh, kh, vh, pad, spec: AttentionSpec, pool: LayerPool = INLINE):
                     shift[small] = 0.0
                 shifted_exp(scores, out=scores, row_max=shift)
                 row_max[h, rows, None] = shift
-                np.matmul(scores, vp[h, keys], out=ctx_sum[h, rows])
+                np.matmul(scores, ops.v[h, keys], out=ctx_sum[h, rows])
             total = ctx_sum[h, :, head_dim:]
             total[total == 0] = 1.0
             ctx_sum[h, :, :head_dim] /= total
@@ -284,7 +337,20 @@ def attend(qh, kh, vh, pad, spec: AttentionSpec, pool: LayerPool = INLINE):
 
 def attend_backward(d_ctx, qh, kh, vh, stats: SoftmaxStats, spec: AttentionSpec,
                     pool: LayerPool = INLINE):
-    """Gradients (d_qh, d_kh, d_vh) of attend's ctx, given d_ctx and attend's stats.
+    """Gradients (d_qh, d_kh, d_vh) of attend's ctx with respect to its
+    plain operands, given d_ctx and attend's stats: qh/kh/vh are copied into
+    Operands.prepare's layouts for attend_prepared_backward, the kernel. The
+    encoder's layer_backward skips that copy: it hands the kernel the
+    Operands its forward wrote and the training cache kept, and the kernel
+    allocates only the gradients and its tile buffers."""
+    return attend_prepared_backward(d_ctx, Operands.prepare(qh, kh, vh, spec), stats, spec,
+                                    pool)
+
+
+def attend_prepared_backward(d_ctx, ops: Operands, stats: SoftmaxStats, spec: AttentionSpec,
+                             pool: LayerPool = INLINE):
+    """attend_backward on the Operands attend_prepared read, read where they
+    are; allocates only the gradients and each part's two tile buffers.
 
     The same loop over attend's blocks. Each tile is recomputed: the masked
     scores go through softmax_rows with attend's shift and row sum, which
@@ -293,38 +359,38 @@ def attend_backward(d_ctx, qh, kh, vh, stats: SoftmaxStats, spec: AttentionSpec,
     d_probs = d_ctx @ V_windowᵀ becomes d_scores = tile * (d_probs - D) in
     place, with D = rowsum(d_ctx * ctx) taken once per head on [n, head_dim];
     d_q = d_scores @ K_window, and d_k, d_v are tileᵀ @ {scaled q, d_ctx}
-    overlap-added into the padded key axis. Two tile buffers per part serve
-    all its blocks. pool runs the block loop with the heads split into its
-    parts and each part's heads in groups, as attend does; every step is
-    taken per head, so the bits do not depend on how the heads are split or
-    grouped.
+    overlap-added into the padded key axis. pool runs the block loop with
+    the heads split into its parts and each part's heads in groups, as
+    attend does; every step is taken per head, so the bits do not depend on
+    how the heads are split or grouped. The gradients are those of the
+    plain operands: d_q carries the scale, d_k and d_v only the key rows.
 
     The scale is a Python float, as in attend, so the gradients keep the
     inputs' dtype (a NumPy float64 scalar would promote float32 to float64).
     """
-    tiles = _Tiles(qh, kh, stats.pad, spec, buffers=2)
-    g, n, qs, kp, vp = tiles.g, tiles.n, tiles.qs, tiles.kp, _pad_buffer(vh, tiles.g)
-    d_qh, d_kp, d_vp = np.empty_like(qh), np.zeros_like(kp), np.zeros_like(vp)
+    tiles = _Tiles(ops, stats.pad, spec, buffers=2)
+    g, n = tiles.g, tiles.n
+    heads, _, head_dim = ops.q.shape
+    d_qh = np.empty((heads, n, head_dim), ops.q.dtype)
+    d_kp, d_vp = (np.zeros((heads, g.length, head_dim), x.dtype) for x in (ops.k, ops.v))
 
     def run_heads(part: slice):
         work = tiles.allocate(part)
         for h in tiles.groups(part):
-            tiles.load(h)
-            _pad_into(vp, vh, g, h)
             d_rows = (d_ctx[h] * stats.ctx[h]).sum(axis=-1, keepdims=True)
             for rows, keys in tiles.blocks():
                 scores = tiles.masked_scores(work, rows, keys, h)
                 tile = softmax_rows(scores, out=scores, stats=(stats.row_max[h, rows, None],
                                                                stats.row_sum[h, rows, None]))
                 d_vp[h, keys] += tile.swapaxes(-1, -2) @ d_ctx[h, rows]
-                d_scores = np.matmul(d_ctx[h, rows], vp[h, keys].swapaxes(-1, -2),
+                d_scores = np.matmul(d_ctx[h, rows], ops.v[h, keys, :head_dim].swapaxes(-1, -2),
                                      out=tiles.tile(work, 1, rows, h))
                 d_scores -= d_rows[:, rows]
                 d_scores *= tile
-                d_qh[h, rows] = (d_scores @ kp[h, keys]) * tiles.scale
-                d_kp[h, keys] += d_scores.swapaxes(-1, -2) @ qs[h, rows]
+                d_qh[h, rows] = (d_scores @ ops.k[h, keys]) * tiles.scale
+                d_kp[h, keys] += d_scores.swapaxes(-1, -2) @ ops.q[h, rows]
 
-    pool.run(run_heads, pool.split(qh.shape[0]))
+    pool.run(run_heads, pool.split(heads))
     return d_qh, d_kp[:, g.lead:g.lead + n], d_vp[:, g.lead:g.lead + n]
 
 

@@ -16,7 +16,14 @@ from typing import Any
 
 import numpy as np
 
-from .attention import GLOBAL, LOCAL, AttentionSpec, attend, attend_backward
+from .attention import (
+    GLOBAL,
+    LOCAL,
+    AttentionSpec,
+    Operands,
+    attend_prepared,
+    attend_prepared_backward,
+)
 from .checkpoint import array_entry, read_checkpoint, reject_unused, write_checkpoint
 from .errors import (
     ConfigError,
@@ -310,18 +317,19 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
 _ROW_ALIGN = 16
 _MIN_SPLIT_WIDTH = 32
 _MIN_PART_ROWS = 128
-# Phase C runs a part's FFN in blocks of at most _FFN_ROWS rows, cut at
-# multiples of _ROW_ALIGN, so an uncached forward needs [block, ffn_dim]
-# scratch per part, not [n, ffn_dim] arrays. The blocks depend on n alone.
-_FFN_ROWS = 256
+# Phases A and C run a part in blocks of at most _BLOCK_ROWS rows, cut at
+# multiples of _ROW_ALIGN, so an uncached forward needs [block, d] layer-norm
+# and V scratch and [block, ffn_dim] FFN scratch per part, not [n, d] and
+# [n, ffn_dim] arrays. The blocks depend on n alone.
+_BLOCK_ROWS = 256
 
 
-def _ffn_blocks(r: slice) -> list[slice]:
-    """A phase C part's rows cut into near-equal blocks of at most _FFN_ROWS.
-    With at most _FFN_ROWS - _ROW_ALIGN rows per block before rounding, the
-    rounding of the inner bounds keeps every block within _FFN_ROWS."""
+def _row_blocks(r: slice) -> list[slice]:
+    """A part's rows cut into near-equal blocks of at most _BLOCK_ROWS.
+    With at most _BLOCK_ROWS - _ROW_ALIGN rows per block before rounding, the
+    rounding of the inner bounds keeps every block within _BLOCK_ROWS."""
     rows = r.stop - r.start
-    blocks = -(-rows // (_FFN_ROWS - _ROW_ALIGN))
+    blocks = -(-rows // (_BLOCK_ROWS - _ROW_ALIGN))
     return [slice(r.start + b.start, r.start + b.stop) for b in cut(rows, blocks, _ROW_ALIGN)]
 
 
@@ -329,18 +337,26 @@ def _layer_forward(model: EncoderModel, i: int, x, pad, pool, row_parts, want_ca
     """Layer i of forward on the residual stream x, in place; returns the
     layer's cache, or None without want_cache.
 
-    Phase A runs the rows of layer norm 1 and the Q/K/V projections, B attend
-    over the heads, and C the rows of the output projection and residual and
-    then, block by block of _ffn_blocks, layer norm 2, the FFN with GELU and
-    residual. Parts write disjoint slices of arrays allocated here; what no
-    cache keeps is scratch of one part or block. Each weight is made dense
-    once per phase: int4 decoded and a trained LoRA adapter folded in.
+    Phase A runs, block by block of _row_blocks, layer norm 1 and the Q/K/V
+    projections, which write straight into the layouts attention reads (an
+    attention.Operands): Q scaled by 1 / sqrt(head_dim), K at rows
+    lead : lead + n of the zero-padded key axis, V on that axis beside each
+    head's column of ones. B runs attend_prepared on them over the heads,
+    and C the rows of the output projection and residual and then, block by
+    block, layer norm 2, the FFN with GELU and residual. Parts write disjoint
+    slices of arrays allocated here; what no cache keeps is scratch of one
+    block. Each weight is made dense once per phase: int4 decoded and a
+    trained LoRA adapter folded in. An uncached T6 local forward at 2,048
+    tokens peaks in B, holding the residual stream, Q, K, V and ctx once
+    each: about 15 MB traced, with one worker or two.
 
     The cache's format is private to this module. It holds what
     layer_backward cannot rebuild bit for bit: both layer norms' xhat and
-    inv_std, Q, K, V, attention's context and softmax statistics, and the
-    FFN's input u and Phi(u), about 6 * embed_dim + 2 * ffn_dim floats per
-    token. The layer norms' and GELU's outputs are rebuilt, not kept.
+    inv_std, the Operands under qh, kh and vh, attention's context and
+    softmax statistics, and the FFN's input u and Phi(u), about
+    6 * embed_dim + 2 * ffn_dim floats per token (K and V a little more on
+    local mode's padded key axis). The layer norms' and GELU's outputs are
+    rebuilt, not kept.
     """
     cfg, P, p = model.config, model.params, f"layers.{i}"
     (n, d), f, dtype = x.shape, cfg.ffn_dim, x.dtype
@@ -356,29 +372,29 @@ def _layer_forward(model: EncoderModel, i: int, x, pad, pool, row_parts, want_ca
     ln1 = ln2 = u = cdf = cache = None
     if want_cache:
         ln1, ln2, u, cdf = (new(d), new(1)), (new(d), new(1)), new(f), new(f)
-    q, k, v = new(d), new(d), new(d)
-    w = {name: _dense_weight(model, f"{p}.{name}", dtype)
-         for name in ("q_proj", "k_proj", "v_proj")}
+    ops = Operands.allocate(n, cfg.attention, dtype)
+    w = [_dense_weight(model, f"{p}.{name}", dtype) for name in ("q_proj", "k_proj", "v_proj")]
 
     def phase_a(r):
-        h1, _ = layer_norm(x[r], P[f"{p}.attn_ln.gain"], P[f"{p}.attn_ln.bias"], out=kept(ln1, r))
-        for name, out in zip(w, (q, k, v)):
-            np.matmul(h1, w[name], out=out[r])
+        for b in _row_blocks(r):
+            h1, _ = layer_norm(x[b], P[f"{p}.attn_ln.gain"], P[f"{p}.attn_ln.bias"],
+                               out=kept(ln1, b))
+            ops.project(cfg.attention, b, h1, *w)
 
     pool.run(phase_a, row_parts)
-    qh, kh, vh = (_split_heads(t, cfg.num_heads) for t in (q, k, v))
-    ctx_h, stats = attend(qh, kh, vh, pad, cfg.attention, pool=pool)
+    del w
+    ctx_h, stats = attend_prepared(ops, pad, cfg.attention, pool=pool)
     if want_cache:
-        cache = dict(ln1=ln1, qh=qh, kh=kh, vh=vh, stats=stats, ln2=ln2, u=u, cdf=cdf)
+        cache = dict(ln1=ln1, qh=ops.q, kh=ops.k, vh=ops.v, stats=stats, ln2=ln2, u=u, cdf=cdf)
     # Freed before phase C when nothing keeps them; the rest goes on return,
     # before the next layer's attention sets the peak memory.
-    del q, k, v, qh, kh, vh, stats, ln1
+    del ops, stats, ln1
     w = {name: _dense_weight(model, f"{p}.{name}", dtype)
          for name in ("o_proj", "ffn_in", "ffn_out")}
 
     def phase_c(r):
         x[r] += _merge_heads(ctx_h[:, r]) @ w["o_proj"]
-        for b in _ffn_blocks(r):
+        for b in _row_blocks(r):
             h2, _ = layer_norm(x[b], P[f"{p}.ffn_ln.gain"], P[f"{p}.ffn_ln.bias"],
                                out=kept(ln2, b))
             u_b = np.matmul(h2, w["ffn_in"], out=None if u is None else u[b])
@@ -413,9 +429,9 @@ def layer_backward(model: EncoderModel, i: int, cache: dict, d_x, proj, acc, poo
     d_x_mid = d_x + d_mid_ln
     # attention half: x_mid = x_in + o_proj(heads(LN1(x_in)))
     d_ctx = proj(f"{p}.o_proj", _merge_heads(cache["stats"].ctx), d_x_mid)
-    d_qh, d_kh, d_vh = attend_backward(_split_heads(d_ctx, cfg.num_heads), cache["qh"],
-                                       cache["kh"], cache["vh"], cache["stats"], cfg.attention,
-                                       pool)
+    ops = Operands(cache["qh"], cache["kh"], cache["vh"])
+    d_qh, d_kh, d_vh = attend_prepared_backward(_split_heads(d_ctx, cfg.num_heads), ops,
+                                                cache["stats"], cfg.attention, pool)
     h1 = layer_norm_output(cache["ln1"], P[f"{p}.attn_ln.gain"], P[f"{p}.attn_ln.bias"])
     d_h1 = proj(f"{p}.q_proj", h1, _merge_heads(d_qh))
     d_h1 += proj(f"{p}.k_proj", h1, _merge_heads(d_kh))

@@ -234,11 +234,15 @@ class _Backprop:
 
     def sequence_backward(self, cache: dict, d_logits: np.ndarray, seq: int) -> None:
         """Adds sequence seq's gradients, one encoder.layer_backward per layer,
-        which releases each layer's cache once its gradients are taken."""
+        which releases each layer's cache once its gradients are taken. The
+        hidden states and the final layer norm's cache are released once that
+        norm's gradient is taken, before the layers'."""
         model = self.model
         proj, acc = partial(self.proj_backward, seq), partial(self._acc, seq)
-        d_hidden = proj("mlm_head", cache["hidden"], d_logits)
-        d_x, d_gf, d_bf = layer_norm_grad(d_hidden, cache["lnf"], model.params["final_ln.gain"])
+        d_hidden = proj("mlm_head", cache.pop("hidden"), d_logits)
+        d_x, d_gf, d_bf = layer_norm_grad(d_hidden, cache.pop("lnf"),
+                                          model.params["final_ln.gain"])
+        del d_hidden
         acc("final_ln.gain", d_gf)
         acc("final_ln.bias", d_bf)
         for i in reversed(range(model.config.num_layers)):
@@ -274,6 +278,7 @@ def mlm_loss(model: EncoderModel, masked_batch, labels):
         try:
             hidden, cache = forward(model, tokens, want_cache=True)
             logits = mlm_logits(model, hidden)
+            del hidden  # the cache's reference goes in sequence_backward
             positions = np.array([p for p, _ in seq_labels], dtype=np.int64)
             targets = np.array([t for _, t in seq_labels], dtype=np.int64)
             z = logits[positions]

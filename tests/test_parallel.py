@@ -349,6 +349,33 @@ def test_uncached_forward_working_set(use_pool, monkeypatch, workers, bound_mb):
                for shape in buffers)
 
 
+def test_long_forward_holds_each_operand_once(use_pool):
+    """One uncached forward at 2,048 tokens, T6's width, local window 128, on
+    one worker: the peak is the residual stream, Q, the padded K, V with its
+    ones column and ctx with its row sums, plus one tile budget and one FFN
+    block's scratch. A whole-sequence copy of Q, K or V (2.6 MiB each) would
+    break the bound, as the scaled-Q and padded-K and V copies that attend
+    made before reading Q, K and V in place did (21.6 MiB)."""
+    use_pool(1)
+    n, spec = 2048, AttentionSpec("local", 20, 16, 128)
+    model = build_model(ModelConfig(2, 20, 320, n, 1280, spec), seed=5)
+    toks = tokens(n, model.config, seed=6)
+    forward(model, toks)  # warm: no first-call allocation counts
+    d, f, heads = model.config.embed_dim, model.config.ffn_dim, spec.num_heads
+    length = attention._geometry(n, spec).length
+    operands = n * d + n * d + length * d + length * (d + heads) + n * (d + heads)
+    # layer norm 2's xhat and output, the FFN's input, GELU and output products
+    ffn_block = encoder._BLOCK_ROWS * (3 * d + 2 * f)
+    bound = (operands + attention._TILE_BUDGET + ffn_block) * np.dtype(np.float32).itemsize
+    tracemalloc.start()
+    try:
+        forward(model, toks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, (peak / 2**20, bound / 2**20)
+
+
 def random_records(lengths, seed):
     rng = np.random.default_rng(seed)
     return [ProteinRecord(f"P{i}", "".join(rng.choice(list(CANONICAL), size=n)))
@@ -658,9 +685,9 @@ def run_python(code: str) -> str:
 
 
 def test_cli_import_starts_no_thread():
-    """The pool is made by the first forward, so a command that runs no
-    encoder, such as annotate's, starts no thread. Run in a subprocess: the
-    test run itself has made the pool."""
+    """The pool is made on its first use, so a command that never uses it,
+    such as eval, starts no thread. Run in a subprocess: the test run itself
+    has made the pool."""
     probe = ("import threading, eslong.cli, eslong.parallel; "
              "print(threading.active_count(), eslong.parallel._pool)")
     assert run_python(probe) == "1 None"

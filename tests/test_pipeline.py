@@ -1,5 +1,6 @@
 """FASTA parsing, segmentation, embedding extraction, and the store format."""
 
+import hashlib
 import io
 import struct
 
@@ -7,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_corpus
-from eslong.encoder import forward, tokenize
+from conftest import CANONICAL, random_corpus
+from eslong.attention import AttentionSpec
+from eslong.encoder import ModelConfig, build_model, extend_context, forward, tokenize
 from eslong.errors import ConfigError, FormatError, IngestionError, InputError
 from eslong.pipeline import (
     EmbeddingRecord,
@@ -22,6 +24,7 @@ from eslong.pipeline import (
     write_store,
     write_store_tsv,
 )
+from eslong.quant import quantize_model
 
 
 class TestParseFasta:
@@ -205,6 +208,39 @@ class TestEmbedCorpus:
         assert len(segment(seq, 2046)) == 2
         out, _ = embed_corpus(toy_model, [ProteinRecord("P", seq)], 62)
         assert out[0].slice_count == len(segment(seq, 62))
+
+
+class TestRecordedStores:
+    """embed_corpus stores of two-layer models of T6's width keep their bits."""
+
+    # sha256 of each store, recorded before attention read Q, K and V where
+    # the layer's projections wrote them; x86-64, numpy 2.4, OpenBLAS 0.3.31.
+    RECORDED = {
+        "local-int4": "4c65c4f27fff9633a7ccff7349a72fc915faed65a2a9eba9150f20cd4b4ed3c1",
+        "global-fp32": "fec8c45aaeb88857f245418b14f90a964c89e0eda3cd83d890c99a1540ece990",
+    }
+
+    @pytest.mark.parametrize("case", ["local-int4", "global-fp32"])
+    def test_store_keeps_recorded_bits(self, case, tmp_path):
+        # local-int4: window 128 on a model extended to 2,050 positions; the
+        # 3,200-residue record cuts into slices of 2,046 and 1,154, which run
+        # edge and interior blocks on the zero-padded key axis. global-fp32:
+        # 700 residues run three 234-row blocks.
+        if case == "local-int4":
+            spec, seed, lengths, limit = AttentionSpec("local", 20, 16, 128), 9, (3200, 300), 2046
+        else:
+            spec, seed, lengths, limit = AttentionSpec("global", 20, 16), 11, (700, 45), 1022
+        model = build_model(ModelConfig(2, 20, 320, 1024, 1280, spec), seed=seed)
+        if case == "local-int4":
+            model = quantize_model(extend_context(model, 2050))
+        rng = np.random.default_rng(seed + 1)
+        records = [ProteinRecord(f"P{i}", "".join(rng.choice(list(CANONICAL), size=n)))
+                   for i, n in enumerate(lengths)]
+        embeddings, failures = embed_corpus(model, records, residue_limit=limit)
+        assert not failures
+        path = tmp_path / "store.esem"
+        write_store(path, embeddings)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.RECORDED[case]
 
 
 class TestStore:

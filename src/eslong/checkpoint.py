@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+from contextlib import contextmanager
 from typing import Any, BinaryIO
 
 import numpy as np
@@ -42,11 +43,37 @@ def _write_entry_header(fh: BinaryIO, name: str, dtype: int, dims: tuple[int, ..
         fh.write(struct.pack("<I", d))
 
 
+@contextmanager
+def replaced_on_success(path):
+    """A binary file handle on path + ".tmp", which replaces path once the
+    block ends; if the block raises, the .tmp file is removed and path keeps
+    its old bytes, so no truncated file is left under the final name.
+
+    A symlink's target is the file replaced, and a path that exists but is
+    no regular file (a device such as /dev/null, a FIFO) is written directly,
+    since renaming over it would replace the device itself."""
+    path = os.path.realpath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "wb") as fh:
+            yield fh
+        return
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def write_checkpoint(path, tensors: dict[str, Any], config: dict) -> None:
     """Write the config entry followed by tensors in the given dict order.
 
     A NaN or infinite real32 value or int4 scale, which readers reject, is
-    refused before the file is opened, so no unloadable file is left behind."""
+    refused before the file is opened, so no unloadable file is left behind;
+    the file is written whole before it takes path's name."""
     tensors = {name: (value if isinstance(value, QuantizedTensor)
                       else np.ascontiguousarray(value, dtype=np.float32))
                for name, value in tensors.items()}
@@ -55,7 +82,7 @@ def write_checkpoint(path, tensors: dict[str, Any], config: dict) -> None:
         if not np.isfinite(values).all():
             raise InputError(f"tensor {name!r} holds NaN or infinite values; not writing {path}")
     config_bytes = json.dumps(config, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
+    with replaced_on_success(path) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, len(tensors) + 1))
         _write_entry_header(fh, CONFIG_ENTRY, DTYPE_JSON, (len(config_bytes),))

@@ -156,7 +156,11 @@ def cmd_pretrain(args) -> Outcome:
     corpus = [piece for rec in records for piece in segment(rec.sequence, capacity)]
     log.info("pretraining on %d segments from %d proteins", len(corpus), len(records))
     run_log = str(args.out) + ".runlog.jsonl"
-    trained, curve = pretrain(model, corpus, train_cfg, run_log=run_log)
+    # Handed over through a list, so that only pretrain holds the untrained
+    # weights and frees them after its first step.
+    start = [model]
+    del model
+    trained, curve = pretrain(start.pop(), corpus, train_cfg, run_log=run_log)
     save_model(trained, args.out)
     return Outcome(args.out,
                    {"train": dataclasses.asdict(train_cfg),

@@ -176,7 +176,11 @@ def train_head(train_embeddings, truth, cfg: HeadConfig, val_embeddings, metrics
     truth is a table or a dict (see `ontology.as_annotations`); the head
     predicts every term it annotates, and a term counts as a positive label
     where its score is above 0. Every training and validation record needs a
-    row in truth."""
+    row in truth.
+
+    Each AdamW step updates the live parameters in place (see train_epochs),
+    so an epoch whose validation Fmax is the best so far is kept as a copy;
+    the returned head owns that copy."""
     truth = as_annotations(truth)
     term_list = truth.annotated_terms()
     if len(term_list) != cfg.num_terms:
@@ -206,8 +210,7 @@ def train_head(train_embeddings, truth, cfg: HeadConfig, val_embeddings, metrics
         train_loss = float(np.mean(losses))
         losses.clear()
         if val_fmax > best["fmax"]:
-            # adamw_step never writes an array it returned: no copy needed.
-            best.update(fmax=val_fmax, params=params)
+            best.update(fmax=val_fmax, params={k: v.copy() for k, v in params.items()})
         return {"train_loss": train_loss, "val_fmax": val_fmax}
 
     _, metrics = train_epochs(head.params, len(x_train), cfg, "head-shuffle", batch_grads,

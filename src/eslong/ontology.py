@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checkpoint import read_exact
+from .checkpoint import read_exact, replaced_on_success
 from .errors import (
     EslongError,
     FormatError,
@@ -527,13 +527,12 @@ def save_annotations(path, annotations) -> None:
             os.remove(table_path)
         return
     ids = "".join(f"{x}\n" for x in (*written_proteins, *written_terms)).encode("utf-8")
-    with open(table_path + ".tmp", "wb") as fh:
+    with replaced_on_success(table_path) as fh:
         fh.write(_TABLE_HEADER.pack(TABLE_MAGIC, TABLE_VERSION, digest.digest(),
                                     len(written_proteins), len(written_terms), len(scores),
                                     len(ids)))
         for part in (ids, indptr, indices, scores):
             fh.write(part)
-    os.replace(table_path + ".tmp", table_path)
 
 
 def _row_blocks(indptr):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import read_exact
+from .checkpoint import read_exact, replaced_on_success
 from .encoder import EncoderModel, forward, tokenize
 from .errors import ConfigError, EslongError, FormatError, IngestionError, InputError, text_lines
 from .parallel import layer_pool
@@ -183,7 +183,8 @@ def write_store(path, embeddings, embed_dim: int | None = None) -> None:
     (id, slice_count, float32 vector) per record. Every record is checked
     before the file is opened, so a rejected store leaves no partial file; a
     repeated id, or a NaN or infinite vector, which only a broken model
-    produces, is rejected."""
+    produces, is rejected. The file is written whole before it takes path's
+    name."""
     embeddings = list(embeddings)
     if embed_dim is None:
         if not embeddings:
@@ -213,7 +214,7 @@ def write_store(path, embeddings, embed_dim: int | None = None) -> None:
                 f"the store holds at most {_U16_MAX}"
             )
         rows.append((raw, rec))
-    with open(path, "wb") as fh:
+    with replaced_on_success(path) as fh:
         fh.write(STORE_MAGIC)
         fh.write(struct.pack("<III", STORE_VERSION, len(embeddings), embed_dim))
         for raw, rec in rows:

@@ -164,12 +164,18 @@ class _Backprop:
     The sequences, numbered in input order, may run on different threads.
     Sequence s adds to a gradient only after sequence s - 1 has, so every sum
     has the bits of a serial loop. Each sequence adds to each gradient once.
+    The sums go into grads, keyed as get_trainable keys the model's tensors,
+    or into a zeroed set made here when grads is None.
     """
 
-    def __init__(self, model: EncoderModel):
+    def __init__(self, model: EncoderModel, grads=None):
         self.model = model
         self.base_trainable = not model.adapters
-        self.grads = {k: np.zeros_like(v) for k, v in get_trainable(model).items()}
+        if grads is None:
+            grads = {k: np.zeros_like(v) for k, v in get_trainable(model).items()}
+        elif sorted(grads) != sorted(trainable_keys(model)):
+            raise ContractError("grads must hold one array per trainable tensor")
+        self.grads = grads
         # The pool the forward uses; the backward runs its parts on it too.
         self.pool = layer_pool()
         self._dense = {}
@@ -255,9 +261,12 @@ class _Backprop:
                 grad[: tok.size] += d_x
 
 
-def mlm_loss(model: EncoderModel, masked_batch, labels):
+def mlm_loss(model: EncoderModel, masked_batch, labels, grads=None):
     """Mean cross-entropy over all labeled positions, plus gradients for every
     trainable tensor (summed over the batch in input order).
+
+    The gradients are added into grads, one array per get_trainable key,
+    which are returned; without grads they go into a zeroed set made here.
 
     The labeled sequences are the parts of one layer_pool().run, taken in
     input order, with OpenBLAS held at one thread throughout: each thread
@@ -268,7 +277,7 @@ def mlm_loss(model: EncoderModel, masked_batch, labels):
     total_labels = sum(len(seq_labels) for seq_labels in labels)
     if total_labels == 0:
         raise ContractError("mlm_loss needs at least one labeled position")
-    bp = _Backprop(model)
+    bp = _Backprop(model) if grads is None else _Backprop(model, grads)
     labeled = [(tokens, seq_labels) for tokens, seq_labels in zip(masked_batch, labels)
                if seq_labels]
     losses = [0.0] * len(labeled)
@@ -305,11 +314,13 @@ def mlm_loss(model: EncoderModel, masked_batch, labels):
 
 
 def init_adam_state(params: dict[str, np.ndarray]) -> dict:
-    """Zero moments, C-ordered so adamw_step can update them in place."""
+    """Zero moments, C-ordered so adamw_step can update them in place, and an
+    empty set of parameter buffers, which the first step fills."""
     return {
         "t": 0,
         "m": {k: np.zeros(v.shape, v.dtype) for k, v in params.items()},
         "v": {k: np.zeros(v.shape, v.dtype) for k, v in params.items()},
+        "params": {},
     }
 
 
@@ -324,13 +335,18 @@ def adamw_step(params, grads, state, cfg):
     beta1, beta2, eps and weight_decay.
 
     The moments in state (from init_adam_state) are updated in place, and
-    state itself is returned. params and grads are only read, so an array
-    this function returned is never written afterwards. Each tensor runs one
-    pass over chunks of _ADAM_CHUNK elements, with the float ops of
+    state itself is returned. The new parameters go into buffers that state
+    owns, state["params"], made at the first step; the dict returned is that
+    one. grads is only read, and so is params unless it is that dict: the
+    first step reads the caller's parameters and never writes them, and a
+    step given the arrays the last step returned updates them in place. So
+    an array this function returned is rewritten by the next step, and a
+    caller that keeps one across steps copies it. Each tensor runs one pass
+    over chunks of _ADAM_CHUNK elements, with the float ops of
     m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2,
     p' = p (1 - lr wd) - lr (m / bc1) / (sqrt(v / bc2) + eps) in that order,
-    so the bits are those of the same expressions on whole tensors. The new
-    parameter array is the one allocation per tensor.
+    so the bits are those of the same expressions on whole tensors, in place
+    or not.
     """
     t = state["t"] + 1
     lr = cfg.learning_rate
@@ -340,11 +356,12 @@ def adamw_step(params, grads, state, cfg):
     decay = 1.0 - lr * cfg.weight_decay
     size = min(_ADAM_CHUNK, max((p.size for p in params.values()), default=0))
     buffers = {}  # two chunk buffers per dtype
-    new_params = {}
+    new_params = state["params"]
     for key, p in params.items():
         m, v = state["m"][key], state["v"][key]
-        out = np.empty(p.shape, p.dtype)
-        new_params[key] = out
+        if key not in new_params:
+            new_params[key] = np.empty(p.shape, p.dtype)
+        out = new_params[key]
         if p.dtype not in buffers:
             buffers[p.dtype] = (np.empty(size, p.dtype), np.empty(size, p.dtype))
         a_buf, b_buf = buffers[p.dtype]
@@ -376,12 +393,17 @@ def train_epochs(params, count: int, cfg, stream: str, batch_grads, end_epoch, l
 
     Each epoch shuffles range(count) with the cfg.seed sub-stream named stream
     and walks it in batches of cfg.batch_size. batch_grads(params, indices)
-    returns the batch's gradients, or None to skip the batch; each step's
-    gradients are dropped before the next batch runs. After each epoch,
-    end_epoch(params) gives that epoch's record fields. The record is
-    {"epoch", *fields, "wall_ms"}, and the optional log_path receives one JSON
-    line per record. adamw_step never writes an array it returned, so a caller
-    may keep an epoch's params by reference.
+    returns the batch's gradients, or None to skip the batch; it may return
+    the same arrays each time, since each step has read them before the next
+    batch runs. After each epoch, end_epoch(params) gives that epoch's record
+    fields. The record is {"epoch", *fields, "wall_ms"}, and the optional
+    log_path receives one JSON line per record.
+
+    Ownership: the given params are only read, at the first step, and this
+    loop keeps no reference to them after it; if the caller holds none
+    either, they are freed then. From the first step on, params are the
+    buffers of the Adam state, updated in place by each step, so a caller
+    that keeps one epoch's params past the next step copies them.
     """
     state = init_adam_state(params)
     shuffle_rng = np.random.default_rng(derive_seed(cfg.seed, stream))
@@ -395,7 +417,7 @@ def train_epochs(params, count: int, cfg, stream: str, batch_grads, end_epoch, l
                 if grads is None:
                     continue
                 params, state = adamw_step(params, grads, state, cfg)
-                # The next batch runs without these.
+                # The next batch runs without this reference.
                 del grads
             record = {"epoch": epoch, **end_epoch(params),
                       "wall_ms": int((time.monotonic() - started) * 1000)}
@@ -411,9 +433,14 @@ def pretrain(model: EncoderModel, corpus, cfg: TrainConfig, run_log=None):
     Returns (trained model, per-epoch mean losses). Sequences must already fit
     the model capacity: tokenize raises LengthError before any step. When
     adapters are attached only they are updated, and the trained model shares
-    the frozen base with model. Every step builds a new model, so model itself
-    is never written to. The optional run_log path receives one JSON record
-    per epoch.
+    the frozen base with model. The optional run_log path receives one JSON
+    record per epoch.
+
+    Ownership: model is never written to. Its trainable tensors are read by
+    the first step and not held after it, so a caller that drops its own
+    reference frees them then. From the second step on, the weight-sized
+    sets alive are the parameters, which each step updates in place, the two
+    Adam moments and one gradient set, which is zeroed before each batch.
     """
     if not corpus:
         raise ContractError("training corpus is empty")
@@ -422,14 +449,21 @@ def pretrain(model: EncoderModel, corpus, cfg: TrainConfig, run_log=None):
     tokenized = [tokenize(seq, model.config) for seq in corpus]
     mask_rng = np.random.default_rng(derive_seed(cfg.seed, "masking"))
     totals = [0.0, 0]  # the epoch's label-weighted loss and label count
+    # The one list that holds the untrained tensors hands them to train_epochs.
+    start = [get_trainable(model)]
+    grads = {k: np.zeros_like(v) for k, v in start[0].items()}
+    shell = with_trainable(model, dict.fromkeys(grads))  # the rest of model
+    del model
 
     def batch_grads(params, indices):
         batch = [tokenized[i] for i in indices]
-        masked, labels = mask_batch(batch, cfg, mask_rng, model.config.vocab)
+        masked, labels = mask_batch(batch, cfg, mask_rng, shell.config.vocab)
         n_labels = sum(len(seq_labels) for seq_labels in labels)
         if n_labels == 0:
             return None
-        loss, grads = mlm_loss(with_trainable(model, params), masked, labels)
+        for grad in grads.values():
+            grad.fill(0)
+        loss, _ = mlm_loss(with_trainable(shell, params), masked, labels, grads)
         totals[0] += loss * n_labels
         totals[1] += n_labels
         return grads
@@ -439,9 +473,9 @@ def pretrain(model: EncoderModel, corpus, cfg: TrainConfig, run_log=None):
         totals[:] = [0.0, 0]
         return {"mean_loss": mean_loss}
 
-    params, records = train_epochs(get_trainable(model), len(tokenized), cfg, "shuffle",
+    params, records = train_epochs(start.pop(), len(tokenized), cfg, "shuffle",
                                    batch_grads, end_epoch, run_log)
-    return with_trainable(model, params), [record["mean_loss"] for record in records]
+    return with_trainable(shell, params), [record["mean_loss"] for record in records]
 
 
 def attach_lora(model: EncoderModel, targets, rank: int, alpha: float, seed: int = 0) -> EncoderModel:

@@ -1,10 +1,13 @@
 """Shared fixtures and oracles for the test suite."""
 
+import builtins
+import errno
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from eslong import checkpoint
 from eslong.attention import AttentionSpec
 from eslong.checkpoint import write_checkpoint
 from eslong.encoder import ModelConfig, build_model, preset_config
@@ -49,6 +52,46 @@ def write_non_finite(path, tensors, config, marks):
     for mark, value in marks.items():
         data = data.replace(np.float32(mark).tobytes(), np.float32(value).tobytes())
     path.write_bytes(data)
+
+
+class _FillingFile:
+    """A binary file that takes limit bytes, then raises ENOSPC, as a write
+    to a disk that fills up midway does."""
+
+    def __init__(self, path, limit):
+        self.fh = builtins.open(path, "wb")
+        self.left = limit
+
+    def write(self, data):
+        data = memoryview(data).cast("B")
+        if data.nbytes > self.left:
+            self.fh.write(data[: self.left])
+            self.left = 0
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.left -= data.nbytes
+        return self.fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+@pytest.fixture()
+def disk_fills_after(monkeypatch):
+    """disk_fills_after(limit): from then on, every file eslong.checkpoint
+    opens for writing takes limit bytes and then raises ENOSPC."""
+
+    def fill_after(limit):
+        def open_(path, mode="r", *args, **kwargs):
+            if "w" in mode:
+                return _FillingFile(path, limit)
+            return builtins.open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(checkpoint, "open", open_, raising=False)
+
+    return fill_after
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,9 @@
 """Container format: layout, round-trips, and rejection of bad inputs."""
 
+import os
+import stat
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -41,6 +44,41 @@ class TestRoundTrip:
         write_checkpoint(a, tensors, {"x": 1})
         write_checkpoint(b, tensors, {"x": 1})
         assert a.read_bytes() == b.read_bytes()
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path, disk_fills_after):
+        path = tmp_path / "ckpt.eslg"
+        write_checkpoint(path, sample_tensors(), {"x": 1})
+        old = path.read_bytes()
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.eslg"]
+        disk_fills_after(len(old) // 2)
+        with pytest.raises(OSError, match="No space"):
+            write_checkpoint(path, sample_tensors(), {"x": 2})
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.eslg"]
+
+    def test_write_through_a_symlink_keeps_the_link(self, tmp_path):
+        target, link = tmp_path / "target.eslg", tmp_path / "link.eslg"
+        target.write_bytes(b"old")
+        link.symlink_to(target)
+        write_checkpoint(link, sample_tensors(), {"x": 1})
+        write_checkpoint(tmp_path / "plain.eslg", sample_tensors(), {"x": 1})
+        assert link.is_symlink()
+        assert target.read_bytes() == (tmp_path / "plain.eslg").read_bytes()
+
+    def test_write_to_a_fifo_keeps_the_fifo(self, tmp_path):
+        # A non-regular file (a FIFO here, /dev/null in use) takes the bytes
+        # directly: renaming a whole file over it would replace it.
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()),
+                                  daemon=True)
+        reader.start()
+        write_checkpoint(fifo, sample_tensors(), {"x": 1})
+        reader.join(timeout=10)
+        write_checkpoint(tmp_path / "plain.eslg", sample_tensors(), {"x": 1})
+        assert received == [(tmp_path / "plain.eslg").read_bytes()]
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
 
 
 class TestRejection:

@@ -1,5 +1,7 @@
 """Classifier head: separable-task training, prediction contracts, selection."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,23 @@ class TestTrainHead:
         val_truth = {r.protein_id: truth[r.protein_id] for r in val}
         achieved = fmax(predict(head, val), val_truth).fmax
         assert achieved == pytest.approx(best_in_log)
+
+    def test_best_epoch_is_kept_while_later_epochs_train(self):
+        # Each step updates the live parameters in place, so the best epoch
+        # must be kept as a copy: training on past it must return the very
+        # parameters that stopping at it returns.
+        rng = np.random.default_rng(1)
+        train, val, truth = separable_task(rng, n_train=20, n_val=10)
+        cfg = HeadConfig(input_dim=8, num_terms=2, hidden_dim=8,
+                         learning_rate=0.05, epochs=8, batch_size=8, seed=1)
+        longer, metrics = train_head(train, truth, cfg, val)
+        scores = [r["val_fmax"] for r in metrics]
+        best = scores.index(max(scores)) + 1
+        assert best < cfg.epochs
+        stopped, _ = train_head(train, truth, replace(cfg, epochs=best), val)
+        assert sorted(longer.params) == sorted(stopped.params)
+        for key, value in stopped.params.items():
+            assert longer.params[key].tobytes() == value.tobytes(), key
 
     def test_missing_truth_rejected(self):
         rng = np.random.default_rng(3)

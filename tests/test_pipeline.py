@@ -293,6 +293,19 @@ class TestStore:
         with pytest.raises(FormatError):
             read_store(path)
 
+    def test_failed_write_keeps_the_old_file(self, tmp_path, disk_fills_after):
+        path = tmp_path / "x.esem"
+        records = [EmbeddingRecord(f"P{i}", np.full(4, i, dtype=np.float32), 1)
+                   for i in range(8)]
+        write_store(path, records)
+        old = path.read_bytes()
+        assert [p.name for p in tmp_path.iterdir()] == ["x.esem"]
+        disk_fills_after(len(old) // 2)
+        with pytest.raises(OSError, match="No space"):
+            write_store(path, records[:6])
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["x.esem"]
+
     def test_repeated_id_rejected(self, tmp_path):
         path = tmp_path / "x.esem"
         with pytest.raises(InputError, match="'P1'"):

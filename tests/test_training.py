@@ -9,6 +9,7 @@ import pytest
 
 from conftest import CANONICAL, random_corpus, tiny_config, traced_peak
 from eslong.attention import AttentionSpec
+from eslong.cli import main
 from eslong.encoder import (
     DEFAULT_VOCAB,
     ModelConfig,
@@ -133,6 +134,21 @@ class TestMlmLoss:
         toks = tokenize("ACD", toy_model.config)
         with pytest.raises(ContractError):
             mlm_loss(toy_model, [toks], [[]])
+
+    def test_adds_into_a_given_gradient_set(self, toy_model):
+        # One sequence of distinct tokens: each gradient element takes one
+        # addition, so adding into ones gives ones + the fresh gradient.
+        toks = tokenize("ACDEFGHIKL", toy_model.config)
+        labels = [[(2, toks[2]), (6, toks[6])]]
+        loss, fresh = mlm_loss(toy_model, [toks], labels)
+        given = {k: np.ones_like(v) for k, v in fresh.items()}
+        again, returned = mlm_loss(toy_model, [toks], labels, given)
+        assert again == loss and returned is given
+        for key, grad in fresh.items():
+            assert given[key].tobytes() == (grad + 1).tobytes(), key
+        del given["mlm_head"]
+        with pytest.raises(ContractError):
+            mlm_loss(toy_model, [toks], labels, given)
 
 
 def t6_width_sequence(mode: str, n: int):
@@ -365,6 +381,57 @@ class TestPretrain:
         cfg = TrainConfig(epochs=1, mask_fraction=0.0)
         with pytest.raises(ConfigError):
             pretrain(toy_model, ["ACDEF"], cfg)
+
+
+class TestPretrainMemory:
+    """Weight-sized sets alive during full-parameter pre-training at T6's
+    width (two layers), on four short sequences in one batch per step. The
+    untrained weights are read by the first step and then dropped; from the
+    second step on a step holds the parameters, updated in place, the two
+    Adam moments and one gradient set."""
+
+    CONFIG = ModelConfig(2, 20, 320, 1024, 1280, AttentionSpec("global", 20, 16, None))
+    CORPUS = ["".join(np.random.default_rng(i).choice(list(CANONICAL), 30)) for i in range(4)]
+
+    def sizes(self, model):
+        """(bytes of one weight set, bytes of the batch's kept cache): 6d + 2f
+        floats per token and layer, as in TestT6Width."""
+        one_set = sum(a.nbytes for a in get_trainable(model).values())
+        cfg, tokens = model.config, sum(len(seq) + 2 for seq in self.CORPUS)
+        kept = cfg.num_layers * tokens * (6 * cfg.embed_dim + 2 * cfg.ffn_dim) * 4
+        return one_set, kept
+
+    def test_second_step_holds_four_sets(self):
+        # The model is built before tracing starts, so its own set is not
+        # counted: the bound is params + m + v + grads, the kept cache, and
+        # half a set for the forward's and backward's scratch at these
+        # lengths. A step that makes its new parameters beside the old ones
+        # holds a fifth set at step 2.
+        model = build_model(self.CONFIG, seed=5)
+        one_set, kept = self.sizes(model)
+        cfg = TrainConfig(epochs=2, batch_size=len(self.CORPUS), learning_rate=1e-3, seed=1)
+        peak = traced_peak(pretrain, model, self.CORPUS, cfg)
+        assert peak < 4 * one_set + kept + one_set // 2, (peak / one_set, kept / one_set)
+
+    def test_cli_drops_the_untrained_model_after_the_first_step(self, tmp_path):
+        # Here the untrained model is built inside the traced call. Step 1
+        # holds it beside params, m, v and grads; from step 2 on it is gone.
+        # Holding it across the run makes a sixth set at step 2.
+        one_set, kept = self.sizes(build_model(self.CONFIG, seed=5))
+        fasta = tmp_path / "corpus.fasta"
+        fasta.write_text("".join(f">P{i}\n{seq}\n" for i, seq in enumerate(self.CORPUS)))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "model": {"num_layers": 2, "num_heads": 20, "embed_dim": 320, "ffn_dim": 1280,
+                      "max_positions": 1024},
+            "train": {"epochs": 2, "batch_size": len(self.CORPUS), "learning_rate": 1e-3,
+                      "seed": 1}}))
+        argv = ["pretrain", "--config", str(config), "--fasta", str(fasta),
+                "--out", str(tmp_path / "model.eslg")]
+        code = []
+        peak = traced_peak(lambda: code.append(main(argv)))
+        assert code == [0]
+        assert peak < 5 * one_set + kept + one_set // 2, (peak / one_set, kept / one_set)
 
 
 class TestLora:

@@ -265,20 +265,20 @@ class _Tiles:
         return scores
 
 
-def attend(qh, kh, vh, pad, spec: AttentionSpec, pool: LayerPool = INLINE):
+def attend(qh, kh, vh, pad, spec: AttentionSpec):
     """Multi-head attention under spec's visibility rule; returns (ctx, stats).
 
     qh/kh/vh are plain [heads, n, head_dim] operands; pad marks keys no
     query may see, and a query with no visible key gets zeros. They are
-    copied into Operands.prepare's layouts for attend_prepared, the kernel.
-    The encoder skips that copy: its phase A writes the scaled Q, the padded
-    K and V with its ones columns straight into an Operands.allocate, and
-    attend_prepared allocates only ctx with its row sums, the shifts and the
-    tile buffers. One uncached T6 local forward at 2,048 tokens then holds,
+    copied into Operands.prepare's layouts for attend_prepared, the kernel,
+    run inline. The encoder skips that copy: its phase A writes the scaled
+    Q, the padded K and V with its ones columns straight into an
+    Operands.allocate, and attend_prepared allocates only ctx with its row
+    sums, the shifts and the tile buffers. One uncached T6 local forward at 2,048 tokens then holds,
     besides the residual stream, one of each: Q (2.6 MB), K and V on the
     2,176-row key axis (2.8 and 3.0 MB) and ctx with its row sums (2.8 MB).
     """
-    return attend_prepared(Operands.prepare(qh, kh, vh, spec), pad, spec, pool)
+    return attend_prepared(Operands.prepare(qh, kh, vh, spec), pad, spec)
 
 
 def attend_prepared(ops: Operands, pad, spec: AttentionSpec, pool: LayerPool = INLINE):
@@ -335,16 +335,14 @@ def attend_prepared(ops: Operands, pad, spec: AttentionSpec, pool: LayerPool = I
     return ctx, SoftmaxStats(row_max, ctx_sum[..., head_dim], pad, ctx)
 
 
-def attend_backward(d_ctx, qh, kh, vh, stats: SoftmaxStats, spec: AttentionSpec,
-                    pool: LayerPool = INLINE):
+def attend_backward(d_ctx, qh, kh, vh, stats: SoftmaxStats, spec: AttentionSpec):
     """Gradients (d_qh, d_kh, d_vh) of attend's ctx with respect to its
     plain operands, given d_ctx and attend's stats: qh/kh/vh are copied into
-    Operands.prepare's layouts for attend_prepared_backward, the kernel. The
-    encoder's layer_backward skips that copy: it hands the kernel the
-    Operands its forward wrote and the training cache kept, and the kernel
-    allocates only the gradients and its tile buffers."""
-    return attend_prepared_backward(d_ctx, Operands.prepare(qh, kh, vh, spec), stats, spec,
-                                    pool)
+    Operands.prepare's layouts for attend_prepared_backward, the kernel, run
+    inline. The encoder's layer_backward skips that copy: it hands the
+    kernel the Operands its forward wrote and the training cache kept, and
+    the kernel allocates only the gradients and its tile buffers."""
+    return attend_prepared_backward(d_ctx, Operands.prepare(qh, kh, vh, spec), stats, spec)
 
 
 def attend_prepared_backward(d_ctx, ops: Operands, stats: SoftmaxStats, spec: AttentionSpec,

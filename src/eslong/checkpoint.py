@@ -1,4 +1,4 @@
-"""Binary container for named tensors (magic "ESLG").
+"""The ESLG named-tensor container, and the header and reader of every format.
 
 Little-endian layout:
   header: magic "ESLG", u32 format version, u32 entry count
@@ -7,13 +7,14 @@ Little-endian layout:
 Dtype codes: 0 = real32 raw, 1 = int4 blocks (u32 block_size, u32 block count,
 float32 scales, packed codes zero-padded to a byte boundary), 2 = UTF-8 JSON
 bytes (rank 1, dims = [byte length]) used for the single config entry.
-Readers reject unknown magic or version, and NaN or infinite real32 values
-or int4 scales.
+Readers reject unknown magic or version, a repeated entry name, and NaN or
+infinite real32 values or int4 scales.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from contextlib import contextmanager
@@ -34,13 +35,14 @@ DTYPE_JSON = 2
 CONFIG_ENTRY = "__config__"
 
 
+def write_header(fh: BinaryIO, magic: bytes, version: int) -> None:
+    """The 8 bytes every eslong binary file starts with: magic, u32 version."""
+    fh.write(magic + struct.pack("<I", version))
+
+
 def _write_entry_header(fh: BinaryIO, name: str, dtype: int, dims: tuple[int, ...]) -> None:
     raw = name.encode("utf-8")
-    fh.write(struct.pack("<H", len(raw)))
-    fh.write(raw)
-    fh.write(struct.pack("<BB", dtype, len(dims)))
-    for d in dims:
-        fh.write(struct.pack("<I", d))
+    fh.write(struct.pack(f"<H{len(raw)}sBB{len(dims)}I", len(raw), raw, dtype, len(dims), *dims))
 
 
 @contextmanager
@@ -83,8 +85,8 @@ def write_checkpoint(path, tensors: dict[str, Any], config: dict) -> None:
             raise InputError(f"tensor {name!r} holds NaN or infinite values; not writing {path}")
     config_bytes = json.dumps(config, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with replaced_on_success(path) as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<II", VERSION, len(tensors) + 1))
+        write_header(fh, MAGIC, VERSION)
+        fh.write(struct.pack("<I", len(tensors) + 1))
         _write_entry_header(fh, CONFIG_ENTRY, DTYPE_JSON, (len(config_bytes),))
         fh.write(config_bytes)
         for name, value in tensors.items():
@@ -98,73 +100,100 @@ def write_checkpoint(path, tensors: dict[str, Any], config: dict) -> None:
                 fh.write(value.astype("<f4", copy=False).tobytes())
 
 
-def read_exact(fh: BinaryIO, n: int, what: str = "checkpoint") -> bytes:
-    """n bytes from fh; a length beyond the end of the file is rejected before
-    anything is read, so a corrupt size field cannot ask for a huge buffer."""
-    left = os.fstat(fh.fileno()).st_size - fh.tell()
-    data = fh.read(n) if n <= left else b""
-    if len(data) != n:
-        raise FormatError(f"{what} truncated")
-    return data
+@contextmanager
+def open_binary(path, magic: bytes, version: int, what: str):
+    """A BinaryReader on path, past its checked magic and u32 version."""
+    with open(path, "rb") as fh:
+        found = fh.read(len(magic))
+        if found != magic:
+            raise FormatError(f"bad magic {found!r}; not an {magic.decode()} {what}")
+        reader = BinaryReader(fh, what)
+        (found,) = reader.unpack("<I")
+        if found != version:
+            raise FormatError(f"unsupported {what} version {found}")
+        yield reader
 
 
-def _finite(values: np.ndarray, name: str) -> np.ndarray:
-    if not np.isfinite(values).all():
-        raise FormatError(f"checkpoint tensor {name!r} holds NaN or infinite values")
-    return values
+class BinaryReader:
+    """Reads bounded by the file's size, taken once: a corrupt size field is
+    rejected before it can ask for a huge buffer."""
+
+    def __init__(self, fh: BinaryIO, what: str):
+        self.fh, self.what, self._held, self.seen = fh, what, b"", set()
+        self.left = os.fstat(fh.fileno()).st_size - fh.tell()
+
+    def _read(self, n: int) -> bytes:
+        data = self.fh.read(n) if n <= self.left else b""
+        if len(data) != n:
+            raise FormatError(f"{self.what} truncated")
+        self.left -= n
+        return data
+
+    def unpack(self, fmt: str) -> tuple:
+        """struct.unpack of the next struct.calcsize(fmt) bytes."""
+        return struct.unpack(fmt, self._read(struct.calcsize(fmt)))
+
+    def text(self, n: int, field: str, unique: bool = False) -> str:
+        """The next n bytes as UTF-8; unique=True rejects a repeated name."""
+        try:
+            text = self._read(n).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{self.what} {field} is not UTF-8") from exc
+        if unique:
+            if text in self.seen:
+                raise FormatError(f"{self.what} repeats the {field} {text!r}")
+            self.seen.add(text)
+        return text
+
+    def array(self, dtype, shape, finite: str | None = None) -> np.ndarray:
+        """A copy of the next values of dtype in shape, a count or dims;
+        finite labels a NaN or infinite value's FormatError. The bytes live
+        until the next array's are read, so each copy fills the hole the ones
+        before left; freed at once, repeated reads trim and refault the heap."""
+        dtype = np.dtype(dtype)
+        count = shape if isinstance(shape, int) else math.prod(shape)
+        self._held = self._read(dtype.itemsize * count)
+        try:
+            values = np.frombuffer(self._held, dtype).reshape(shape).copy()
+        except ValueError as exc:  # a zero dim beside dims too large for numpy
+            raise FormatError(f"{self.what} array dims {shape} are too large") from exc
+        if finite is not None and not np.isfinite(values).all():
+            raise FormatError(f"{self.what} {finite} holds NaN or infinite values")
+        return values
+
+    def end(self, last: str) -> None:
+        """Reject bytes after the last item, named by last."""
+        if self.left:
+            raise FormatError(f"{self.what} has bytes after its {last}")
 
 
 def read_checkpoint(path) -> tuple[dict[str, Any], dict]:
     """Read a container; returns (tensors, config dict)."""
     tensors: dict[str, Any] = {}
-    config: dict | None = None
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MAGIC:
-            raise FormatError(f"bad magic {magic!r}; not an ESLG checkpoint")
-        version, count = struct.unpack("<II", read_exact(fh, 8))
-        if version != VERSION:
-            raise FormatError(f"unsupported checkpoint version {version}")
+    with open_binary(path, MAGIC, VERSION, "checkpoint") as reader:
+        (count,) = reader.unpack("<I")
         for _ in range(count):
-            (name_len,) = struct.unpack("<H", read_exact(fh, 2))
-            try:
-                name = read_exact(fh, name_len).decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise FormatError("checkpoint entry name is not UTF-8") from exc
-            dtype, rank = struct.unpack("<BB", read_exact(fh, 2))
-            dims = tuple(struct.unpack("<I", read_exact(fh, 4))[0] for _ in range(rank))
-            numel = 1
-            for d in dims:
-                numel *= d
+            (name_len,) = reader.unpack("<H")
+            name = reader.text(name_len, "entry name", unique=True)
+            dtype, rank = reader.unpack("<BB")
+            dims = reader.unpack(f"<{rank}I")
+            numel = math.prod(dims)
             if dtype == DTYPE_REAL32:
-                values = np.frombuffer(read_exact(fh, 4 * numel), dtype="<f4")
-                try:
-                    values = values.reshape(dims)
-                except ValueError as exc:  # a zero dim beside dims too large for numpy
-                    raise FormatError(f"checkpoint tensor {name!r} has dims {dims}") from exc
-                tensors[name] = _finite(values.copy(), name)
+                tensors[name] = reader.array("<f4", dims, finite=f"tensor {name!r}")
             elif dtype == DTYPE_INT4:
-                block_size, nblocks = struct.unpack("<II", read_exact(fh, 8))
-                scales = _finite(np.frombuffer(read_exact(fh, 4 * nblocks), dtype="<f4").copy(),
-                                 name)
-                packed = np.frombuffer(read_exact(fh, (numel + 1) // 2), dtype=np.uint8).copy()
-                tensors[name] = QuantizedTensor(
-                    dims=dims, block_size=block_size, packed=packed, scales=scales
-                )
+                block_size, nblocks = reader.unpack("<II")
+                scales = reader.array("<f4", nblocks, finite=f"tensor {name!r}")
+                packed = reader.array(np.uint8, (numel + 1) // 2)
+                tensors[name] = QuantizedTensor(dims, block_size, packed, scales)
             elif dtype == DTYPE_JSON:
-                payload = read_exact(fh, numel)
                 try:
-                    decoded = json.loads(payload.decode("utf-8"))
+                    tensors[name] = json.loads(reader.text(numel, f"JSON entry {name!r}"))
                 except ValueError as exc:
                     raise FormatError(f"corrupt JSON entry {name!r}") from exc
-                if name == CONFIG_ENTRY:
-                    config = decoded
-                else:
-                    tensors[name] = decoded
             else:
                 raise FormatError(f"unknown dtype code {dtype} for entry {name!r}")
-        if fh.read(1):
-            raise FormatError("checkpoint has bytes after its last entry")
+        reader.end("last entry")
+    config = tensors.pop(CONFIG_ENTRY, None)
     if config is None:
         raise FormatError("checkpoint has no config entry")
     return tensors, config

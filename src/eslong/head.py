@@ -189,6 +189,8 @@ def train_head(train_embeddings, truth, cfg: HeadConfig, val_embeddings, metrics
         )
     if not train_embeddings:
         raise DataError("the training store holds no records")
+    if not val_embeddings:
+        raise DataError("the validation store holds no records")
     head = init_head(cfg, term_list)
     x_train, y_train = _matrices(train_embeddings, truth, term_list, cfg.input_dim)
     fit_standardizer(head, x_train)

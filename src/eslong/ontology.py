@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checkpoint import read_exact, replaced_on_success
+from .checkpoint import BinaryReader, open_binary, replaced_on_success, write_header
 from .errors import (
     EslongError,
     FormatError,
@@ -54,7 +54,7 @@ NAMESPACES = ("BPO", "CCO", "MFO")
 TABLE_SUFFIX = ".esct"
 TABLE_MAGIC = b"ESCT"
 TABLE_VERSION = 1
-_TABLE_HEADER = struct.Struct("<4sI32sQQQQ")
+_TABLE_FIELDS = "<32sQQQQ"  # the header after its magic and version
 
 # save_annotations builds the lines of at most this many pairs at once.
 _BLOCK_PAIRS = 1 << 14
@@ -424,8 +424,8 @@ def _read_table(path: str, digest: bytes) -> Annotations | None:
     sha256 digest of the TSV bytes it mirrors; None when there is no table,
     or, with one WARNING, when it fails a check."""
     try:
-        with open(path, "rb") as fh:
-            return _table_from(fh, digest)
+        with open_binary(path, TABLE_MAGIC, TABLE_VERSION, "score table") as reader:
+            return _table_from(reader, digest)
     except FileNotFoundError:
         return None
     except (OSError, EslongError) as exc:
@@ -433,25 +433,17 @@ def _read_table(path: str, digest: bytes) -> Annotations | None:
         return None
 
 
-def _table_from(fh, digest: bytes) -> Annotations:
-    what = "score table"
-    magic, version, recorded, n_proteins, n_terms, n_pairs, id_bytes = _TABLE_HEADER.unpack(
-        read_exact(fh, _TABLE_HEADER.size, what))
-    if magic != TABLE_MAGIC or version != TABLE_VERSION:
-        raise FormatError(f"bad magic {magic!r} or unsupported version {version}")
+def _table_from(reader: BinaryReader, digest: bytes) -> Annotations:
+    recorded, n_proteins, n_terms, n_pairs, id_bytes = reader.unpack(_TABLE_FIELDS)
     if recorded != digest:
         raise FormatError("it was written for other TSV bytes")
-    try:
-        ids = read_exact(fh, id_bytes, what).decode("utf-8").split("\n")
-    except UnicodeDecodeError as exc:
-        raise FormatError("its ids are not UTF-8") from exc
+    ids = reader.text(id_bytes, "id list").split("\n")
     if len(ids) != n_proteins + n_terms + 1 or ids[-1]:
         raise FormatError(f"it holds {len(ids) - 1} ids, not {n_proteins} + {n_terms}")
-    indptr = np.frombuffer(read_exact(fh, 8 * (n_proteins + 1), what), dtype="<i8")
-    indices = np.frombuffer(read_exact(fh, 4 * n_pairs, what), dtype="<u4")
-    scores = np.frombuffer(read_exact(fh, 8 * n_pairs, what), dtype="<f8")
-    if fh.read(1):
-        raise FormatError("it has bytes after its last score")
+    indptr = reader.array("<i8", n_proteins + 1)
+    indices = reader.array("<u4", n_pairs)
+    scores = reader.array("<f8", n_pairs)
+    reader.end("last score")
     counts = np.diff(indptr)
     if indptr[0] != 0 or indptr[-1] != n_pairs or (counts < 0).any():
         raise FormatError("its row pointers are not monotone from 0 to the pair count")
@@ -507,7 +499,7 @@ def save_annotations(path, annotations) -> None:
     indices = np.empty(int(indptr[-1]), dtype="<u4")
     scores = np.empty(len(indices), dtype="<f8")
     digest = hashlib.sha256()
-    with open(path, "wb") as fh:
+    with replaced_on_success(path) as fh:
         for start, stop in _row_blocks(indptr):
             r, c = np.nonzero(present[start:stop])
             r += start
@@ -528,9 +520,9 @@ def save_annotations(path, annotations) -> None:
         return
     ids = "".join(f"{x}\n" for x in (*written_proteins, *written_terms)).encode("utf-8")
     with replaced_on_success(table_path) as fh:
-        fh.write(_TABLE_HEADER.pack(TABLE_MAGIC, TABLE_VERSION, digest.digest(),
-                                    len(written_proteins), len(written_terms), len(scores),
-                                    len(ids)))
+        write_header(fh, TABLE_MAGIC, TABLE_VERSION)
+        fh.write(struct.pack(_TABLE_FIELDS, digest.digest(), len(written_proteins),
+                             len(written_terms), len(scores), len(ids)))
         for part in (ids, indptr, indices, scores):
             fh.write(part)
 

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import read_exact, replaced_on_success
+from .checkpoint import open_binary, replaced_on_success, write_header
 from .encoder import EncoderModel, forward, tokenize
-from .errors import ConfigError, EslongError, FormatError, IngestionError, InputError, text_lines
+from .errors import ConfigError, EslongError, IngestionError, InputError, text_lines
 from .parallel import layer_pool
 
 STORE_MAGIC = b"ESEM"
@@ -215,43 +215,24 @@ def write_store(path, embeddings, embed_dim: int | None = None) -> None:
             )
         rows.append((raw, rec))
     with replaced_on_success(path) as fh:
-        fh.write(STORE_MAGIC)
-        fh.write(struct.pack("<III", STORE_VERSION, len(embeddings), embed_dim))
+        write_header(fh, STORE_MAGIC, STORE_VERSION)
+        fh.write(struct.pack("<II", len(embeddings), embed_dim))
         for raw, rec in rows:
-            fh.write(struct.pack("<H", len(raw)))
-            fh.write(raw)
-            fh.write(struct.pack("<H", rec.slice_count))
+            fh.write(struct.pack("<H", len(raw)) + raw + struct.pack("<H", rec.slice_count))
             fh.write(rec.vector.astype("<f4", copy=False).tobytes())
 
 
 def read_store(path) -> tuple[list[EmbeddingRecord], int]:
-    def read(fh, n):
-        return read_exact(fh, n, "embedding store")
-
-    with open(path, "rb") as fh:
-        if fh.read(4) != STORE_MAGIC:
-            raise FormatError("not an ESEM embedding store")
-        version, count, dim = struct.unpack("<III", read(fh, 12))
-        if version != STORE_VERSION:
-            raise FormatError(f"unsupported store version {version}")
+    with open_binary(path, STORE_MAGIC, STORE_VERSION, "embedding store") as reader:
+        count, dim = reader.unpack("<II")
         records = []
-        seen: set[str] = set()
         for _ in range(count):
-            (id_len,) = struct.unpack("<H", read(fh, 2))
-            try:
-                pid = read(fh, id_len).decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise FormatError("embedding store protein id is not UTF-8") from exc
-            if pid in seen:
-                raise FormatError(f"embedding store repeats the id {pid!r}")
-            seen.add(pid)
-            (slice_count,) = struct.unpack("<H", read(fh, 2))
-            vec = np.frombuffer(read(fh, 4 * dim), dtype="<f4").copy()
-            if not np.isfinite(vec).all():
-                raise FormatError(f"embedding store vector of {pid!r} holds NaN or inf")
+            (id_len,) = reader.unpack("<H")
+            pid = reader.text(id_len, "protein id", unique=True)
+            (slice_count,) = reader.unpack("<H")
+            vec = reader.array("<f4", dim, finite=f"vector of {pid!r}")
             records.append(EmbeddingRecord(protein_id=pid, vector=vec, slice_count=slice_count))
-        if fh.read(1):
-            raise FormatError(f"embedding store has bytes after its {count} records")
+        reader.end(f"{count} records")
     return records, dim
 
 

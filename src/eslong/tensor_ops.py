@@ -187,17 +187,16 @@ def _cdf_pass(src, p, x, x2) -> None:
     np.maximum(p, 0.0, out=p)
 
 
-def gelu(a: np.ndarray, return_cdf: bool = False, out=None, cdf_out=None):
+def gelu(a: np.ndarray, return_cdf: bool = False, cdf_out=None):
     """Gaussian-error linear unit x * Phi(x), computed with the erf form (not
     the tanh fit): exact erf off float32, so float64 values match a
     high-precision oracle directly; float32 Phi is within 5e-7 of it.
 
     return_cdf=True returns (gelu(a), Phi(a)), so a backward pass can hand
-    Phi to gelu_grad instead of evaluating erf again. out, when given, is a
-    C-contiguous array of a's shape and dtype, other than a, that receives
-    gelu(a); cdf_out likewise receives Phi(a). Float32 GELU runs in passes of
-    _CDF_CHUNK elements: each pass's Phi goes into its part of the kept CDF,
-    or of out when Phi is not kept, and is multiplied by x there.
+    Phi to gelu_grad instead of evaluating erf again. cdf_out, when given, is
+    a C-contiguous array of a's shape and dtype, other than a, that receives
+    Phi(a). Float32 GELU runs in passes of _CDF_CHUNK elements, each pass's
+    Phi put in its part of the kept CDF or of the result and multiplied by x.
     """
     a = np.asarray(a)
     if a.dtype != np.float32:
@@ -207,11 +206,10 @@ def gelu(a: np.ndarray, return_cdf: bool = False, out=None, cdf_out=None):
         if cdf_out is not None:
             np.copyto(cdf_out, cdf)
             cdf = cdf_out
-        y = np.multiply(a, cdf, out=out)
+        y = np.multiply(a, cdf)
         return (y, cdf) if return_cdf else y
     src = np.ascontiguousarray(a).reshape(-1)
-    if out is None:
-        out = np.empty(a.shape, dtype=np.float32)
+    out = np.empty(a.shape, dtype=np.float32)
     if cdf_out is None and return_cdf:
         cdf_out = np.empty(a.shape, dtype=np.float32)
     dst = out.reshape(-1)

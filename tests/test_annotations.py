@@ -273,6 +273,20 @@ class TestBinaryTable:
         assert [r.levelname for r in caplog.records] == ["WARNING"]
         assert "other TSV bytes" in caplog.records[0].getMessage()
 
+    def test_failed_tsv_write_keeps_the_old_files(self, tmp_path, disk_fills_after):
+        path = tmp_path / "pred.tsv"
+        table = {f"P{i}": {f"GO:{j}": (i + j) / 40 for j in range(10)} for i in range(20)}
+        save_annotations(path, table)
+        old = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert sorted(old) == ["pred.tsv", "pred.tsv.esct"]
+        disk_fills_after(len(old["pred.tsv"]) // 2)
+        with pytest.raises(OSError, match="No space"):
+            save_annotations(path, {p: {t: s / 2 for t, s in row.items()}
+                                    for p, row in table.items()})
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == old
+        loaded = load_annotations(path)
+        assert loaded.from_binary and loaded == load_annotations(path.read_text())
+
     def test_ids_that_do_not_read_back_get_no_table(self, tmp_path):
         path = tmp_path / "pred.tsv"
         save_annotations(path, self.TABLE)

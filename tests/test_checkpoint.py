@@ -132,6 +132,21 @@ class TestRejection:
         with pytest.raises(FormatError, match="after its last entry"):
             read_checkpoint(path)
 
+    @pytest.mark.parametrize("name, entry", [
+        ("w", struct.pack("<BBI", 0, 1, 2) + np.float32([3, 4]).tobytes()),
+        ("__config__", struct.pack("<BBI", 2, 1, 2) + b"{}"),
+    ], ids=["w", "__config__"])
+    def test_repeated_entry_name(self, tmp_path, name, entry):
+        # a second entry of a name once replaced the first without a word
+        path = tmp_path / "twice"
+        write_checkpoint(path, {"w": np.ones(2, dtype=np.float32)}, {"x": 1})
+        raw = name.encode("utf-8")
+        data = bytearray(path.read_bytes() + struct.pack("<H", len(raw)) + raw + entry)
+        data[8:12] = struct.pack("<I", 3)
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match=f"repeats the entry name '{name}'"):
+            read_checkpoint(path)
+
     def test_zero_dim_beside_huge_dims(self, tmp_path):
         path = tmp_path / "dims"
         write_checkpoint(path, {}, {})

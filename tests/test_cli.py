@@ -558,6 +558,19 @@ class TestHeadProbes:
                                       "--val-embeddings", str(store), "--truth", str(truth),
                                       "--out", str(tmp_path / "h.eslg")], capsys)
 
+    def test_empty_validation_store_exits_2(self, tmp_path, capsys):
+        # named before training starts, not after a whole epoch
+        _, store = saved_head_and_store(tmp_path)
+        empty = tmp_path / "empty.esem"
+        write_store(empty, [], embed_dim=4)
+        truth = tmp_path / "truth.tsv"
+        truth.write_text("P1\tGO:1\n")
+        argv = ["train-head", "--embeddings", str(store), "--val-embeddings", str(empty),
+                "--truth", str(truth), "--out", str(tmp_path / "h.eslg")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "validation store" in err[0], err
+
     def test_nan_store_vector_exits_2(self, tmp_path, capsys):
         head, store = saved_head_and_store(tmp_path)
         store.write_bytes(store.read_bytes()[:-4] + struct.pack("<f", np.nan))

@@ -2,8 +2,9 @@
 predict, and eval.
 
 Exit codes: 0 success, 1 partial success (some records skipped, reported on
-stderr), 2 invalid input or configuration. main writes each command's manifest
-next to its output file. Set ESLONG_LOG=DEBUG|INFO|WARNING for verbosity.
+stderr), 2 invalid input or configuration, or a run that does not fit in
+memory. main writes each command's manifest next to its output file. Set
+ESLONG_LOG=DEBUG|INFO|WARNING for verbosity.
 """
 
 from __future__ import annotations
@@ -421,6 +422,9 @@ def main(argv=None) -> int:
             return ran.code
     except (EslongError, *_PATH_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # NumPy's message names the allocation; a bare one has none
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
         return 2
 
 

@@ -446,10 +446,11 @@ def layer_backward(model: EncoderModel, i: int, cache: dict, d_x, proj, acc, poo
 def forward(model: EncoderModel, token_ids, want_cache: bool = False):
     """Last-layer hidden states after the final layer norm, one row per token.
 
-    Each layer is one _layer_forward, its phases on parallel.layer_pool with
-    OpenBLAS at one thread; a model at least _MIN_SPLIT_WIDTH wide splits its
-    rows from 2 * _MIN_PART_ROWS tokens on. Each part computes its rows' or
-    heads' bits of the whole layer, so no output depends on the worker count.
+    Each layer is one _layer_forward, its phases on parallel.layer_pool, which
+    leaves OpenBLAS at one thread; a model at least _MIN_SPLIT_WIDTH wide
+    splits its rows from 2 * _MIN_PART_ROWS tokens on. Each part computes its
+    rows' or heads' bits of the whole layer, so no output depends on the
+    worker or BLAS thread count.
     want_cache=True also returns the tokens, the final layer norm's cache, the
     hidden states and each layer's cache, which layer_backward reads.
     """
@@ -469,9 +470,8 @@ def forward(model: EncoderModel, token_ids, want_cache: bool = False):
     x = P["token_embedding"][tok] + P["position_embedding"][:n]
     row_parts = (pool.split(n, _ROW_ALIGN, _MIN_PART_ROWS)
                  if min(cfg.embed_dim, cfg.ffn_dim) >= _MIN_SPLIT_WIDTH else [slice(0, n)])
-    with pool.one_blas_thread():
-        layer_caches = [_layer_forward(model, i, x, pad, pool, row_parts, want_cache)
-                        for i in range(cfg.num_layers)]
+    layer_caches = [_layer_forward(model, i, x, pad, pool, row_parts, want_cache)
+                    for i in range(cfg.num_layers)]
     hidden, lnf_cache = layer_norm(x, P["final_ln.gain"], P["final_ln.bias"])
     if not want_cache:
         return hidden

@@ -180,7 +180,9 @@ def train_head(train_embeddings, truth, cfg: HeadConfig, val_embeddings, metrics
 
     Each AdamW step updates the live parameters in place (see train_epochs),
     so an epoch whose validation Fmax is the best so far is kept as a copy;
-    the returned head owns that copy."""
+    the returned head owns that copy. Every product runs on one OpenBLAS
+    thread, set by parallel.layer_pool, so the weights' bits do not depend on
+    the BLAS thread count."""
     truth = as_annotations(truth)
     term_list = truth.annotated_terms()
     if len(term_list) != cfg.num_terms:
@@ -191,6 +193,7 @@ def train_head(train_embeddings, truth, cfg: HeadConfig, val_embeddings, metrics
         raise DataError("the training store holds no records")
     if not val_embeddings:
         raise DataError("the validation store holds no records")
+    layer_pool()  # sets OpenBLAS to one thread before the first product
     head = init_head(cfg, term_list)
     x_train, y_train = _matrices(train_embeddings, truth, term_list, cfg.input_dim)
     fit_standardizer(head, x_train)
@@ -231,7 +234,7 @@ _PREDICT_ROWS = 32
 def predict(head: ClassifierHead, embeddings) -> Annotations:
     """Sigmoid scores of every head term for each record. The records are cut
     into parts of at most _PREDICT_ROWS, run on parallel.layer_pool with
-    OpenBLAS held at one thread, and each part runs as one stacked
+    OpenBLAS at one thread, and each part runs as one stacked
     [records, 1, d] pass, whose matmuls take each record as its own product.
     So a record's scores depend neither on the other records nor on the
     worker or BLAS thread count. A record whose logits overflow to NaN is an
@@ -245,9 +248,7 @@ def predict(head: ClassifierHead, embeddings) -> Annotations:
         z = head_logits(head.params, head.standardize(x[rows]))[:, 0]
         scores[rows] = _sigmoid(z.astype(np.float64))
 
-    pool = layer_pool()
-    with pool.one_blas_thread():
-        pool.run(score, cut(n, max(1, -(-n // _PREDICT_ROWS))))
+    layer_pool().run(score, cut(n, max(1, -(-n // _PREDICT_ROWS))))
     bad = np.isnan(scores).any(axis=1)
     if bad.any():
         rec = embeddings[int(bad.argmax())]

@@ -20,10 +20,11 @@ The parts' matrix products must each run on one core. Two BLAS threads on
 top of the workers oversubscribe the cores, and they also make attention's
 small score products slower. OpenBLAS exports openblas_set_num_threads_local
 for this, but in its pthreads builds, numpy's wheels among them, the call sets
-the thread count of the whole library, not of the calling thread. So the pool
-holds the count at 1 while any caller runs phases or a training batch, and
-puts back the count it found when the last one leaves. It does so for one
-worker too: some OpenBLAS products, such as attention's
+the thread count of the whole library, not of the calling thread. So
+layer_pool() sets every OpenBLAS in the process to one thread each time it
+is called, and never puts the old count back: every product eslong computes
+runs on one thread, after any caller's change to the count. It does so for
+one worker too: some OpenBLAS products, such as attention's
 [rows, n] @ [n, head_dim + 1] for n above about 450, round differently on
 one thread and on two, and a store's or a checkpoint's bits should not
 depend on the worker count. Where the symbol cannot be found, the pool has
@@ -41,7 +42,6 @@ import ctypes
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 
 
 def _blas_thread_setters() -> tuple:
@@ -77,16 +77,13 @@ class LayerPool:
     """The caller and workers - 1 threads run the parts of a phase; with one
     worker there are no threads and the parts run inline, in order."""
 
-    def __init__(self, workers: int, blas_setters: tuple = ()):
+    def __init__(self, workers: int):
         self.workers = max(1, workers)
-        self._setters = blas_setters
         # The caller is one of the workers.
         self._executor = (ThreadPoolExecutor(self.workers - 1, thread_name_prefix="eslong-layer")
                           if self.workers > 1 else None)
         self._lock = threading.Lock()
         self._idle = self.workers - 1  # pool threads that run no take_parts
-        self._holders = 0
-        self._saved: list[int] = []
 
     def split(self, count: int, align: int = 1, least: int = 1) -> list[slice]:
         """count items cut into at most `workers` contiguous parts of near-equal
@@ -151,48 +148,33 @@ class LayerPool:
         if first is not None:
             raise first
 
-    @contextmanager
-    def one_blas_thread(self):
-        """OpenBLAS held at one thread while the block runs; the count found
-        on entry comes back when the last of concurrent holders leaves."""
-        if not self._setters:
-            yield
-            return
-        with self._lock:
-            if self._holders == 0:
-                self._saved = [setter(1) for setter in self._setters]
-            self._holders += 1
-        try:
-            yield
-        finally:
-            with self._lock:
-                self._holders -= 1
-                if self._holders == 0:
-                    for setter, count in zip(self._setters, self._saved):
-                        setter(count)
-
     def close(self) -> None:
         if self._executor is not None:
             self._executor.shutdown()
 
 
 # The default pool of attention.attend and attend_backward, for callers
-# outside the encoder: no threads, and OpenBLAS keeps its count.
+# outside the encoder: no threads, and OpenBLAS's thread count left as it is.
 INLINE = LayerPool(1)
 
 _pool: LayerPool | None = None
 _pool_lock = threading.Lock()
+_setters: tuple | None = None  # found on the first layer_pool()
 
 
 def layer_pool() -> LayerPool:
-    """The process's pool, made on first use, so importing eslong starts no
-    thread: one worker per CPU this process may run on, or a single inline
-    worker where OpenBLAS's thread count cannot be set."""
-    global _pool
+    """The process's pool, with every OpenBLAS set to one thread. The pool is
+    made on first use, so importing eslong starts no thread and leaves
+    OpenBLAS as it is: one worker per CPU this process may run on, or a single
+    inline worker where OpenBLAS's thread count cannot be set."""
+    global _pool, _setters
     with _pool_lock:
+        if _setters is None:
+            _setters = _blas_thread_setters()
+        for setter in _setters:
+            setter(1)
         if _pool is None:
-            setters = _blas_thread_setters()
-            _pool = LayerPool(len(os.sched_getaffinity(0)) if setters else 1, setters)
+            _pool = LayerPool(len(os.sched_getaffinity(0)) if _setters else 1)
         return _pool
 
 

@@ -146,12 +146,11 @@ def embed_corpus(model: EncoderModel, records, residue_limit: int, pool: str = P
     """Embed every record; results and failures come back in input order.
 
     The records are the parts of one layer_pool().run, longest first (a
-    stable sort by sequence length), with OpenBLAS held at one thread
-    throughout: each thread runs embed_protein on a record, and that
-    record's forwards run their phases on the same pool. Up to `workers`
-    forwards are in flight at once. A record's slices run in order on the
-    thread that took it, and no forward's bits depend on the worker count,
-    so neither do the results.
+    stable sort by sequence length), with OpenBLAS at one thread: each
+    thread runs embed_protein on a record, and that record's forwards run
+    their phases on the same pool. Up to `workers` forwards are in flight at
+    once. A record's slices run in order on the thread that took it, and no
+    forward's bits depend on the worker count, so neither do the results.
 
     Returns (embeddings, failures) where failures is a list of (protein id,
     error message) for records whose input was rejected with an EslongError;
@@ -170,9 +169,7 @@ def embed_corpus(model: EncoderModel, records, residue_limit: int, pool: str = P
 
     longest_first = sorted(range(len(records)), key=lambda i: len(records[i].sequence),
                            reverse=True)
-    layers = layer_pool()
-    with layers.one_blas_thread():
-        layers.run(embed_record, longest_first)
+    layer_pool().run(embed_record, longest_first)
     results = [out for out in outcomes if isinstance(out, EmbeddingRecord)]
     failures = [(rec.id, out) for rec, out in zip(records, outcomes) if isinstance(out, str)]
     return results, failures

@@ -3,9 +3,10 @@
 The backward pass is hand-derived (no autodiff), which is what makes the
 finite-difference gradient suite in the tests meaningful; each layer's part
 is encoder.layer_backward, the one reader of the layer cache. The sequences
-of a batch run on parallel.layer_pool, OpenBLAS held at one thread, and each
-adds to a gradient only after every earlier sequence has, so gradients,
-losses and checkpoints have a serial loop's bits for any number of workers.
+of a batch run on parallel.layer_pool, which leaves OpenBLAS at one thread,
+and each adds to a gradient only after every earlier sequence has, so
+gradients, losses and checkpoints have a serial loop's bits for any number
+of workers or BLAS threads.
 All randomness derives from one seed through named sub-streams.
 """
 
@@ -269,10 +270,10 @@ def mlm_loss(model: EncoderModel, masked_batch, labels, grads=None):
     which are returned; without grads they go into a zeroed set made here.
 
     The labeled sequences are the parts of one layer_pool().run, taken in
-    input order, with OpenBLAS held at one thread throughout: each thread
-    runs a sequence's forward, loss and backward. Up to `workers` sequence
-    caches are alive at once. If a sequence raises, the later ones stop at
-    their next turn and the first error, in input order, is raised.
+    input order, with OpenBLAS at one thread: each thread runs a sequence's
+    forward, loss and backward. Up to `workers` sequence caches are alive at
+    once. If a sequence raises, the later ones stop at their next turn and
+    the first error, in input order, is raised.
     """
     total_labels = sum(len(seq_labels) for seq_labels in labels)
     if total_labels == 0:
@@ -304,9 +305,7 @@ def mlm_loss(model: EncoderModel, masked_batch, labels, grads=None):
             bp.abandon(seq)
             raise
 
-    pool = layer_pool()
-    with pool.one_blas_thread():
-        pool.run(run_sequence, range(len(labeled)))
+    layer_pool().run(run_sequence, range(len(labeled)))
     loss_sum = 0.0
     for loss in losses:  # in input order, as a serial loop adds them
         loss_sum += loss

@@ -98,6 +98,32 @@ class TestPretrain:
         assert main(["pretrain", "--config", str(config), "--fasta", str(fasta),
                      "--out", str(tmp / "x.eslg"), "--quantize-base"]) == 2
 
+    @pytest.mark.parametrize("error", [
+        MemoryError("Unable to allocate 1.16 TiB for an array with shape (400000, 400000) "
+                    "and data type float64"),
+        MemoryError()], ids=["numpy", "bare"])
+    def test_model_too_large_for_memory_exits_2(self, workdir, monkeypatch, capsys, error):
+        """A model the process cannot allocate is one error line and exit 2,
+        not a traceback and exit 1. build_model raises in place of allocating
+        the 400,000-wide model, so no test host tries to."""
+        tmp, fasta, _, _ = workdir
+        config = tmp / "huge.json"
+        config.write_text(json.dumps({
+            "model": {"num_layers": 1, "num_heads": 20, "embed_dim": 400_000,
+                      "ffn_dim": 1_600_000, "max_positions": 12},
+            "train": {"epochs": 1, "seed": 0}}))
+
+        def build_model(*_):
+            raise error
+
+        monkeypatch.setattr(eslong.cli, "build_model", build_model)
+        out = tmp / "huge.eslg"
+        assert main(["pretrain", "--config", str(config), "--fasta", str(fasta),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: out of memory: {error}" if str(error) else "error: out of memory"]
+        assert not out.exists()
+
     def test_seed_flag_changes_outcome(self, workdir):
         tmp, fasta, config, _ = workdir
         a, b, c = (tmp / n for n in ("a.eslg", "b.eslg", "c.eslg"))

@@ -1,6 +1,6 @@
-"""The layer pool: forward's bits do not depend on the number of workers, and
-the pool keeps the caller's OpenBLAS thread count, NumPy error state and
-exceptions."""
+"""The layer pool: forward's bits do not depend on the number of workers or
+on the caller's OpenBLAS thread count, the pool leaves OpenBLAS at one
+thread, and it keeps the caller's NumPy error state and exceptions."""
 
 import json
 import os
@@ -95,7 +95,7 @@ def use_pool(monkeypatch):
     made = []
 
     def use(workers):
-        pool = LayerPool(workers, SETTERS)
+        pool = LayerPool(workers)
         made.append(pool)
         monkeypatch.setattr(parallel, "_pool", pool)
         return pool
@@ -222,7 +222,7 @@ def test_concurrent_batches_on_more_workers_than_cores(use_pool):
 def test_failing_sequence_stops_the_batch(use_pool, monkeypatch):
     """The second of four sequences raises in its backward pass: mlm_loss
     raises that error, no thread waits for its turn afterwards, and OpenBLAS
-    has its thread count back."""
+    is at one thread."""
     pool = use_pool(2)
     model = small_model()
     lengths = (300, 120, 260, 40)
@@ -261,7 +261,7 @@ def test_failing_sequence_stops_the_batch(use_pool, monkeypatch):
             batches[0].abandon(-1)  # frees the waiting threads, so the suite does not hang
             caller.join(timeout=60)
             pytest.fail("mlm_loss still waits after a sequence raised")
-        assert [read_blas_threads(setter) for setter in SETTERS] == [2] * len(SETTERS)
+        assert [read_blas_threads(setter) for setter in SETTERS] == [1] * len(SETTERS)
     assert len(raised) == 1 and raised[0] is failure
     # The worker is free: no part of the batch is left waiting.
     assert pool._executor.submit(lambda: "free").result(timeout=10) == "free"
@@ -489,10 +489,10 @@ def blas_threads(count):
 @pytest.mark.skipif(not SETTERS, reason="no OpenBLAS with openblas_set_num_threads_local")
 @pytest.mark.parametrize("make_model", [small_model, lambda: small_model(lora=True), narrow_model],
                          ids=["plain", "lora", "narrow"])
-def test_forward_keeps_callers_blas_thread_count(use_pool, make_model):
-    """forward gives the caller back its OpenBLAS thread count, and its bits
-    do not depend on that count: above about 450 tokens attention's products
-    round differently on two threads."""
+def test_forward_leaves_blas_at_one_thread(use_pool, make_model):
+    """forward leaves OpenBLAS at one thread, and its bits do not depend on
+    the count the caller set before: above about 450 tokens attention's
+    products round differently on two threads."""
     use_pool(2)
     model = make_model()
     toks = tokens(600, model.config)
@@ -500,19 +500,19 @@ def test_forward_keeps_callers_blas_thread_count(use_pool, make_model):
         want = forward(model, toks)
     with blas_threads(2):
         got = forward(model, toks)
-        assert [read_blas_threads(setter) for setter in SETTERS] == [2] * len(SETTERS)
+        assert [read_blas_threads(setter) for setter in SETTERS] == [1] * len(SETTERS)
     assert same_bytes(got, want)
 
 
 def test_concurrent_long_forwards(use_pool):
-    """More callers than cores share the pool and its OpenBLAS hold, with
-    thread switches forced often; every result keeps the serial bits."""
+    """More callers than cores share the pool, with thread switches forced
+    often; every result keeps the serial bits, and OpenBLAS is left at one
+    thread."""
     model = small_model()
     inputs = [tokens(n, model.config, seed=7) for n in (256, 300, 600)]
     use_pool(1)
     expected = [forward(model, toks) for toks in inputs]
     use_pool(2)
-    before = [read_blas_threads(setter) for setter in SETTERS]
     results, errors = {}, []
 
     def client(c):
@@ -538,7 +538,7 @@ def test_concurrent_long_forwards(use_pool):
     assert len(results) == 4 * 3 * len(inputs)
     for (_, _, j), out in results.items():
         assert same_bytes(out, expected[j])
-    assert [read_blas_threads(setter) for setter in SETTERS] == before
+    assert [read_blas_threads(setter) for setter in SETTERS] == [1] * len(SETTERS)
 
 
 def test_run_finishes_every_part_then_raises_the_first():
@@ -719,7 +719,7 @@ print(os.waitpid(pid, 0)[1])
 @pytest.mark.skipif(not SETTERS, reason="no OpenBLAS with openblas_set_num_threads_local")
 def test_pretrain_cli_does_not_depend_on_blas_threads(tmp_path):
     """On sequences above 450 tokens some products round differently on one
-    OpenBLAS thread and on two; pretrain holds OpenBLAS at one, so the
+    OpenBLAS thread and on two; pretrain sets OpenBLAS to one, so the
     checkpoint and the loss curve are the same under either setting."""
     rng = np.random.default_rng(5)
     fasta = tmp_path / "corpus.fasta"
@@ -743,8 +743,8 @@ def test_pretrain_cli_does_not_depend_on_blas_threads(tmp_path):
 @pytest.mark.skipif(not SETTERS, reason="no OpenBLAS with openblas_set_num_threads_local")
 def test_adapter_embed_cli_does_not_depend_on_blas_threads(tmp_path):
     """A model with a trained LoRA adapter runs every forward on the pool,
-    and embed_corpus holds OpenBLAS at one thread around it, so the store has
-    the same bytes under either setting."""
+    and the pool sets OpenBLAS to one thread, so the store has the same bytes
+    under either setting."""
     model = tmp_path / "lora.eslg"
     save_model(small_model(lora=True), model)
     fasta = tmp_path / "in.fasta"
@@ -761,7 +761,7 @@ def test_adapter_embed_cli_does_not_depend_on_blas_threads(tmp_path):
 @pytest.mark.skipif(not SETTERS, reason="no OpenBLAS with openblas_set_num_threads_local")
 def test_predict_cli_does_not_depend_on_blas_threads(tmp_path):
     """A 512-wide hidden layer over 1,620 terms is a product that OpenBLAS
-    rounds differently on two threads; predict holds OpenBLAS at one, so the
+    rounds differently on two threads; predict sets OpenBLAS to one, so the
     scores have the same bytes under either setting."""
     rng = np.random.default_rng(8)
     terms = [f"GO:{k}" for k in range(1620)]
@@ -778,6 +778,34 @@ def test_predict_cli_does_not_depend_on_blas_threads(tmp_path):
                                 "--embeddings", str(tmp_path / "test.esem"), "--out", str(out))
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.skipif(not SETTERS, reason="no OpenBLAS with openblas_set_num_threads_local")
+def test_train_head_cli_does_not_depend_on_blas_threads(tmp_path):
+    """A 512-wide hidden layer over 1,620 terms makes training products that
+    OpenBLAS rounds differently on two threads; train_head sets OpenBLAS to
+    one, so the checkpoint has the same bytes under either setting."""
+    rng = np.random.default_rng(9)
+    lines = []
+    for name, count in (("train", 64), ("val", 16)):
+        records = [EmbeddingRecord(f"{name}{i}", rng.normal(size=32).astype(np.float32), 1)
+                   for i in range(count)]
+        write_store(tmp_path / f"{name}.esem", records)
+        # Record i holds every 64th term from GO:i on; the training records
+        # hold all 1,620.
+        lines += [f"{rec.protein_id}\tGO:{k}\n"
+                  for i, rec in enumerate(records) for k in range(i, 1620, 64)]
+    (tmp_path / "truth.tsv").write_text("".join(lines))
+    heads = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"head{threads}.eslg"
+        run_cli_on_blas_threads(threads, "train-head",
+                                "--embeddings", str(tmp_path / "train.esem"),
+                                "--val-embeddings", str(tmp_path / "val.esem"),
+                                "--truth", str(tmp_path / "truth.tsv"), "--out", str(out),
+                                "--hidden", "512", "--epochs", "1", "--seed", "3")
+        heads.append(out.read_bytes())
+    assert heads[0] == heads[1]
 
 
 def run_cli_on_blas_threads(threads: str, *argv: str) -> None:
